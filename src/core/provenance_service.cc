@@ -36,19 +36,16 @@ Status ValidateCatalog(const DataCatalog& catalog, VertexId num_vertices) {
 // Query logic over a store's bit-packed labels (+ catalog), formerly the
 // scheme-passing ProvenanceStore overloads. It lives here because the
 // service is the only holder of the scheme a store's labels were built
-// under; nothing outside can pair the two incorrectly anymore.
+// under; nothing outside can pair the two incorrectly anymore. Callers
+// have range-checked every vertex and item id.
 
 bool StoreReaches(const ProvenanceStore& store, VertexId v, VertexId w,
                   const SpecLabelingScheme& scheme) {
   return RunLabeling::Decide(store.label(v), store.label(w), scheme);
 }
 
-Result<bool> StoreDependsOn(const ProvenanceStore& store, DataItemId x,
-                            DataItemId x_from,
-                            const SpecLabelingScheme& scheme) {
-  if (x >= store.num_items() || x_from >= store.num_items()) {
-    return Status::InvalidArgument("unknown data item");
-  }
+bool StoreDependsOn(const ProvenanceStore& store, DataItemId x,
+                    DataItemId x_from, const SpecLabelingScheme& scheme) {
   // Paper Section 6: x depends on x_from iff some reader of x_from reaches
   // the execution that wrote x.
   const RunLabel out = store.label(store.item_writer(x));
@@ -58,15 +55,9 @@ Result<bool> StoreDependsOn(const ProvenanceStore& store, DataItemId x,
   return false;
 }
 
-Result<bool> StoreModuleDependsOnData(const ProvenanceStore& store,
-                                      VertexId v, DataItemId x,
-                                      const SpecLabelingScheme& scheme) {
-  if (x >= store.num_items()) {
-    return Status::InvalidArgument("unknown data item");
-  }
-  if (v >= store.num_vertices()) {
-    return Status::InvalidArgument("unknown vertex");
-  }
+bool StoreModuleDependsOnData(const ProvenanceStore& store, VertexId v,
+                              DataItemId x,
+                              const SpecLabelingScheme& scheme) {
   for (VertexId r : store.item_readers(x)) {
     if (RunLabeling::Decide(store.label(r), store.label(v), scheme)) {
       return true;
@@ -75,15 +66,8 @@ Result<bool> StoreModuleDependsOnData(const ProvenanceStore& store,
   return false;
 }
 
-Result<bool> StoreDataDependsOnModule(const ProvenanceStore& store,
-                                      DataItemId x, VertexId v,
-                                      const SpecLabelingScheme& scheme) {
-  if (x >= store.num_items()) {
-    return Status::InvalidArgument("unknown data item");
-  }
-  if (v >= store.num_vertices()) {
-    return Status::InvalidArgument("unknown vertex");
-  }
+bool StoreDataDependsOnModule(const ProvenanceStore& store, DataItemId x,
+                              VertexId v, const SpecLabelingScheme& scheme) {
   return RunLabeling::Decide(store.label(v),
                              store.label(store.item_writer(x)), scheme);
 }
@@ -99,18 +83,15 @@ Result<bool> StoreDataDependsOnModule(const ProvenanceStore& store,
 template <typename Compute>
 bool Memoized(const RunRegistry::ReadHandle& handle, uint64_t run,
               uint32_t src, uint32_t dst, QueryKind kind,
-              std::atomic<uint64_t>& hits, std::atomic<uint64_t>& misses,
               const Compute& compute) {
   QueryCache* cache = handle.cache();
   if (cache == nullptr) return compute();
   bool answer = false;
   if (cache->Lookup(handle.generation(), run, src, dst, kind, &answer)) {
-    hits.fetch_add(1, std::memory_order_relaxed);
-    handle.shard_cache_hits()->fetch_add(1, std::memory_order_relaxed);
+    handle.Count(Tally::kCacheHits);
     return answer;
   }
-  misses.fetch_add(1, std::memory_order_relaxed);
-  handle.shard_cache_misses()->fetch_add(1, std::memory_order_relaxed);
+  handle.Count(Tally::kCacheMisses);
   answer = compute();
   cache->Insert(handle.generation(), run, src, dst, kind, answer);
   return answer;
@@ -126,9 +107,12 @@ ProvenanceService::ProvenanceService(
       epoch_mu_(std::make_unique<std::mutex>()),
       options_(options),
       counters_(std::make_unique<Counters>()),
+      // Cache placement: only search schemes (BFS/DFS), whose compare is a
+      // graph search, get shard caches. Every epoch rebuilds the same kind,
+      // so this holds for the service's lifetime.
       registry_(std::make_unique<RunRegistry>(RunRegistry::Options{
           .num_shards = options.num_shards,
-          .cache_slots = options.cache_slots})),
+          .cache_slots = scheme->SearchesGraph() ? options.cache_slots : 0})),
       metrics_(std::make_unique<MetricsRegistry>()),
       pool_mu_(std::make_unique<std::mutex>()) {
   // Only a scheme whose name round-trips through the kind parser can be
@@ -165,23 +149,22 @@ void ProvenanceService::RegisterServiceMetrics() {
         const SpecEpoch* entry = head->load(std::memory_order_acquire);
         return entry != nullptr ? entry->number : 0;
       });
-  // Per-shard cache tallies as callback gauges: the shards already keep
-  // relaxed atomics (bumped on the query path), so scrape time just reads
-  // them. The captured registry address is stable — it sits behind a
-  // unique_ptr in this movable service.
+  // Per-shard cache tallies (the blocks ServiceStats sums), only when the
+  // shards keep caches: no always-zero series. The captured registry
+  // address is stable behind its unique_ptr.
   const RunRegistry* reg = registry_.get();
-  for (size_t s = 0; s < reg->num_shards(); ++s) {
-    metrics_->AddCallbackGauge(
-        "skl_cache_shard_hits", "Query-cache hits served by this shard",
-        "shard=\"" + std::to_string(s) + "\"",
-        [reg, s] { return reg->shard_cache_hits(s); });
-  }
-  for (size_t s = 0; s < reg->num_shards(); ++s) {
-    metrics_->AddCallbackGauge(
-        "skl_cache_shard_misses", "Query-cache misses taken by this shard",
-        "shard=\"" + std::to_string(s) + "\"",
-        [reg, s] { return reg->shard_cache_misses(s); });
-  }
+  if (reg->cache_slots_per_shard() == 0) return;
+  const auto add_family = [&](Tally t, const char* name, const char* help) {
+    for (size_t s = 0; s < reg->num_shards(); ++s) {
+      metrics_->AddCallbackGauge(
+          name, help, "shard=\"" + std::to_string(s) + "\"",
+          [reg, s, t] { return reg->ShardTally(s, t); });
+    }
+  };
+  add_family(Tally::kCacheHits, "skl_cache_shard_hits",
+             "Query-cache hits served by this shard");
+  add_family(Tally::kCacheMisses, "skl_cache_shard_misses",
+             "Query-cache misses taken by this shard");
 }
 
 size_t ProvenanceService::shard_of(RunId id) const {
@@ -549,12 +532,10 @@ Result<bool> ProvenanceService::Reaches(RunId id, VertexId v, VertexId w,
     return Status::InvalidArgument("vertex out of range for run");
   }
   const SpecLabelingScheme& sch = SchemeFor(record, scheme());
-  counters_->reaches_queries.fetch_add(1, std::memory_order_relaxed);
-  return Memoized(handle, id.value(), v, w,
-                  QueryKind::kReaches, counters_->cache_hits,
-                  counters_->cache_misses, [&] {
-                    return StoreReaches(record.store, v, w, sch);
-                  });
+  handle.Count(Tally::kReaches);
+  return Memoized(handle, id.value(), v, w, QueryKind::kReaches, [&] {
+    return StoreReaches(record.store, v, w, sch);
+  });
 }
 
 Result<std::vector<bool>> ProvenanceService::ReachesBatch(
@@ -576,13 +557,11 @@ Result<std::vector<bool>> ProvenanceService::ReachesBatch(
   answers.reserve(pairs.size());
   for (const auto& [v, w] : pairs) {
     answers.push_back(Memoized(
-        handle, id.value(), v, w,
-        QueryKind::kReaches, counters_->cache_hits, counters_->cache_misses,
+        handle, id.value(), v, w, QueryKind::kReaches,
         [&] { return StoreReaches(handle.record().store, v, w, sch); }));
   }
-  counters_->batch_calls.fetch_add(1, std::memory_order_relaxed);
-  counters_->reaches_queries.fetch_add(pairs.size(),
-                                       std::memory_order_relaxed);
+  handle.Count(Tally::kBatchCalls);
+  handle.Count(Tally::kReaches, pairs.size());
   return answers;
 }
 
@@ -597,13 +576,10 @@ Result<bool> ProvenanceService::DependsOn(RunId id, DataItemId x,
     return Status::InvalidArgument("unknown data item");
   }
   const SpecLabelingScheme& sch = SchemeFor(handle.record(), scheme());
-  counters_->depends_on_queries.fetch_add(1, std::memory_order_relaxed);
-  return Memoized(handle, id.value(), x, x_from,
-                  QueryKind::kDependsOn, counters_->cache_hits,
-                  counters_->cache_misses, [&] {
-                    return *StoreDependsOn(handle.record().store, x, x_from,
-                                           sch);
-                  });
+  handle.Count(Tally::kDependsOn);
+  return Memoized(handle, id.value(), x, x_from, QueryKind::kDependsOn, [&] {
+    return StoreDependsOn(handle.record().store, x, x_from, sch);
+  });
 }
 
 Result<std::vector<bool>> ProvenanceService::DependsOnBatch(
@@ -623,16 +599,13 @@ Result<std::vector<bool>> ProvenanceService::DependsOnBatch(
   std::vector<bool> answers;
   answers.reserve(pairs.size());
   for (const auto& [x, x_from] : pairs) {
-    answers.push_back(Memoized(
-        handle, id.value(), x, x_from,
-        QueryKind::kDependsOn, counters_->cache_hits,
-        counters_->cache_misses, [&] {
-          return *StoreDependsOn(handle.record().store, x, x_from, sch);
+    answers.push_back(
+        Memoized(handle, id.value(), x, x_from, QueryKind::kDependsOn, [&] {
+          return StoreDependsOn(handle.record().store, x, x_from, sch);
         }));
   }
-  counters_->batch_calls.fetch_add(1, std::memory_order_relaxed);
-  counters_->depends_on_queries.fetch_add(pairs.size(),
-                                          std::memory_order_relaxed);
+  handle.Count(Tally::kBatchCalls);
+  handle.Count(Tally::kDependsOn, pairs.size());
   return answers;
 }
 
@@ -650,12 +623,10 @@ Result<bool> ProvenanceService::ModuleDependsOnData(RunId id, VertexId v,
     return Status::InvalidArgument("unknown vertex");
   }
   const SpecLabelingScheme& sch = SchemeFor(record, scheme());
-  counters_->module_data_queries.fetch_add(1, std::memory_order_relaxed);
-  return Memoized(handle, id.value(), v, x,
-                  QueryKind::kModuleData, counters_->cache_hits,
-                  counters_->cache_misses, [&] {
-                    return *StoreModuleDependsOnData(record.store, v, x, sch);
-                  });
+  handle.Count(Tally::kModuleData);
+  return Memoized(handle, id.value(), v, x, QueryKind::kModuleData, [&] {
+    return StoreModuleDependsOnData(record.store, v, x, sch);
+  });
 }
 
 Result<bool> ProvenanceService::DataDependsOnModule(RunId id, DataItemId x,
@@ -672,12 +643,10 @@ Result<bool> ProvenanceService::DataDependsOnModule(RunId id, DataItemId x,
     return Status::InvalidArgument("unknown vertex");
   }
   const SpecLabelingScheme& sch = SchemeFor(record, scheme());
-  counters_->data_module_queries.fetch_add(1, std::memory_order_relaxed);
-  return Memoized(handle, id.value(), x, v,
-                  QueryKind::kDataModule, counters_->cache_hits,
-                  counters_->cache_misses, [&] {
-                    return *StoreDataDependsOnModule(record.store, x, v, sch);
-                  });
+  handle.Count(Tally::kDataModule);
+  return Memoized(handle, id.value(), x, v, QueryKind::kDataModule, [&] {
+    return StoreDataDependsOnModule(record.store, x, v, sch);
+  });
 }
 
 Result<std::vector<uint8_t>> ProvenanceService::ExportRun(RunId id) const {
@@ -747,18 +716,18 @@ ServiceStats ProvenanceService::service_stats() const {
   const auto get = [](const std::atomic<uint64_t>& c) {
     return c.load(std::memory_order_relaxed);
   };
-  stats.reaches_queries = get(counters_->reaches_queries);
-  stats.depends_on_queries = get(counters_->depends_on_queries);
-  stats.module_data_queries = get(counters_->module_data_queries);
-  stats.data_module_queries = get(counters_->data_module_queries);
-  stats.batch_calls = get(counters_->batch_calls);
+  stats.reaches_queries = registry_->TotalTally(Tally::kReaches);
+  stats.depends_on_queries = registry_->TotalTally(Tally::kDependsOn);
+  stats.module_data_queries = registry_->TotalTally(Tally::kModuleData);
+  stats.data_module_queries = registry_->TotalTally(Tally::kDataModule);
+  stats.batch_calls = registry_->TotalTally(Tally::kBatchCalls);
+  stats.cache_hits = registry_->TotalTally(Tally::kCacheHits);
+  stats.cache_misses = registry_->TotalTally(Tally::kCacheMisses);
   stats.runs_ingested = get(counters_->runs_ingested);
   stats.runs_imported = get(counters_->runs_imported);
   stats.runs_removed = get(counters_->runs_removed);
   stats.bulk_batches = get(counters_->bulk_batches);
   stats.snapshot_saves = get(counters_->snapshot_saves);
-  stats.cache_hits = get(counters_->cache_hits);
-  stats.cache_misses = get(counters_->cache_misses);
   // Locally both fields report the attached log's head; the net server
   // substitutes a replica's applied/target pair before encoding.
   stats.replication_lsn = replication_lsn();

@@ -41,9 +41,11 @@
 // Threading contract: every public method is safe to call concurrently.
 // The registry behind the service is sharded and lock-striped
 // (src/core/run_registry.h): a query locks only the one shard that owns
-// its run — shared, so readers never block each other — and each shard
-// memoizes answers in a generation-stamped QueryCache
-// (src/core/query_cache.h; Options::cache_slots sizes it, 0 disables).
+// its run — shared, so readers never block each other — and counts the
+// query on that shard's own tally line, so no query writes service-wide
+// state. Under a search-based scheme (BFS/DFS) each shard also memoizes
+// answers in a generation-stamped QueryCache (src/core/query_cache.h;
+// Options::cache_slots sizes it, 0 disables).
 // Ingestion does the expensive labeling outside any lock and takes one
 // shard's writer lock only to publish; queries on other shards proceed
 // entirely undisturbed, and queries on the same shard keep answering while
@@ -122,7 +124,9 @@ using ItemPair = std::pair<DataItemId, DataItemId>;
 /// or out-of-range request does not count as served. Batch calls count one
 /// per answered pair, plus one batch_calls tick per invocation. Cache
 /// counters tally result-cache lookups on answered queries (both stay 0
-/// when the cache is disabled via Options::cache_slots = 0).
+/// when the service keeps no cache: an indexed scheme, or
+/// Options::cache_slots = 0). Query and cache fields are sums of the
+/// registry's per-shard tallies, taken when service_stats() is called.
 struct ServiceStats {
   uint64_t num_runs = 0;             ///< currently registered (point in time)
   uint64_t reaches_queries = 0;      ///< Reaches + ReachesBatch pairs
@@ -191,7 +195,9 @@ struct ProvenanceServiceOptions {
   size_t num_shards = 8;
   /// Reachability result-cache slots per shard (rounded up to a power of
   /// two, 32 bytes each). 0 disables caching — the configuration the
-  /// differential conformance test replays against.
+  /// differential conformance test replays against. Only schemes with no
+  /// index (SearchesGraph(): BFS, DFS) get caches; an indexed
+  /// scheme's compare beats a probe, so it ignores this knob.
   size_t cache_slots = 4096;
   /// Forces ApplySpecDelta to rebuild the new epoch's scheme from scratch
   /// instead of relabeling the dirty region incrementally. The two paths
@@ -464,10 +470,10 @@ class ProvenanceService {
   const Options& options() const { return options_; }
 
   /// The service-level metrics registry (docs/OBSERVABILITY.md): the
-  /// labeling-time histogram and per-shard result-cache tallies. The net
-  /// server renders it into its kMetrics exposition. Like the ServiceStats
-  /// counters, it describes this service object's lifetime — a snapshot
-  /// load swaps in a fresh registry.
+  /// labeling-time histogram and any per-shard result-cache tallies. The
+  /// net server renders it into its kMetrics exposition. Like the
+  /// ServiceStats counters, it describes this service object's lifetime —
+  /// a snapshot load swaps in a fresh registry.
   const MetricsRegistry& metrics() const { return *metrics_; }
 
   /// Which registry shard owns `id` — the shard label the slow-query log
@@ -477,24 +483,15 @@ class ProvenanceService {
  private:
   friend class RunSession;
 
-  /// ServiceStats internals. The fields are atomic because they are
-  /// bumped from concurrent shard read-lock holders (query paths) as well
-  /// as shard writer-lock registry mutations — and, for snapshot_saves,
-  /// after the save's lock scope has ended. There is no lock that all of
-  /// them share anymore.
+  /// The write-path half of ServiceStats; atomic because mutations hold
+  /// different shard locks, or none. Query and cache events are counted
+  /// per shard (RunRegistry::Tallies), so no read writes a shared line.
   struct Counters {
-    std::atomic<uint64_t> reaches_queries{0};
-    std::atomic<uint64_t> depends_on_queries{0};
-    std::atomic<uint64_t> module_data_queries{0};
-    std::atomic<uint64_t> data_module_queries{0};
-    std::atomic<uint64_t> batch_calls{0};
     std::atomic<uint64_t> runs_ingested{0};
     std::atomic<uint64_t> runs_imported{0};
     std::atomic<uint64_t> runs_removed{0};
     std::atomic<uint64_t> bulk_batches{0};
     std::atomic<uint64_t> snapshot_saves{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
   };
 
   ProvenanceService(std::unique_ptr<const Specification> spec,
@@ -558,10 +555,10 @@ class ProvenanceService {
                                  std::string_view scheme_name, VertexId n_g,
                                  ProvenanceService* service);
 
-  // The query methods memoize through the shard's QueryCache via one
-  // shared helper (Memoized, provenance_service.cc): probe under the read
-  // lock the ReadHandle holds, recompute on a miss, stamp with the
-  // handle's generation.
+  // The query methods memoize through the shard's QueryCache (when it
+  // exists) via one shared helper (Memoized, provenance_service.cc): probe
+  // under the read lock the ReadHandle holds, recompute on a miss, stamp
+  // with the handle's generation.
 
   // The append-only spec-epoch chain. Behind a unique_ptr so entry (and
   // container) addresses survive service moves: schemes hold a pointer to
@@ -578,7 +575,7 @@ class ProvenanceService {
   SpecSchemeKind scheme_kind_ = SpecSchemeKind::kTcm;
   Options options_;
 
-  /// Registers the labeling histogram and per-shard cache gauges on
+  /// Registers the labeling histogram and any per-shard cache gauges on
   /// metrics_ (constructor only; the gauges capture registry_'s address,
   /// which unique_ptr keeps stable across service moves).
   void RegisterServiceMetrics();

@@ -42,9 +42,14 @@ RunRegistry::ReadHandle RunRegistry::AcquireRead(uint64_t id) const {
   handle.record_ = &it->second;
   handle.cache_ = shard.cache.get();
   handle.generation_ = shard.generation;
-  handle.shard_hits_ = &shard.cache_hits;
-  handle.shard_misses_ = &shard.cache_misses;
+  handle.tallies_ = &shard.tallies;
   return handle;
+}
+
+uint64_t RunRegistry::TotalTally(Tally t) const {
+  uint64_t total = 0;
+  for (size_t s = 0; s <= shard_mask_; ++s) total += ShardTally(s, t);
+  return total;
 }
 
 uint64_t RunRegistry::Publish(RunRecord record, bool invalidate) {

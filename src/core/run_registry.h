@@ -1,20 +1,21 @@
 // Sharded, lock-striped run registry: the storage layer under
 // ProvenanceService. Runs are partitioned over N shards by a mixed hash of
 // their RunId; each shard owns its runs' ProvenanceStores and stats behind
-// its own std::shared_mutex, plus a bounded QueryCache of memoized answers.
-// A query therefore takes only its shard's *read* lock — two queries on
-// runs in different shards never touch the same mutex, which is what lets
-// multi-reader throughput scale past the single global lock the service
-// used to funnel everything through (bench/bench_query_cache.cc measures
-// the difference).
+// its own std::shared_mutex, its query tallies, and (optionally) a bounded
+// QueryCache of memoized answers. A query therefore takes only its shard's
+// *read* lock and writes only its shard's cache lines — two queries on
+// runs in different shards share no written memory at all, which is what
+// lets multi-reader throughput scale with threads
+// (bench/bench_query_cache.cc measures it).
 //
 //   shard = shards_[mix(id) & mask]          (mask = num_shards - 1)
 //
-//   ┌ Shard ──────────────────────────────────────────────┐
+//   ┌ Shard (64-byte aligned) ────────────────────────────┐
 //   │ shared_mutex mu                                     │
 //   │   runs:       id -> RunRecord        (guarded by mu)│
 //   │   generation: uint64                 (guarded by mu)│
-//   │   cache:      QueryCache             (lock-free)    │
+//   │   cache:      QueryCache or null     (lock-free)    │
+//   │ tallies:      own cache line         (relaxed RMW)  │
 //   └─────────────────────────────────────────────────────┘
 //
 // Generations make invalidation O(1): every cached answer is stamped with
@@ -88,6 +89,18 @@ struct RunRecord {
   const SpecLabelingScheme* scheme = nullptr;
 };
 
+/// The query events a shard tallies (see RunRegistry::Tallies).
+enum class Tally : uint8_t {
+  kReaches,      ///< Reaches + ReachesBatch pairs
+  kDependsOn,    ///< DependsOn + DependsOnBatch pairs
+  kModuleData,   ///< ModuleDependsOnData answers
+  kDataModule,   ///< DataDependsOnModule answers
+  kBatchCalls,   ///< ReachesBatch + DependsOnBatch calls
+  kCacheHits,    ///< result-cache hits
+  kCacheMisses,  ///< result-cache misses (computed and inserted)
+  kCount,
+};
+
 class RunRegistry {
  public:
   /// Upper clamp on Options::num_shards (also the CLI's --shards bound).
@@ -98,7 +111,7 @@ class RunRegistry {
     /// [1, kMaxShards].
     size_t num_shards = 8;
     /// QueryCache slots per shard (rounded up to a power of two);
-    /// 0 disables result caching entirely.
+    /// 0 allocates no cache. The service passes 0 for indexed schemes.
     size_t cache_slots = 4096;
   };
 
@@ -109,9 +122,15 @@ class RunRegistry {
   RunRegistry(const RunRegistry&) = delete;
   RunRegistry& operator=(const RunRegistry&) = delete;
 
+  /// A shard's query tallies, alone on their cache line: the one place a
+  /// query event is counted (docs/OBSERVABILITY.md). Relaxed, not guarded.
+  struct alignas(64) Tallies {
+    std::atomic<uint64_t> count[static_cast<size_t>(Tally::kCount)] = {};
+  };
+
   /// A shard read lock + everything a query needs: the record, the shard's
-  /// cache (null when caching is disabled) and the generation to stamp /
-  /// match cache entries with. Falsy when the id is unknown (the lock is
+  /// cache (null when the registry keeps none) and the generation to stamp
+  /// / match cache entries with. Falsy when the id is unknown (the lock is
   /// released immediately in that case).
   class ReadHandle {
    public:
@@ -119,12 +138,11 @@ class RunRegistry {
     const RunRecord& record() const { return *record_; }
     QueryCache* cache() const { return cache_; }
     uint64_t generation() const { return generation_; }
-    /// The owning shard's cache hit/miss tallies (docs/OBSERVABILITY.md);
-    /// the query path bumps them relaxed alongside the service-wide
-    /// counters. Null iff the handle is falsy.
-    std::atomic<uint64_t>* shard_cache_hits() const { return shard_hits_; }
-    std::atomic<uint64_t>* shard_cache_misses() const {
-      return shard_misses_;
+    /// Counts `n` events of kind `t` on the owning shard: a query's only
+    /// write besides its shard lock and cache slot. Handle must be truthy.
+    void Count(Tally t, uint64_t n = 1) const {
+      tallies_->count[static_cast<size_t>(t)].fetch_add(
+          n, std::memory_order_relaxed);
     }
 
    private:
@@ -134,8 +152,7 @@ class RunRegistry {
     const RunRecord* record_ = nullptr;
     QueryCache* cache_ = nullptr;
     uint64_t generation_ = 0;
-    std::atomic<uint64_t>* shard_hits_ = nullptr;
-    std::atomic<uint64_t>* shard_misses_ = nullptr;
+    Tallies* tallies_ = nullptr;
   };
 
   /// Locks the owning shard shared and resolves the id. The handle keeps
@@ -210,29 +227,25 @@ class RunRegistry {
   /// per-shard series and slow-query entries.
   size_t ShardIndexFor(uint64_t id) const { return ShardIndexOf(id); }
 
-  /// Point-in-time per-shard cache tallies (shard < num_shards()); the
-  /// metrics exposition reads these at scrape time.
-  uint64_t shard_cache_hits(size_t shard) const {
-    return shards_[shard].cache_hits.load(std::memory_order_relaxed);
+  /// Point-in-time tally of one shard (shard < num_shards()), read
+  /// relaxed at scrape time.
+  uint64_t ShardTally(size_t shard, Tally t) const {
+    return shards_[shard].tallies.count[static_cast<size_t>(t)].load(
+        std::memory_order_relaxed);
   }
-  uint64_t shard_cache_misses(size_t shard) const {
-    return shards_[shard].cache_misses.load(std::memory_order_relaxed);
-  }
+  /// ShardTally summed over every shard: the service-wide count.
+  uint64_t TotalTally(Tally t) const;
 
  private:
-  struct Shard {
+  struct alignas(64) Shard {
     mutable std::shared_mutex mu;
     std::map<uint64_t, RunRecord> runs;  // guarded by mu
     // Guarded by mu (bumped under unique, read under shared): the stamp
     // cached answers must match. Starts at 1 so the zero-initialized
     // cache slots can never satisfy a lookup.
     uint64_t generation = 1;
-    std::unique_ptr<QueryCache> cache;  // null when caching is disabled
-    // Per-shard result-cache tallies, bumped relaxed by read-lock holders
-    // (not guarded by mu; the sum over shards tracks the service-wide
-    // cache_hits/cache_misses counters).
-    mutable std::atomic<uint64_t> cache_hits{0};
-    mutable std::atomic<uint64_t> cache_misses{0};
+    std::unique_ptr<QueryCache> cache;  // null when the registry keeps none
+    mutable Tallies tallies;
   };
 
   size_t ShardIndexOf(uint64_t id) const;

@@ -76,6 +76,9 @@ class SpecLabelingScheme {
   /// Largest single-vertex label in bits.
   virtual size_t MaxLabelBits() const = 0;
 
+  /// True for schemes that answer by graph search with no index (BFS, DFS).
+  virtual bool SearchesGraph() const { return false; }
+
   /// Wall-clock seconds spent in Build (0 until built).
   double BuildSeconds() const { return build_seconds_; }
 

@@ -1,6 +1,7 @@
 // BFS/DFS "schemes" (paper Section 7): no index is built; every query runs a
 // graph search over the stored graph. Label length and construction time are
-// treated as zero, query time is O(m + n).
+// treated as zero, query time is O(m + n). Queries are safe to run
+// concurrently: the search scratch is per thread, not per scheme.
 #ifndef SKL_SPECLABEL_TRAVERSAL_H_
 #define SKL_SPECLABEL_TRAVERSAL_H_
 
@@ -16,13 +17,10 @@ class BfsScheme : public SpecLabelingScheme {
   bool Reaches(VertexId u, VertexId v) const override;
   size_t TotalLabelBits() const override { return 0; }
   size_t MaxLabelBits() const override { return 0; }
+  bool SearchesGraph() const override { return true; }
 
  private:
   Digraph graph_;
-  // Scratch space reused across queries to avoid per-query allocation.
-  mutable std::vector<uint32_t> stamp_;
-  mutable std::vector<VertexId> frontier_;
-  mutable uint32_t epoch_ = 0;
 };
 
 class DfsScheme : public SpecLabelingScheme {
@@ -32,12 +30,10 @@ class DfsScheme : public SpecLabelingScheme {
   bool Reaches(VertexId u, VertexId v) const override;
   size_t TotalLabelBits() const override { return 0; }
   size_t MaxLabelBits() const override { return 0; }
+  bool SearchesGraph() const override { return true; }
 
  private:
   Digraph graph_;
-  mutable std::vector<uint32_t> stamp_;
-  mutable std::vector<VertexId> stack_;
-  mutable uint32_t epoch_ = 0;
 };
 
 }  // namespace skl

@@ -66,8 +66,9 @@ TEST(MetricsConsistencyTest, HistogramsCountersAndCacheAgreeUnderLoad) {
   dopt.seed = 5;
   DataCatalog catalog = GenerateDataCatalog(generated->run, dopt);
 
+  // BFS: a search scheme, so the shard caches (and their gauges) exist.
   auto service =
-      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
+      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kBfs);
   ASSERT_TRUE(service.ok());
   auto id = service->AddRun(generated->run, &catalog);
   ASSERT_TRUE(id.ok());

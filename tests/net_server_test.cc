@@ -721,7 +721,8 @@ TEST(NetServerTest, FourConcurrentClientsIngestAndQueryRaceFree) {
 // ------------------------------------------- counters, snapshots, lifecycle --
 
 TEST(NetServerTest, ServiceStatsRpcCountsServedQueries) {
-  auto server = StartServer(SpecSchemeKind::kTcm);
+  // BFS: a search scheme, so the cache counters below are live.
+  auto server = StartServer(SpecSchemeKind::kBfs);
   ProvenanceClient client = NewClient(*server);
   auto before = client.GetServiceStats();
   ASSERT_TRUE(before.ok());
@@ -742,7 +743,7 @@ TEST(NetServerTest, ServiceStatsRpcCountsServedQueries) {
   EXPECT_EQ(after->runs_imported, 1u);
   // The result-cache counters travel the wire too (protocol v2): the five
   // answered pairs above were all cache lookups on the default-enabled
-  // cache, and the repeated (0, 1) query must have produced a hit.
+  // BFS cache, and the repeated (0, 1) query must have produced a hit.
   EXPECT_EQ((after->cache_hits + after->cache_misses) -
                 (before->cache_hits + before->cache_misses),
             2u + 3u);

@@ -522,11 +522,11 @@ TEST(ProvenanceServiceTest, ServiceStatsResetAcrossLoadSnapshot) {
   // describe the served lifetime of one registry and are NOT part of a
   // snapshot — a LoadSnapshot-restored service starts every cumulative
   // counter at zero, while the point-in-time num_runs reflects the
-  // restored registry.
+  // restored registry. BFS, so that the cache counters are live too.
   Specification spec = MakeSpec();
   ::skl::Run run = MakeGeneratedRun(spec, 60, 3);
   auto service =
-      ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm);
+      ProvenanceService::Create(std::move(spec), SpecSchemeKind::kBfs);
   ASSERT_TRUE(service.ok());
   auto id = service->AddRun(run);
   ASSERT_TRUE(id.ok());
@@ -571,7 +571,7 @@ TEST(ProvenanceServiceTest, ServiceStatsResetAcrossLoadSnapshot) {
 TEST(ProvenanceServiceTest, ShardedRegistryAndCacheAnswerIdentically) {
   // Smoke for the Options knobs themselves: extreme shard counts (clamped)
   // and cache on/off answer identically, and repeated queries on a cached
-  // service actually hit.
+  // service actually hit. BFS: only search schemes keep a cache.
   Specification spec = MakeSpec();
   ::skl::Run run = MakeGeneratedRun(spec, 80, 5);
   std::vector<std::vector<bool>> reference = ReferenceMatrix(spec, run);
@@ -580,7 +580,7 @@ TEST(ProvenanceServiceTest, ShardedRegistryAndCacheAnswerIdentically) {
                         size_t{100000}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto service = ProvenanceService::Create(
-        Specification(spec), SpecSchemeKind::kTcm,
+        Specification(spec), SpecSchemeKind::kBfs,
         {.num_shards = shards, .cache_slots = 64});
     ASSERT_TRUE(service.ok());
     auto id = service->AddRun(run);
@@ -595,19 +595,99 @@ TEST(ProvenanceServiceTest, ShardedRegistryAndCacheAnswerIdentically) {
     EXPECT_GT(stats.cache_hits, 0u) << "repeat queries must hit";
   }
 
-  // cache_slots = 0 disables caching entirely: same answers, zero lookups.
-  auto uncached = ProvenanceService::Create(
-      Specification(spec), SpecSchemeKind::kTcm, {.cache_slots = 0});
-  ASSERT_TRUE(uncached.ok());
-  auto id = uncached->AddRun(run);
-  ASSERT_TRUE(id.ok());
-  for (VertexId u = 0; u < run.num_vertices(); u += 3) {
-    ASSERT_EQ(*uncached->Reaches(*id, u, 0), reference[u][0]);
-    ASSERT_EQ(*uncached->Reaches(*id, u, 0), reference[u][0]);
+  // No cache, no lookups, same answers: cache_slots = 0 turns a search
+  // scheme's cache off, and an indexed scheme (TCM) never keeps one.
+  for (auto [kind, slots] : {std::pair{SpecSchemeKind::kBfs, size_t{0}},
+                             std::pair{SpecSchemeKind::kTcm, size_t{64}}}) {
+    SCOPED_TRACE(SpecSchemeKindName(kind));
+    auto uncached = ProvenanceService::Create(Specification(spec), kind,
+                                              {.cache_slots = slots});
+    ASSERT_TRUE(uncached.ok());
+    auto id = uncached->AddRun(run);
+    ASSERT_TRUE(id.ok());
+    for (VertexId u = 0; u < run.num_vertices(); u += 3) {
+      ASSERT_EQ(*uncached->Reaches(*id, u, 0), reference[u][0]);
+      ASSERT_EQ(*uncached->Reaches(*id, u, 0), reference[u][0]);
+    }
+    const ServiceStats stats = uncached->service_stats();
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.cache_misses, 0u);
+    // Nor does it export the always-zero per-shard cache gauges.
+    EXPECT_EQ(uncached->metrics().RenderPrometheus().find("skl_cache_shard"),
+              std::string::npos);
   }
-  const ServiceStats stats = uncached->service_stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
+}
+
+TEST(ProvenanceServiceTest, ShardTalliesCountConcurrentQueriesExactly) {
+  // TSan target: 4 readers over 16 shards send every query kind at once.
+  // Each event is counted once, on its shard's tally line, and
+  // service_stats() sums the shards — so the totals must equal what the
+  // readers sent exactly: nothing lost to a race, nothing counted twice.
+  constexpr uint64_t kRuns = 8;
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kRounds = 300;
+  const Specification spec = MakeSpec();
+  std::vector<::skl::Run> runs;
+  std::vector<DataCatalog> catalogs;
+  for (uint64_t i = 0; i < kRuns; ++i) {
+    runs.push_back(MakeGeneratedRun(spec, 40 + 10 * i, 300 + i));
+    DataGenOptions dopt;
+    dopt.seed = 50 + i;
+    catalogs.push_back(GenerateDataCatalog(runs.back(), dopt));
+  }
+  const std::vector<VertexPair> vertex_pairs = {{0, 1}, {1, 2}, {2, 0}};
+  const std::vector<ItemPair> item_pairs = {{0, 0}, {0, 0}};
+
+  for (SpecSchemeKind kind : {SpecSchemeKind::kTcm, SpecSchemeKind::kBfs}) {
+    SCOPED_TRACE(SpecSchemeKindName(kind));
+    auto service = ProvenanceService::Create(Specification(spec), kind,
+                                             {.num_shards = 16});
+    ASSERT_TRUE(service.ok());
+    std::vector<RunId> ids;
+    for (uint64_t i = 0; i < kRuns; ++i) {
+      auto id = service->AddRun(runs[i], &catalogs[i]);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ASSERT_GT(service->Stats(*id)->num_items, 0u);
+      ids.push_back(*id);
+    }
+
+    std::atomic<uint64_t> failures{0};
+    std::vector<std::thread> readers;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        for (uint64_t r = 0; r < kRounds; ++r) {
+          const RunId id = ids[(t + r) % kRuns];
+          const bool ok =
+              service->Reaches(id, 0, 1).ok() &&
+              service->ReachesBatch(id, vertex_pairs).ok() &&
+              service->DependsOn(id, 0, 0).ok() &&
+              service->DependsOnBatch(id, item_pairs).ok() &&
+              service->ModuleDependsOnData(id, 0, 0).ok() &&
+              service->DataDependsOnModule(id, 0, 0).ok();
+          if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (std::thread& r : readers) r.join();
+    ASSERT_EQ(failures.load(), 0u);
+
+    const uint64_t rounds = kThreads * kRounds;
+    const ServiceStats stats = service->service_stats();
+    EXPECT_EQ(stats.reaches_queries, rounds * (1 + vertex_pairs.size()));
+    EXPECT_EQ(stats.depends_on_queries, rounds * (1 + item_pairs.size()));
+    EXPECT_EQ(stats.module_data_queries, rounds);
+    EXPECT_EQ(stats.data_module_queries, rounds);
+    EXPECT_EQ(stats.batch_calls, rounds * 2);
+    // Every answered query is one lookup where a cache exists (BFS), and
+    // none at all where it does not (TCM).
+    const uint64_t lookups =
+        kind == SpecSchemeKind::kBfs
+            ? stats.reaches_queries + stats.depends_on_queries +
+                  stats.module_data_queries + stats.data_module_queries
+            : 0;
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, lookups);
+    if (kind == SpecSchemeKind::kBfs) EXPECT_GT(stats.cache_hits, 0u);
+  }
 }
 
 TEST(ProvenanceServiceTest, ConcurrentBulkIngestWhileQuerying) {

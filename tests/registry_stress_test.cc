@@ -1,5 +1,7 @@
 // Concurrency stress for the sharded run registry and its per-shard result
-// cache, written to run under the CI ThreadSanitizer leg: 4 writer threads
+// cache, written to run under the CI ThreadSanitizer leg. Each round runs
+// twice: on TCM (indexed, no cache: the tallies and locks alone) and on BFS
+// (a search scheme, so the seqlock shard caches are live). 4 writer threads
 // (AddRun / ImportRun / RemoveRun churn) and 4 reader threads (single +
 // batch queries verified against precomputed answers) hammer one service,
 // first with every id colliding on a single shard, then striped over many
@@ -45,19 +47,18 @@ constexpr int kWriterRounds = 40;
   return std::move(gen->run);
 }
 
-/// One full stress round at the given shard count. num_shards = 1 forces
-/// every run — stable and churned — onto one shard (maximal lock and cache
-/// collision); larger counts exercise genuine striping.
-void StressWithShards(size_t num_shards) {
-  SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+/// One full stress round at the given shard count and scheme. num_shards = 1
+/// forces every run — stable and churned — onto one shard (maximal lock and
+/// cache collision); larger counts exercise genuine striping.
+void StressWithShards(size_t num_shards, SpecSchemeKind kind) {
+  SCOPED_TRACE("num_shards=" + std::to_string(num_shards) +
+               " scheme=" + SpecSchemeKindName(kind));
   Specification spec = testing_util::MakeRunningExample().spec;
 
   ProvenanceService::Options options;
   options.num_shards = num_shards;
   options.cache_slots = 128;  // small: constant eviction + seqlock traffic
-  auto created =
-      ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm,
-                                options);
+  auto created = ProvenanceService::Create(std::move(spec), kind, options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   ProvenanceService service = std::move(created).value();
 
@@ -89,8 +90,10 @@ void StressWithShards(size_t num_shards) {
   ASSERT_TRUE(blob.ok());
   ASSERT_TRUE(service.RemoveRun(*blob_source).ok());
 
-  const std::string snapshot_path = PidQualifiedTempPath(
-      "skl_registry_stress_" + std::to_string(num_shards), ".skls");
+  const std::string snapshot_path =
+      PidQualifiedTempPath("skl_registry_stress_" + std::to_string(num_shards) +
+                               "_" + SpecSchemeKindName(kind),
+                           ".skls");
   ASSERT_TRUE(service.SaveSnapshot(snapshot_path).ok());
 
   // The server's swap discipline: every service call under a shared lock,
@@ -181,17 +184,26 @@ void StressWithShards(size_t num_shards) {
   const ServiceStats stats = service.service_stats();
   EXPECT_EQ(stats.snapshot_saves, 0u)
       << "counters must reset across LoadSnapshot";
+  // The restored service keeps the scheme's cache placement: BFS probed its
+  // shard caches for the sanity batches above, TCM has none to probe.
+  if (kind == SpecSchemeKind::kBfs) {
+    EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
+  } else {
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
+  }
 
   std::error_code ec;
   std::filesystem::remove(snapshot_path, ec);
 }
 
 TEST(RegistryStressTest, CollidingShardsSurviveChurnAndSwap) {
-  StressWithShards(1);
+  StressWithShards(1, SpecSchemeKind::kTcm);
+  StressWithShards(1, SpecSchemeKind::kBfs);
 }
 
 TEST(RegistryStressTest, StripedShardsSurviveChurnAndSwap) {
-  StressWithShards(16);
+  StressWithShards(16, SpecSchemeKind::kTcm);
+  StressWithShards(16, SpecSchemeKind::kBfs);
 }
 
 }  // namespace

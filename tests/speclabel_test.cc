@@ -3,6 +3,10 @@
 // checked (intervals, tree-cover interval lists, chain counts).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "src/common/check.h"
 #include "src/common/random.h"
 #include "src/graph/algorithms.h"
@@ -44,6 +48,35 @@ TEST_P(SchemeCorrectness, MatchesTransitiveClosure) {
           << SpecSchemeKindName(kind) << " " << u << "->" << v;
     }
   }
+}
+
+TEST_P(SchemeCorrectness, ConcurrentQueriesMatchTransitiveClosure) {
+  // A service answers queries from many threads at once under shared
+  // locks, so a built scheme's const Reaches must be safe to call
+  // concurrently — including the search schemes, which need scratch
+  // space per query. Runs under the TSan leg with the rest.
+  auto [kind, seed] = GetParam();
+  Digraph g = RandomSpecGraph(seed);
+  auto scheme = CreateSpecScheme(kind);
+  ASSERT_TRUE(scheme->Build(g).ok());
+  auto closure = TransitiveClosure(g);
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 3; ++round) {
+        for (VertexId u = 0; u < g.num_vertices(); ++u) {
+          for (VertexId v = 0; v < g.num_vertices(); ++v) {
+            if (scheme->Reaches(u, v) != closure[u].Test(v)) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u) << SpecSchemeKindName(kind);
 }
 
 INSTANTIATE_TEST_SUITE_P(
