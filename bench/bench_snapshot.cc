@@ -99,18 +99,6 @@ int main() {
   SKL_CHECK_MSG(mapped.ok(), mapped.status().ToString().c_str());
   SKL_CHECK(mapped->num_runs() == service->num_runs());
 
-  // The before/after column: the v1 per-run-blob format this release's
-  // columnar layout replaced, saved and loaded through its compat path.
-  const std::string v1_path =
-      PidQualifiedTempPath("bench_snapshot_v1", ".skls");
-  Status v1_saved = service->SaveSnapshotAtVersion(v1_path, 1);
-  SKL_CHECK_MSG(v1_saved.ok(), v1_saved.ToString().c_str());
-  sw.Restart();
-  auto v1_restored = ProvenanceService::LoadSnapshot(v1_path);
-  const double v1_load_secs = sw.ElapsedSeconds();
-  SKL_CHECK_MSG(v1_restored.ok(), v1_restored.status().ToString().c_str());
-  SKL_CHECK(v1_restored->num_runs() == service->num_runs());
-
   // Cold restart: re-parse every run XML and relabel it from scratch —
   // the work LoadSnapshot's label reuse avoids.
   sw.Restart();
@@ -146,8 +134,6 @@ int main() {
               num_runs / load_secs, mb / load_secs);
   std::printf("%14s %10.2f %10.0f %10.1f\n", "load (mmap)", mmap_secs * 1e3,
               num_runs / mmap_secs, mb / mmap_secs);
-  std::printf("%14s %10.2f %10.0f %10.1f\n", "load (v1)", v1_load_secs * 1e3,
-              num_runs / v1_load_secs, mb / v1_load_secs);
   std::printf("%14s %10.2f %10.0f %10s\n", "relabel (xml)",
               relabel_secs * 1e3, num_runs / relabel_secs, "-");
   std::printf("\nsnapshot: %.3f MB for %zu runs (%llu vertices); "
@@ -166,12 +152,10 @@ int main() {
   // surface (tools/bench_compare.py; docs/BENCHMARKS.md).
   json.Add("snapshot_load_ms", load_secs * 1e3, "ms");
   json.Add("snapshot_load_mmap_ms", mmap_secs * 1e3, "ms");
-  json.Add("snapshot_load_v1_ms", v1_load_secs * 1e3, "ms");
   json.Add("snapshot_load_mb_per_sec", mb / load_secs, "MB/s");
   json.Add("relabel_ms", relabel_secs * 1e3, "ms");
   json.Add("warm_restart_speedup", relabel_secs / load_secs, "x");
 
   std::filesystem::remove(path, ec);
-  std::filesystem::remove(v1_path, ec);
   return 0;
 }

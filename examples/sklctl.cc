@@ -342,9 +342,9 @@ int Load(const char* path, ProvenanceService::Options options,
                   stats->imported ? " (imported)" : "");
     run_lines += line;
   }
-  // "via mmap" only when the runs actually view the mapping — a v1
-  // snapshot or an SKL_NO_MMAP/mapping fallback reports "via copy" even
-  // under --mmap, which is what the CI smoke legs assert.
+  // "via mmap" only when the runs actually view the mapping — an
+  // SKL_NO_MMAP/mapping fallback reports "via copy" even under --mmap,
+  // which is what the CI smoke legs assert.
   std::printf("restored %s in %.2f ms: scheme %s, %u spec modules, "
               "%zu runs, %llu run vertices via %s\n",
               path, load_secs * 1e3,

@@ -663,8 +663,8 @@ Result<RunId> ProvenanceService::ImportRun(
   // against the spec/scheme that is current right now.
   const SpecEpoch& at = head_epoch_entry();
   // Tagged blobs must name this service's scheme — labels only answer
-  // correctly under the scheme that produced them. Untagged (v1) blobs
-  // predate the tag and are accepted as before.
+  // correctly under the scheme that produced them. An empty tag means
+  // "unknown" and is accepted.
   if (!store.scheme_tag().empty() &&
       store.scheme_tag() != at.scheme->name()) {
     return Status::InvalidArgument(

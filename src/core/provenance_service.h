@@ -147,7 +147,7 @@ struct ServiceStats {
   /// target lags behind the primary's last published LSN it has seen.
   uint64_t replication_lsn = 0;
   uint64_t replication_target_lsn = 0;
-  /// Reactor counters (protocol v4, docs/NETWORK.md): filled by the net
+  /// Reactor counters (docs/NETWORK.md): filled by the net
   /// server when the stats travel over the wire, always 0 on a local
   /// service (there is no server underneath). Unlike the counters above,
   /// these describe the server *process* — they do NOT reset when a
@@ -158,7 +158,7 @@ struct ServiceStats {
   uint64_t connections_backpressured = 0;  ///< write-buffer cap trips
   uint64_t epoll_wakeups = 0;              ///< reactor loop turns
   uint64_t accept_backoffs = 0;            ///< fd-exhaustion accept retries
-  /// Current spec epoch (protocol v6, docs/UPDATES.md): 1 at creation,
+  /// Current spec epoch (docs/UPDATES.md): 1 at creation,
   /// +1 per successful ApplySpecDelta. Unlike the cumulative counters this
   /// IS part of a snapshot — a restored service resumes at the saved epoch.
   uint64_t spec_epoch = 1;
@@ -214,11 +214,10 @@ struct ProvenanceServiceOptions {
 /// ProvenanceServiceOptions.)
 struct SnapshotLoadOptions {
   /// Request the zero-copy path: mmap the snapshot read-only and let the
-  /// restored runs view the label columns in place (v2 columnar snapshots
-  /// only). Falls back to the copying reader when the platform cannot map
-  /// the file or `SKL_NO_MMAP` is set in the environment; v1 snapshots
-  /// load through the map but decode into owned memory either way. See
-  /// docs/PERSISTENCE.md for the mapping lifetime contract.
+  /// restored runs view the label columns in place. Falls back to the
+  /// copying reader when the platform cannot map the file or `SKL_NO_MMAP`
+  /// is set in the environment. See docs/PERSISTENCE.md for the mapping
+  /// lifetime contract.
   bool use_mmap = false;
 };
 
@@ -405,13 +404,6 @@ class ProvenanceService {
   /// destroyed). False for copying loads and non-snapshot services.
   bool loaded_via_mmap() const { return loaded_via_mmap_; }
 
-  /// SaveSnapshot pinned to an older container format version, for compat
-  /// tests and the before/after benchmark columns. Supported: 1 (per-run
-  /// blob section) and kSnapshotFormatVersion (columnar, what SaveSnapshot
-  /// writes).
-  Status SaveSnapshotAtVersion(const std::string& path,
-                               uint32_t format_version) const;
-
   /// In-memory SaveSnapshot: the same container bytes WriteFile would
   /// persist, for shipping over the wire (kSnapshotFetch) instead of to
   /// disk. Does not count as a snapshot_saves tick.
@@ -546,13 +538,13 @@ class ProvenanceService {
   ThreadPool& Pool();
 
   /// Shared snapshot composition behind SaveSnapshot / SnapshotBytes.
-  Result<SnapshotWriter> BuildSnapshotWriter(uint32_t format_version) const;
+  Result<SnapshotWriter> BuildSnapshotWriter() const;
   /// Shared restore behind LoadSnapshot / LoadSnapshotBytes.
   static Result<ProvenanceService> LoadFromSnapshotReader(
       SnapshotReader reader, Options options);
-  /// Restores the v2 columnar run sections into `service` (snapshot.cc).
+  /// Restores the columnar run sections into `service` (snapshot.cc).
   static Status LoadColumnarRuns(const SnapshotReader& reader,
-                                 std::string_view scheme_name, VertexId n_g,
+                                 std::string_view scheme_name,
                                  ProvenanceService* service);
 
   // The query methods memoize through the shard's QueryCache (when it

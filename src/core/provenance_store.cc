@@ -9,8 +9,7 @@ namespace skl {
 
 namespace {
 constexpr uint32_t kMagic = 0x534b4c50;  // "SKLP"
-// v1: untagged. v2 adds the scheme tag right after the version varint; the
-// rest of the layout is bit-identical to v1, so v1 blobs keep loading.
+// Blob format version; Deserialize accepts only this one.
 constexpr uint32_t kVersion = 2;
 constexpr uint64_t kMaxSchemeTagBytes = 256;
 }  // namespace
@@ -169,20 +168,22 @@ Result<ProvenanceStore> ProvenanceStore::Deserialize(
   SKL_RETURN_NOT_OK(reader.Read(32, &magic));
   if (magic != kMagic) return Status::ParseError("not a provenance store");
   SKL_RETURN_NOT_OK(reader.ReadVarint(&version));
-  if (version != 1 && version != kVersion) {
-    return Status::ParseError("unsupported store version");
+  if (version != kVersion) {
+    return Status::ParseError(
+        "unsupported provenance store version " + std::to_string(version) +
+        "; this build reads only version " + std::to_string(kVersion) +
+        ", re-export the run with a matching build");
   }
+  // An empty tag means "unknown" and is accepted everywhere.
+  uint64_t tag_len;
+  SKL_RETURN_NOT_OK(reader.ReadVarint(&tag_len));
+  if (tag_len > kMaxSchemeTagBytes) {
+    return Status::ParseError("corrupt store header (scheme tag too long)");
+  }
+  std::span<const uint8_t> tag;
+  SKL_RETURN_NOT_OK(reader.ReadBytes(tag_len, &tag));
   ProvenanceStore store;
-  if (version >= 2) {
-    uint64_t tag_len;
-    SKL_RETURN_NOT_OK(reader.ReadVarint(&tag_len));
-    if (tag_len > kMaxSchemeTagBytes) {
-      return Status::ParseError("corrupt store header (scheme tag too long)");
-    }
-    std::span<const uint8_t> tag;
-    SKL_RETURN_NOT_OK(reader.ReadBytes(tag_len, &tag));
-    store.scheme_tag_.assign(tag.begin(), tag.end());
-  }
+  store.scheme_tag_.assign(tag.begin(), tag.end());
   SKL_RETURN_NOT_OK(reader.ReadVarint(&n));
   SKL_RETURN_NOT_OK(reader.ReadVarint(&q_bits));
   SKL_RETURN_NOT_OK(reader.ReadVarint(&o_bits));

@@ -7,7 +7,7 @@
 // run graph itself can be discarded, which is the whole point of
 // reachability labels.
 //
-// Blob layout: magic "SKLP", format version, scheme tag (v2+), encoded
+// Blob layout: magic "SKLP", format version, scheme tag, encoded
 // labels block at the exact Lemma 4.7 bit width (label_codec), then the
 // catalog as varints (item count; per item: writer, reader count, readers).
 //
@@ -43,8 +43,8 @@ class ProvenanceStore {
   /// Captures a labeled run and (optionally) its data catalog. `scheme_tag`
   /// names the skeleton scheme the labels were produced under (the bundled
   /// SpecSchemeKind name); it is embedded in the blob so a later import can
-  /// reject a blob paired with the wrong scheme. Empty means "unknown"
-  /// (legacy v1 blobs) and is accepted everywhere.
+  /// reject a blob paired with the wrong scheme. Empty means "unknown" and
+  /// is accepted everywhere.
   static ProvenanceStore Capture(const RunLabeling& labeling,
                                  const DataCatalog* catalog = nullptr,
                                  std::string_view scheme_tag = {});
@@ -64,11 +64,11 @@ class ProvenanceStore {
                                      std::string scheme_tag,
                                      std::shared_ptr<const void> backing);
 
-  /// Serializes to a self-describing blob (current format: v2, tagged).
+  /// Serializes to a self-describing blob.
   std::vector<uint8_t> Serialize() const;
 
-  /// Restores a store from a blob. Accepts v1 (untagged) and v2 (tagged)
-  /// blobs; v1 restores with an empty scheme tag.
+  /// Restores a store from a blob. A blob of any other format version is
+  /// refused with a ParseError naming both versions.
   static Result<ProvenanceStore> Deserialize(std::span<const uint8_t> bytes);
   static Result<ProvenanceStore> Deserialize(
       const std::vector<uint8_t>& bytes);
@@ -108,7 +108,7 @@ class ProvenanceStore {
   size_t num_reader_entries() const { return readers_.size(); }
 
   /// Name of the skeleton scheme these labels were produced under; empty
-  /// for legacy (v1) blobs that predate the tag.
+  /// when unknown.
   const std::string& scheme_tag() const { return scheme_tag_; }
 
   /// True when the columns view externally owned memory (snapshot backing)

@@ -42,14 +42,9 @@
 
 namespace skl {
 
-/// Current container format version written by SnapshotWriter. Version 1
-/// stored runs as per-run self-describing blobs; version 2 stores them as
-/// contiguous columnar arrays (plus the run index); version 3 adds the
-/// spec-epoch chain (docs/UPDATES.md) — the delta history and a per-run
-/// ingest epoch in the run index. SnapshotReader accepts all three; see
-/// docs/PERSISTENCE.md for the compat matrix. A service past epoch 1
-/// refuses to save at versions < 3 (older readers would mis-attribute its
-/// runs to the creation spec).
+/// Container format version written by SnapshotWriter. SnapshotReader
+/// accepts only this version and refuses any other with a ParseError naming
+/// both versions (docs/PERSISTENCE.md).
 inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Alignment (bytes) the writer guarantees for aligned sections' payloads,
@@ -61,10 +56,9 @@ inline constexpr size_t kSnapshotSectionAlignment = 64;
 inline constexpr uint32_t kSnapshotSectionPad = 0;       ///< alignment filler
 inline constexpr uint32_t kSnapshotSectionSpec = 1;      ///< spec XML
 inline constexpr uint32_t kSnapshotSectionScheme = 2;    ///< scheme name
-inline constexpr uint32_t kSnapshotSectionRuns = 3;      ///< v1 run registry
-inline constexpr uint32_t kSnapshotSectionRunIndex = 4;  ///< v2 run index
-inline constexpr uint32_t kSnapshotSectionColumns = 5;   ///< v2 label columns
-inline constexpr uint32_t kSnapshotSectionEpochs = 6;    ///< v3 epoch chain
+inline constexpr uint32_t kSnapshotSectionRunIndex = 4;  ///< run index
+inline constexpr uint32_t kSnapshotSectionColumns = 5;   ///< label columns
+inline constexpr uint32_t kSnapshotSectionEpochs = 6;    ///< epoch chain
 
 /// Owns the bytes a parsed snapshot points into — a heap buffer or a
 /// read-only mmap'd region. Shared (via shared_ptr) by the SnapshotReader
@@ -93,12 +87,6 @@ class SnapshotBacking {
 /// snapshot at `path`).
 class SnapshotWriter {
  public:
-  /// `format_version` is overridable so tests can fabricate snapshots from
-  /// the future and compat paths can pin the previous format; production
-  /// callers use the default.
-  explicit SnapshotWriter(uint32_t format_version = kSnapshotFormatVersion)
-      : format_version_(format_version) {}
-
   /// Appends one section. Ids should be unique; SnapshotReader::Section
   /// returns the first match.
   void AddSection(uint32_t id, std::vector<uint8_t> payload);
@@ -120,7 +108,6 @@ class SnapshotWriter {
     std::vector<uint8_t> payload;
     bool aligned;
   };
-  uint32_t format_version_;
   std::vector<PendingSection> sections_;
 };
 
@@ -146,7 +133,6 @@ class SnapshotReader {
   /// ReadFile".
   static Result<SnapshotReader> MapFile(const std::string& path);
 
-  uint32_t format_version() const { return format_version_; }
   size_t num_sections() const { return sections_.size(); }
 
   bool Has(uint32_t id) const;
@@ -179,7 +165,6 @@ class SnapshotReader {
       std::shared_ptr<const SnapshotBacking> backing);
 
   std::shared_ptr<const SnapshotBacking> backing_;
-  uint32_t format_version_ = 0;
   std::vector<SectionEntry> sections_;
 };
 

@@ -244,6 +244,19 @@ Result<std::vector<uint8_t>> ProvenanceClient::Receive(uint64_t request_id,
     }
     if (next->has_value()) {
       Frame frame = std::move(**next);
+      if (frame.version != kProtocolVersion) {
+        return Poison(Status::InvalidArgument(
+            "server replied in protocol version " +
+            std::to_string(frame.version) +
+            "; this client speaks only version " +
+            std::to_string(kProtocolVersion) + ", upgrade the older side"));
+      }
+      if (frame.type == MsgType::kError && frame.request_id == 0) {
+        // Request ids start at 1, so id 0 is the server's last word before
+        // it closes the connection (oversized or corrupt frame): report its
+        // reason, not the id mismatch.
+        return Poison(DecodeErrorPayload(frame.payload));
+      }
       if (frame.request_id != request_id) {
         return Poison(Status::ParseError(
             "response answers request " + std::to_string(frame.request_id) +
@@ -251,12 +264,7 @@ Result<std::vector<uint8_t>> ProvenanceClient::Receive(uint64_t request_id,
             " (pipelining misuse or desynchronized stream)"));
       }
       if (frame.type == MsgType::kError) {
-        // The service-level error; the connection stays usable. v5 error
-        // payloads additionally echo the request's trace id.
-        if (frame.version >= 5) {
-          uint64_t trace = 0;
-          return DecodeErrorPayload(frame.payload, &trace);
-        }
+        // The service-level error; the connection stays usable.
         return DecodeErrorPayload(frame.payload);
       }
       if (frame.type == MsgType::kRetryAt) {
@@ -413,7 +421,7 @@ Result<bool> ProvenanceClient::DataDependsOnModule(RunId id, DataItemId x,
   return DecodeBool(reply);
 }
 
-/// Decodes the v3 mutating-reply tail: the primary's ack LSN.
+/// Decodes a mutating reply: the run id, then the primary's ack LSN.
 Result<RunId> ProvenanceClient::DecodeMutationReply(
     std::span<const uint8_t> payload) {
   PayloadReader reader(payload);

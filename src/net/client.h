@@ -25,10 +25,13 @@
 // client per thread. Connect/queries against a server in the same process
 // are fine — tests and bench_net do exactly that.
 //
-// Replication awareness (docs/REPLICATION.md): the client speaks protocol
-// v5. Every request additionally carries the client's trace id as its
-// trailing varint (set_trace_id; 0 = untraced) — the token the server's
-// slow-query log and error replies echo back (docs/OBSERVABILITY.md).
+// The client speaks only kProtocolVersion and refuses a reply of any other
+// version, poisoning the connection with an error that names both.
+//
+// Replication awareness (docs/REPLICATION.md): every request carries the
+// client's trace id as its trailing varint (set_trace_id; 0 = untraced) —
+// the token the server's slow-query log and error replies echo back
+// (docs/OBSERVABILITY.md).
 // Every read request carries the client's read-LSN token (0 = any
 // state is fine); a replica that has not yet applied that LSN answers
 // kRetryAt, surfaced as StatusCode::kRetryAt without poisoning the
@@ -140,7 +143,7 @@ class ProvenanceClient {
   Result<ServiceStats> GetServiceStats();
 
   /// Applies a specification delta on the server (docs/UPDATES.md) and
-  /// returns the new spec epoch. A v6 mutating call: the reply's ack LSN
+  /// returns the new spec epoch. A mutating call: the reply's ack LSN
   /// updates last_write_lsn() like every other mutation.
   Result<uint64_t> ApplySpecDelta(const SpecDelta& delta);
 
@@ -157,8 +160,8 @@ class ProvenanceClient {
 
   // ---------------------------------------------------- observability --
 
-  /// The trace id stamped on every request this client sends (v5 framing:
-  /// the trailing varint of each request payload). 0 — the default — means
+  /// The trace id stamped on every request this client sends (the
+  /// trailing varint of each request payload). 0 — the default — means
   /// "untraced"; the server still accepts it, it just logs as trace 0.
   /// Pick a random or request-scoped value and grep it out of the server's
   /// slow-query log (docs/OBSERVABILITY.md).
@@ -212,6 +215,8 @@ class ProvenanceClient {
   /// Blocks for the next response frame and checks it answers `request_id`.
   /// kError responses decode back into their carried Status; kRetryAt
   /// decodes into StatusCode::kRetryAt — both leave the connection usable.
+  /// A frame of another protocol version, or a kError with request id 0
+  /// (the server's reason for closing the connection), poisons it.
   /// `expected` is the success frame type (kLogEntries for Subscribe).
   Result<std::vector<uint8_t>> Receive(uint64_t request_id,
                                        MsgType expected = MsgType::kReply);
@@ -248,7 +253,7 @@ class ProvenanceClient {
   uint16_t port_ = 0;
   uint64_t read_lsn_ = 0;        ///< token sent with every read
   uint64_t last_write_lsn_ = 0;  ///< primary ack LSN of the last mutation
-  uint64_t trace_id_ = 0;        ///< v5 trace token sent with every request
+  uint64_t trace_id_ = 0;        ///< trace token sent with every request
 };
 
 }  // namespace skl

@@ -7,41 +7,52 @@
 
 namespace skl {
 
-const char* MsgTypeName(MsgType type) {
-  switch (type) {
-    case MsgType::kPing: return "Ping";
-    case MsgType::kReaches: return "Reaches";
-    case MsgType::kReachesBatch: return "ReachesBatch";
-    case MsgType::kDependsOn: return "DependsOn";
-    case MsgType::kDependsOnBatch: return "DependsOnBatch";
-    case MsgType::kModuleDependsOnData: return "ModuleDependsOnData";
-    case MsgType::kDataDependsOnModule: return "DataDependsOnModule";
-    case MsgType::kAddRun: return "AddRun";
-    case MsgType::kImportRun: return "ImportRun";
-    case MsgType::kExportRun: return "ExportRun";
-    case MsgType::kRemoveRun: return "RemoveRun";
-    case MsgType::kListRuns: return "ListRuns";
-    case MsgType::kRunStats: return "RunStats";
-    case MsgType::kServiceStats: return "ServiceStats";
-    case MsgType::kSaveSnapshot: return "SaveSnapshot";
-    case MsgType::kLoadSnapshot: return "LoadSnapshot";
-    case MsgType::kShutdown: return "Shutdown";
-    case MsgType::kSnapshotFetch: return "SnapshotFetch";
-    case MsgType::kSubscribe: return "Subscribe";
-    case MsgType::kMetrics: return "Metrics";
-    case MsgType::kSlowQueries: return "SlowQueries";
-    case MsgType::kApplySpecDelta: return "ApplySpecDelta";
-    case MsgType::kReply: return "Reply";
-    case MsgType::kError: return "Error";
-    case MsgType::kLogEntries: return "LogEntries";
-    case MsgType::kRetryAt: return "RetryAt";
+namespace {
+
+// One row per opcode. Columns: type, name, is_request, mutates, names_run.
+constexpr OpcodeInfo kOpcodes[] = {
+    {MsgType::kPing,                "Ping",                true,  false, false},
+    {MsgType::kReaches,             "Reaches",             true,  false, true},
+    {MsgType::kReachesBatch,        "ReachesBatch",        true,  false, true},
+    {MsgType::kDependsOn,           "DependsOn",           true,  false, true},
+    {MsgType::kDependsOnBatch,      "DependsOnBatch",      true,  false, true},
+    {MsgType::kModuleDependsOnData, "ModuleDependsOnData", true,  false, true},
+    {MsgType::kDataDependsOnModule, "DataDependsOnModule", true,  false, true},
+    {MsgType::kAddRun,              "AddRun",              true,  true,  false},
+    {MsgType::kImportRun,           "ImportRun",           true,  true,  false},
+    {MsgType::kExportRun,           "ExportRun",           true,  false, true},
+    {MsgType::kRemoveRun,           "RemoveRun",           true,  true,  true},
+    {MsgType::kListRuns,            "ListRuns",            true,  false, false},
+    {MsgType::kRunStats,            "RunStats",            true,  false, true},
+    {MsgType::kServiceStats,        "ServiceStats",        true,  false, false},
+    {MsgType::kSaveSnapshot,        "SaveSnapshot",        true,  false, false},
+    {MsgType::kLoadSnapshot,        "LoadSnapshot",        true,  true,  false},
+    {MsgType::kShutdown,            "Shutdown",            true,  false, false},
+    {MsgType::kSnapshotFetch,       "SnapshotFetch",       true,  false, false},
+    {MsgType::kSubscribe,           "Subscribe",           true,  false, false},
+    {MsgType::kMetrics,             "Metrics",             true,  false, false},
+    {MsgType::kSlowQueries,         "SlowQueries",         true,  false, false},
+    {MsgType::kApplySpecDelta,      "ApplySpecDelta",      true,  true,  false},
+    {MsgType::kReply,               "Reply",               false, false, false},
+    {MsgType::kError,               "Error",               false, false, false},
+    {MsgType::kLogEntries,          "LogEntries",          false, false, false},
+    {MsgType::kRetryAt,             "RetryAt",             false, false, false},
+};
+
+}  // namespace
+
+std::span<const OpcodeInfo> OpcodeTable() { return kOpcodes; }
+
+const OpcodeInfo* FindOpcode(uint8_t type) {
+  for (const OpcodeInfo& row : kOpcodes) {
+    if (static_cast<uint8_t>(row.type) == type) return &row;
   }
-  return "Unknown";
+  return nullptr;
 }
 
-bool IsRequestType(uint8_t type) {
-  return type >= static_cast<uint8_t>(MsgType::kPing) &&
-         type <= static_cast<uint8_t>(MsgType::kApplySpecDelta);
+const char* MsgTypeName(MsgType type) {
+  const OpcodeInfo* row = FindOpcode(static_cast<uint8_t>(type));
+  return row != nullptr ? row->name : "Unknown";
 }
 
 void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out) {
@@ -181,13 +192,6 @@ Status PayloadReader::ExpectEnd() {
   return Status::OK();
 }
 
-std::vector<uint8_t> EncodeErrorPayload(const Status& status) {
-  PayloadWriter writer;
-  writer.U64(static_cast<uint64_t>(status.code()));
-  writer.Str(status.message());
-  return std::move(writer).Finish();
-}
-
 std::vector<uint8_t> EncodeErrorPayload(const Status& status,
                                         uint64_t trace_id) {
   PayloadWriter writer;
@@ -197,12 +201,9 @@ std::vector<uint8_t> EncodeErrorPayload(const Status& status,
   return std::move(writer).Finish();
 }
 
-namespace {
-
-/// Shared body of the two DecodeErrorPayload forms: `trace_id` non-null
-/// means the v5 shape (trailing trace-id varint) is expected.
-Status DecodeErrorPayloadImpl(std::span<const uint8_t> payload,
-                              uint64_t* trace_id) {
+Status DecodeErrorPayload(std::span<const uint8_t> payload,
+                          uint64_t* trace_id) {
+  if (trace_id != nullptr) *trace_id = 0;
   PayloadReader reader(payload);
   Result<uint64_t> code_result = reader.U64();
   if (!code_result.ok()) {
@@ -216,18 +217,16 @@ Status DecodeErrorPayloadImpl(std::span<const uint8_t> payload,
                               message_result.status().message());
   }
   std::string message = std::move(message_result).value();
-  if (trace_id != nullptr) {
-    Result<uint64_t> trace_result = reader.U64();
-    if (!trace_result.ok()) {
-      return Status::ParseError("malformed error payload: " +
-                                trace_result.status().message());
-    }
-    *trace_id = *trace_result;
+  Result<uint64_t> trace_result = reader.U64();
+  if (!trace_result.ok()) {
+    return Status::ParseError("malformed error payload: " +
+                              trace_result.status().message());
   }
   Status end = reader.ExpectEnd();
   if (!end.ok()) {
     return Status::ParseError("malformed error payload: " + end.message());
   }
+  if (trace_id != nullptr) *trace_id = *trace_result;
   if (code == static_cast<uint64_t>(StatusCode::kOk) ||
       code > static_cast<uint64_t>(StatusCode::kEpochMismatch)) {
     // An error frame must carry an error; map codes from a future peer to
@@ -237,18 +236,6 @@ Status DecodeErrorPayloadImpl(std::span<const uint8_t> payload,
                       ": " + message);
   }
   return Status(static_cast<StatusCode>(code), std::move(message));
-}
-
-}  // namespace
-
-Status DecodeErrorPayload(std::span<const uint8_t> payload) {
-  return DecodeErrorPayloadImpl(payload, nullptr);
-}
-
-Status DecodeErrorPayload(std::span<const uint8_t> payload,
-                          uint64_t* trace_id) {
-  *trace_id = 0;
-  return DecodeErrorPayloadImpl(payload, trace_id);
 }
 
 }  // namespace skl

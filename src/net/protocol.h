@@ -22,9 +22,10 @@
 //
 // Error model: header-intact frames whose body fails validation (CRC, version,
 // payload shape, service-level errors) get a kError response carrying the
-// StatusCode + message; the connection stays usable. A corrupted header
-// (magic/length) loses frame synchronization — the decoder poisons itself and
-// the server closes that connection after a best-effort error response.
+// StatusCode, message and trace id; the connection stays usable. A corrupted
+// header (magic/length) loses frame synchronization — the decoder poisons
+// itself and the server closes that connection after a best-effort kError
+// with request id 0 (client request ids start at 1).
 #ifndef SKL_NET_PROTOCOL_H_
 #define SKL_NET_PROTOCOL_H_
 
@@ -41,36 +42,11 @@
 namespace skl {
 
 /// Protocol version carried in every frame body. Bumped on any incompatible
-/// change to the frame layout or a payload encoding; servers reject frames
-/// outside [kMinSupportedProtocolVersion, kProtocolVersion] with a kError
-/// naming both versions (see docs/NETWORK.md).
-/// Version 2: the kServiceStats reply grew the result-cache counters
-/// (cache_hits, cache_misses) — 13 varints instead of 11.
-/// Version 3 (replication, docs/REPLICATION.md): read requests carry a
-/// trailing min-LSN token (read-your-writes; a lagging replica answers
-/// kRetryAt), mutating replies carry the op's ack LSN, kServiceStats gains
-/// applied/target LSNs, and the kSnapshotFetch / kSubscribe opcodes stream
-/// the primary's op-log to replicas.
-/// Version 4 (epoll reactor server): the kServiceStats reply grew six
-/// reactor counters (connections open/accepted/timed-out/backpressured,
-/// epoll wakeups, accept backoffs). Unlike the service counters, these
-/// describe the server process and do NOT reset on kLoadSnapshot.
-/// Version 5 (observability, docs/OBSERVABILITY.md): every request payload
-/// carries a trailing client-generated 64-bit trace-id varint (after the
-/// v3 read token on reads), echoed as a trailing varint in kError replies
-/// to in-range v5 requests and recorded in the server's slow-query log;
-/// the kMetrics / kSlowQueries opcodes expose Prometheus text metrics and
-/// the slow-query ring buffer.
-/// Version 6 (dynamic spec updates, docs/UPDATES.md): the kApplySpecDelta
-/// opcode mutates the specification (reply: {new epoch, ack LSN}), the
-/// kServiceStats reply grows a trailing spec-epoch varint, and kError can
-/// carry StatusCode::kEpochMismatch.
+/// change to the frame layout or a payload encoding. Each side speaks
+/// exactly this version: a server answers a frame of any other version with
+/// a kError naming both versions, and a client refuses a reply of any other
+/// version the same way (see docs/NETWORK.md).
 inline constexpr uint8_t kProtocolVersion = 6;
-
-/// Oldest request version the server still dispatches. Version-2 requests
-/// are answered in version-2 reply shapes, so pre-replication clients keep
-/// working against a version-5 server.
-inline constexpr uint8_t kMinSupportedProtocolVersion = 2;
 
 /// First two frame bytes, "SN". A stream that does not start with them is
 /// not speaking this protocol.
@@ -104,23 +80,39 @@ enum class MsgType : uint8_t {
   kSaveSnapshot = 15,  ///< server-side snapshot save (path on the server)
   kLoadSnapshot = 16,  ///< server-side snapshot load: replaces the service
   kShutdown = 17,      ///< graceful drain-and-shutdown of the whole server
-  kSnapshotFetch = 18, ///< v3: reply carries {lsn, snapshot bytes}
-  kSubscribe = 19,     ///< v3: {after_lsn, max}; answered by kLogEntries
-  kMetrics = 20,       ///< v5: reply carries Prometheus text exposition
-  kSlowQueries = 21,   ///< v5: reply carries the slow-query ring buffer
-  kApplySpecDelta = 22,  ///< v6: {delta blob}; reply {epoch, ack lsn}
+  kSnapshotFetch = 18, ///< reply carries {lsn, snapshot bytes}
+  kSubscribe = 19,     ///< {after_lsn, max}; answered by kLogEntries
+  kMetrics = 20,       ///< reply carries Prometheus text exposition
+  kSlowQueries = 21,   ///< reply carries the slow-query ring buffer
+  kApplySpecDelta = 22,  ///< {delta blob}; reply {epoch, ack lsn}
 
   kReply = 64,
   kError = 65,
-  kLogEntries = 66,    ///< v3 kSubscribe response: a batch of op-log entries
-  kRetryAt = 67,       ///< v3: replica behind the request's min-LSN token
+  kLogEntries = 66,    ///< kSubscribe response: a batch of op-log entries
+  kRetryAt = 67,       ///< replica behind the request's min-LSN token
 };
 
-/// Opcode name for logs and error messages ("Reaches", "Error", ...).
-const char* MsgTypeName(MsgType type);
+/// Static facts about one opcode. OpcodeTable() has one row per MsgType
+/// and is the only place these facts are kept: opcode names, the request
+/// set, the read-only replica's refusals and the slow-query log's run-id
+/// peek all read it.
+struct OpcodeInfo {
+  MsgType type;
+  const char* name;  ///< for logs, errors and metric labels ("Reaches")
+  bool is_request;   ///< a server dispatches it
+  bool mutates;      ///< changes the registry or spec: a replica refuses it
+  bool names_run;    ///< the payload starts with a run-id varint
+};
 
-/// True for the request opcodes a server dispatches (kPing..kSlowQueries).
-bool IsRequestType(uint8_t type);
+/// Every opcode, in MsgType value order.
+std::span<const OpcodeInfo> OpcodeTable();
+
+/// The row for a raw opcode byte; nullptr for a byte no MsgType names.
+const OpcodeInfo* FindOpcode(uint8_t type);
+
+/// Opcode name for logs and error messages ("Reaches", "Error", ...);
+/// "Unknown" for a byte no MsgType names.
+const char* MsgTypeName(MsgType type);
 
 /// One decoded message. `payload` is the type-specific body remainder.
 struct Frame {
@@ -208,28 +200,20 @@ class PayloadReader {
   size_t size_bytes_;
 };
 
-/// Encodes a non-OK status as a kError payload (code + message) — the
-/// legacy (v2-v4) shape, also used when the failing frame's version is
-/// unknown or untrusted (out-of-range version, decoder poison).
-std::vector<uint8_t> EncodeErrorPayload(const Status& status);
-
-/// v5 kError payload: code + message + trailing trace-id varint, echoing
-/// the trace id the failing request carried (0 when it carried none, e.g.
-/// when the payload was too malformed to reach the trace field).
+/// Encodes a non-OK status as a kError payload: code + message + a
+/// trace-id varint echoing the trace id the failing request carried (0 when
+/// it carried none, e.g. when the payload was too malformed to reach the
+/// trace field, or for a connection-terminal error).
 std::vector<uint8_t> EncodeErrorPayload(const Status& status,
                                         uint64_t trace_id);
 
-/// Decodes a kError payload back into the Status it carried; a malformed
-/// payload decodes to a ParseError describing the corruption instead. An
-/// unknown code (from a future peer) maps to kInternal with the message
-/// preserved. Always non-OK.
-Status DecodeErrorPayload(std::span<const uint8_t> payload);
-
-/// v5 form: additionally reads the trailing trace-id varint into
-/// `*trace_id` (left 0 when the payload is malformed). Use when the error
-/// frame's version is >= 5.
+/// Decodes a kError payload back into the Status it carried, writing the
+/// echoed trace id to `*trace_id` when non-null (left 0 when the payload is
+/// malformed). A malformed payload decodes to a ParseError describing the
+/// corruption instead. An unknown code (from a future peer) maps to
+/// kInternal with the message preserved. Always non-OK.
 Status DecodeErrorPayload(std::span<const uint8_t> payload,
-                          uint64_t* trace_id);
+                          uint64_t* trace_id = nullptr);
 
 /// One slow-query log record (docs/OBSERVABILITY.md): a request whose
 /// queue-wait + execute time exceeded the server's slow-query threshold.
@@ -238,7 +222,7 @@ Status DecodeErrorPayload(std::span<const uint8_t> payload,
 /// varints, in declaration order.
 /// `run_id` is the run the request named (0 for run-less opcodes or when
 /// the payload was too malformed to carry one); `trace_id` is the client's
-/// v5 trace token (0 for v2-v4 requests, which carry none).
+/// trace token.
 struct SlowQueryEntry {
   uint64_t trace_id = 0;
   uint8_t opcode = 0;  ///< raw MsgType value (MsgTypeName prints it)

@@ -70,23 +70,11 @@ uint64_t UsBetween(Clock::time_point from, Clock::time_point to) {
 /// the payload is too malformed to read one (the dispatch error already
 /// describes that).
 uint64_t PeekRunId(const Frame& frame) {
-  switch (frame.type) {
-    case MsgType::kReaches:
-    case MsgType::kReachesBatch:
-    case MsgType::kDependsOn:
-    case MsgType::kDependsOnBatch:
-    case MsgType::kModuleDependsOnData:
-    case MsgType::kDataDependsOnModule:
-    case MsgType::kExportRun:
-    case MsgType::kRemoveRun:
-    case MsgType::kRunStats: {
-      PayloadReader reader(frame.payload);
-      Result<uint64_t> run = reader.U64();
-      return run.ok() ? *run : 0;
-    }
-    default:
-      return 0;
-  }
+  const OpcodeInfo* op = FindOpcode(static_cast<uint8_t>(frame.type));
+  if (op == nullptr || !op->names_run) return 0;
+  PayloadReader reader(frame.payload);
+  Result<uint64_t> run = reader.U64();
+  return run.ok() ? *run : 0;
 }
 
 }  // namespace
@@ -578,7 +566,7 @@ void ProvenanceServer::DispatchLoop(std::shared_ptr<Conn> c) {
           Frame err;
           err.type = MsgType::kError;
           err.request_id = 0;
-          err.payload = EncodeErrorPayload(*c->terminal);
+          err.payload = EncodeErrorPayload(*c->terminal, /*trace_id=*/0);
           EncodeFrame(err, &c->wbuf);
           c->terminal_encoded = true;
           c->close_after_flush = true;
@@ -786,11 +774,10 @@ void ProvenanceServer::RegisterMetrics() {
   // contiguously — the exposition emits one # HELP/# TYPE header per
   // family, and Prometheus requires a family's samples to be adjacent.
   for (int pass = 0; pass < 2; ++pass) {
-    for (uint8_t op = static_cast<uint8_t>(MsgType::kPing);
-         op <= static_cast<uint8_t>(MsgType::kApplySpecDelta); ++op) {
-      if (!IsRequestType(op)) continue;
-      const std::string labels =
-          std::string("op=\"") + MsgTypeName(static_cast<MsgType>(op)) + "\"";
+    for (const OpcodeInfo& row : OpcodeTable()) {
+      if (!row.is_request) continue;
+      const uint8_t op = static_cast<uint8_t>(row.type);
+      const std::string labels = std::string("op=\"") + row.name + "\"";
       if (pass == 0) {
         queue_hist_[op] = metrics_.AddHistogram(
             "skl_server_queue_wait_us",
@@ -899,23 +886,25 @@ void ProvenanceServer::HandleFrame(const Frame& frame,
                                    bool* shutdown_after_reply,
                                    uint64_t* trace_id) {
   *trace_id = 0;
-  const bool version_in_range = frame.version <= kProtocolVersion &&
-                                frame.version >= kMinSupportedProtocolVersion;
   MsgType reply_type = MsgType::kReply;
   Result<std::vector<uint8_t>> payload = [&]() -> Result<std::vector<uint8_t>> {
-    if (!version_in_range) {
-      // Name both ends of the supported range so a mismatched peer's log
-      // says exactly which side must upgrade (asserted by protocol_test).
+    if (frame.version != kProtocolVersion) {
+      // Name both versions so a mismatched peer's log says exactly which
+      // side must upgrade (asserted by net_server_test).
       return Status::InvalidArgument(
           "unsupported protocol version " + std::to_string(frame.version) +
-          "; this server speaks versions " +
-          std::to_string(kMinSupportedProtocolVersion) + " through " +
-          std::to_string(kProtocolVersion));
+          "; this server speaks only version " +
+          std::to_string(kProtocolVersion) + ", upgrade the older side");
     }
-    if (!IsRequestType(static_cast<uint8_t>(frame.type))) {
+    const OpcodeInfo* op = FindOpcode(static_cast<uint8_t>(frame.type));
+    if (op == nullptr || !op->is_request) {
       return Status::InvalidArgument(
           "opcode " + std::to_string(static_cast<uint8_t>(frame.type)) +
           " is not a request");
+    }
+    if (options_.read_only && op->mutates) {
+      return Status::InvalidArgument(
+          "read-only replica; writes must go to the primary");
     }
     if (frame.type == MsgType::kLoadSnapshot) {
       // The one request that replaces the service object outright: exclude
@@ -928,7 +917,6 @@ void ProvenanceServer::HandleFrame(const Frame& frame,
   }();
 
   Frame reply;
-  reply.version = frame.version;  // answer in the requester's version
   reply.request_id = frame.request_id;
   if (payload.ok()) {
     reply.type = reply_type;
@@ -939,12 +927,9 @@ void ProvenanceServer::HandleFrame(const Frame& frame,
     Status named(payload.status().code(),
                  std::string(MsgTypeName(frame.type)) + ": " +
                      payload.status().message());
-    // v5 errors echo the request's trace id (0 when the payload never got
-    // as far as the trace field); an out-of-range version is untrusted and
-    // keeps the legacy code+message shape.
-    reply.payload = version_in_range && frame.version >= 5
-                        ? EncodeErrorPayload(named, *trace_id)
-                        : EncodeErrorPayload(named);
+    // Echo the request's trace id (0 when the payload never got as far as
+    // the trace field).
+    reply.payload = EncodeErrorPayload(named, *trace_id);
   }
   EncodeFrame(reply, out);
 }
@@ -954,37 +939,24 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
     uint64_t* trace_id) {
   PayloadReader reader(frame.payload);
   PayloadWriter out;
-  if (options_.read_only &&
-      (frame.type == MsgType::kAddRun || frame.type == MsgType::kImportRun ||
-       frame.type == MsgType::kRemoveRun ||
-       frame.type == MsgType::kLoadSnapshot ||
-       frame.type == MsgType::kApplySpecDelta)) {
-    return Status::InvalidArgument(
-        "read-only replica; writes must go to the primary");
-  }
-  const bool v3 = frame.version >= 3;
-  const bool v5 = frame.version >= 5;
-  // Version-5 payloads end with a client-generated trace-id varint
-  // (docs/OBSERVABILITY.md) — the last field of every request, after the
-  // v3 read token on reads. Every case ends its payload through here.
+  // Every request payload ends with a client-generated trace-id varint
+  // (docs/OBSERVABILITY.md), after the read token on reads. Every case ends
+  // its payload through here.
   auto end_request = [&](PayloadReader& r) -> Status {
-    if (v5) {
-      Result<uint64_t> trace = r.U64();
-      if (!trace.ok()) return trace.status();
-      *trace_id = *trace;
-    }
+    Result<uint64_t> trace = r.U64();
+    if (!trace.ok()) return trace.status();
+    *trace_id = *trace;
     return r.ExpectEnd();
   };
-  // Version-3 read payloads additionally carry a min-LSN token before the
-  // trace id (read-your-writes, docs/REPLICATION.md): if this server has
-  // not applied that far yet, the request bounces as kRetryAt carrying the
-  // applied LSN instead of answering from a stale registry. A primary
-  // never bounces — appends ack only after the log holds the op, so its
-  // applied LSN covers every token a client can legitimately hold.
+  // Read payloads additionally carry a min-LSN token before the trace id
+  // (read-your-writes, docs/REPLICATION.md): if this server has not applied
+  // that far yet, the request bounces as kRetryAt carrying the applied LSN
+  // instead of answering from a stale registry. A primary never bounces —
+  // appends ack only after the log holds the op, so its applied LSN covers
+  // every token a client can legitimately hold.
   bool bounce = false;
   uint64_t bounce_applied = 0;
   auto end_read = [&](PayloadReader& r) -> Status {
-    if (!v3) return end_request(r);
     Result<uint64_t> min_lsn = r.U64();
     if (!min_lsn.ok()) return min_lsn.status();
     SKL_RETURN_NOT_OK(end_request(r));
@@ -1093,9 +1065,9 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
       SKL_ASSIGN_OR_RETURN(::skl::Run run, ReadRunXml(xml));
       SKL_ASSIGN_OR_RETURN(RunId id, service_.AddRun(run));
       out.U64(id.value());
-      // v3 mutating replies carry an ack LSN >= the op's own: the token a
+      // Mutating replies carry an ack LSN >= the op's own: the token a
       // client pins later replica reads with (read-your-writes).
-      if (v3) out.U64(service_.replication_lsn());
+      out.U64(service_.replication_lsn());
       break;
     }
     case MsgType::kImportRun: {
@@ -1105,7 +1077,7 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
           RunId id,
           service_.ImportRun(std::vector<uint8_t>(blob.begin(), blob.end())));
       out.U64(id.value());
-      if (v3) out.U64(service_.replication_lsn());
+      out.U64(service_.replication_lsn());
       break;
     }
     case MsgType::kExportRun: {
@@ -1121,7 +1093,7 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
       SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
       SKL_RETURN_NOT_OK(end_request(reader));
       SKL_RETURN_NOT_OK(service_.RemoveRun(RunId::FromValue(run)));
-      if (v3) out.U64(service_.replication_lsn());
+      out.U64(service_.replication_lsn());
       break;
     }
     case MsgType::kListRuns: {
@@ -1163,31 +1135,26 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
       out.U64(stats.snapshot_saves);
       out.U64(stats.cache_hits);
       out.U64(stats.cache_misses);
-      if (v3) {
-        // Applied/target LSN pair: equal on a primary, the lag
-        // numerator/denominator on a replica. Clamped so a freshly updated
-        // applied LSN never reads as ahead of a stale target.
-        const uint64_t applied = CurrentAppliedLsn();
-        uint64_t target =
-            options_.oplog != nullptr
-                ? options_.oplog->last_lsn()
-                : target_lsn_.load(std::memory_order_acquire);
-        target = std::max(target, applied);
-        out.U64(applied);
-        out.U64(target);
-      }
-      if (frame.version >= 4) {
-        // Reactor counters (docs/NETWORK.md): these describe the server
-        // process, not the registry — they do NOT reset on kLoadSnapshot.
-        const ReactorStats rs = reactor_stats();
-        out.U64(rs.connections_open);
-        out.U64(rs.connections_accepted);
-        out.U64(rs.connections_timed_out);
-        out.U64(rs.connections_backpressured);
-        out.U64(rs.epoll_wakeups);
-        out.U64(rs.accept_backoffs);
-      }
-      if (frame.version >= 6) out.U64(stats.spec_epoch);
+      // Applied/target LSN pair: equal on a primary, the lag
+      // numerator/denominator on a replica. Clamped so a freshly updated
+      // applied LSN never reads as ahead of a stale target.
+      const uint64_t applied = CurrentAppliedLsn();
+      uint64_t target = options_.oplog != nullptr
+                            ? options_.oplog->last_lsn()
+                            : target_lsn_.load(std::memory_order_acquire);
+      target = std::max(target, applied);
+      out.U64(applied);
+      out.U64(target);
+      // Reactor counters (docs/NETWORK.md): these describe the server
+      // process, not the registry — they do NOT reset on kLoadSnapshot.
+      const ReactorStats rs = reactor_stats();
+      out.U64(rs.connections_open);
+      out.U64(rs.connections_accepted);
+      out.U64(rs.connections_timed_out);
+      out.U64(rs.connections_backpressured);
+      out.U64(rs.epoll_wakeups);
+      out.U64(rs.accept_backoffs);
+      out.U64(stats.spec_epoch);
       break;
     }
     case MsgType::kSnapshotFetch: {
@@ -1300,7 +1267,7 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
       // service_mu_ held by HandleFrame is enough, exactly as for AddRun.
       SKL_ASSIGN_OR_RETURN(uint64_t epoch, service_.ApplySpecDelta(delta));
       out.U64(epoch);
-      if (v3) out.U64(service_.replication_lsn());
+      out.U64(service_.replication_lsn());
       break;
     }
     default:

@@ -118,7 +118,7 @@ struct ProvenanceServerOptions {
   /// replicated).
   bool read_only = false;
   /// kLoadSnapshot swaps restore through the zero-copy mmap path
-  /// (SnapshotLoadOptions::use_mmap): v2 columnar snapshots are mapped
+  /// (SnapshotLoadOptions::use_mmap): columnar snapshots are mapped
   /// read-only and the new service's runs view the mapping in place. Same
   /// fallback contract as the library call (SKL_NO_MMAP, mapping failure).
   bool mmap_snapshots = false;
@@ -128,8 +128,8 @@ struct ProvenanceServerOptions {
   uint32_t slow_query_threshold_us = 0;
 };
 
-/// Point-in-time reactor counters (also appended to the kServiceStats reply
-/// for protocol-v4 peers; see ServiceStats and docs/NETWORK.md).
+/// Point-in-time reactor counters (also appended to the kServiceStats reply;
+/// see ServiceStats and docs/NETWORK.md).
 struct ReactorStats {
   uint64_t connections_open = 0;           ///< currently registered
   uint64_t connections_accepted = 0;       ///< cumulative accepts
@@ -279,8 +279,8 @@ class ProvenanceServer {
 
   /// Dispatches one decoded request frame, appending the encoded response
   /// frame to *out; sets *shutdown_after_reply for kShutdown and
-  /// *trace_id to the request's v5 trace token (0 when it carried none or
-  /// the payload failed before the trace field).
+  /// *trace_id to the request's trace token (0 when the payload failed
+  /// before the trace field).
   void HandleFrame(const Frame& frame, std::vector<uint8_t>* out,
                    bool* shutdown_after_reply, uint64_t* trace_id);
 
@@ -289,9 +289,8 @@ class ProvenanceServer {
   /// shared otherwise) and maps errors onto a kError response. The reply is
   /// kReply unless the case overrides *reply_type (kLogEntries for
   /// kSubscribe, kRetryAt for a read whose min-LSN token is ahead of the
-  /// applied LSN). Version-2 requests get version-2 reply shapes — no LSN
-  /// fields; version-4 kServiceStats replies carry the reactor counters;
-  /// version-5 payloads end with a trace-id varint written to *trace_id.
+  /// applied LSN). Every payload ends with a trace-id varint, written to
+  /// *trace_id.
   Result<std::vector<uint8_t>> Dispatch(const Frame& frame,
                                         bool* shutdown_after_reply,
                                         MsgType* reply_type,

@@ -51,23 +51,21 @@
 
 namespace skl {
 
-/// Current op-log format version. Version 2 (docs/UPDATES.md) adds the
-/// run's spec epoch to add/import entries and the kSpecDelta entry kind;
-/// version-1 files remain readable (their runs decode as epoch 1) but
-/// refuse v2-only appends.
+/// Op-log format version. ReplayFile (and so Open) accepts only this
+/// version and refuses any other with a ParseError naming both versions.
 inline constexpr uint32_t kOpLogFormatVersion = 2;
 
 /// One replicated operation. The AddRun/ImportRun payload carries the
-/// registered id, the ingestion-time RunStats and the ProvenanceStore blob
-/// (the exact shape the snapshot Runs section stores per run), so a
-/// replica restores bit-identical stats and labels without relabeling.
+/// registered id, the ingestion-time RunStats and the ProvenanceStore blob,
+/// so a replica restores bit-identical stats and labels without
+/// relabeling.
 struct LogOp {
   enum class Kind : uint8_t {
     kAddRun = 1,           ///< any non-import ingestion path
     kImportRun = 2,        ///< ImportRun (replica apply also invalidates)
     kRemoveRun = 3,
     kSnapshotBarrier = 4,  ///< service replaced via LoadSnapshot
-    kSpecDelta = 5,        ///< ApplySpecDelta (format v2+ only)
+    kSpecDelta = 5,        ///< ApplySpecDelta
   };
 
   Kind kind = Kind::kAddRun;
@@ -84,25 +82,18 @@ struct LogOp {
 };
 
 /// Encodes one op into its entry payload (without the length/CRC framing):
-/// the byte shape that travels in kLogEntries frames and on disk, at the
-/// given format version. Version 1 cannot express epochs past 1 or
-/// kSpecDelta — callers must gate (OpLog::Append does).
-std::vector<uint8_t> SerializeLogOp(const LogOp& op,
-                                    uint32_t version = kOpLogFormatVersion);
+/// the byte shape that travels in kLogEntries frames and on disk.
+std::vector<uint8_t> SerializeLogOp(const LogOp& op);
 
-/// Decodes an entry payload at the given format version, validating the op
-/// kind, field ranges and that the payload is fully consumed. `lsn` is
-/// whatever the entry carries; the sequence check against the predecessor
-/// is the caller's. Version-1 payloads decode with stats.epoch = 1.
-Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload,
-                               uint32_t version = kOpLogFormatVersion);
+/// Decodes an entry payload, validating the op kind, field ranges and that
+/// the payload is fully consumed. `lsn` is whatever the entry carries; the
+/// sequence check against the predecessor is the caller's.
+Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload);
 
 /// What OpLog::ReplayFile recovered from a log file.
 struct OpLogReplay {
   std::string spec_xml;
   std::string scheme_name;
-  /// The file's format version (1 or 2).
-  uint32_t version = kOpLogFormatVersion;
   /// The valid entry prefix, LSNs 1..last_lsn in order.
   std::vector<LogOp> ops;
   uint64_t last_lsn = 0;
@@ -177,13 +168,6 @@ class OpLog {
   const std::string& spec_xml() const { return spec_xml_; }
   const std::string& scheme_name() const { return scheme_name_; }
 
-  /// The format version of the backing file: kOpLogFormatVersion for a
-  /// fresh file, the recorded version for a reopened one. Appends encode
-  /// at this version; v2-only ops (kSpecDelta, epoch > 1) into a version-1
-  /// file fail with InvalidArgument instead of writing bytes a version-1
-  /// reader would mis-decode.
-  uint32_t file_version() const { return file_version_; }
-
   /// Append latency distributions, microseconds (docs/OBSERVABILITY.md):
   /// the whole Append (serialize + write + flush + fsync) and the fsync
   /// portion alone (0-filled when Options::fsync is off). The net server
@@ -199,7 +183,6 @@ class OpLog {
   std::string spec_xml_;
   std::string scheme_name_;
   Options options_;
-  uint32_t file_version_ = kOpLogFormatVersion;  // set once in Open
 
   mutable std::mutex mu_;
   std::FILE* file_ = nullptr;     // guarded by mu_

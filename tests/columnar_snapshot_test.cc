@@ -1,10 +1,9 @@
-// The v2 columnar snapshot format and its mmap zero-copy loader, proven
-// differentially against the v1 per-run-blob twin: for every bundled
-// scheme, a service restored from a columnar snapshot (through the copying
-// reader AND through the mapped reader) must answer bit-identically to the
-// same service restored from a v1 snapshot and to the never-persisted
-// original — module reachability and item-level dependency, single and
-// batch. Plus the failure battery the container owes every new section:
+// The columnar snapshot format and its mmap zero-copy loader, proven
+// differentially: for every bundled scheme, a service restored from a
+// columnar snapshot (through the copying reader AND through the mapped
+// reader) must answer bit-identically to the never-persisted original —
+// module reachability and item-level dependency, single and batch. Plus
+// the failure battery the container owes every new section:
 // byte-exhaustive truncation and single-bit-flip fuzz through both
 // loaders, trailing-byte rejection in the run index, scheme-tag mismatch
 // rejection, the SKL_NO_MMAP fallback, and the mapping-outlives-the-
@@ -137,7 +136,7 @@ Result<ProvenanceService> BuildService(SpecSchemeKind kind) {
   return service;
 }
 
-// ----------------------------------------- differential vs the blob twin --
+// ----------------------------- differential vs the never-persisted original --
 
 TEST(ColumnarSnapshotTest, BitIdenticalToBlobTwinEveryBundledScheme) {
   // kInterval requires a tree-shaped spec and is covered below.
@@ -149,28 +148,20 @@ TEST(ColumnarSnapshotTest, BitIdenticalToBlobTwinEveryBundledScheme) {
     auto service = BuildService(kind);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
 
-    TempFile v2(std::string("twin_v2_") + SpecSchemeKindName(kind));
-    TempFile v1(std::string("twin_v1_") + SpecSchemeKindName(kind));
-    ASSERT_TRUE(service->SaveSnapshot(v2.path()).ok());
-    ASSERT_TRUE(service->SaveSnapshotAtVersion(v1.path(), 1).ok());
-
-    // The blob-backed twin: same registry restored from the v1 format.
-    auto from_v1 = ProvenanceService::LoadSnapshot(v1.path());
-    ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+    TempFile file(std::string("twin_") + SpecSchemeKindName(kind));
+    ASSERT_TRUE(service->SaveSnapshot(file.path()).ok());
 
     // Columnar through the copying reader...
-    auto copied = ProvenanceService::LoadSnapshot(v2.path());
+    auto copied = ProvenanceService::LoadSnapshot(file.path());
     ASSERT_TRUE(copied.ok()) << copied.status().ToString();
     EXPECT_FALSE(copied->loaded_via_mmap());
     ExpectAnswersIdentical(*service, *copied);
-    ExpectAnswersIdentical(*from_v1, *copied);
 
     // ... and through the zero-copy mapped reader.
     auto mapped =
-        ProvenanceService::LoadSnapshot(v2.path(), {}, {.use_mmap = true});
+        ProvenanceService::LoadSnapshot(file.path(), {}, {.use_mmap = true});
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     ExpectAnswersIdentical(*service, *mapped);
-    ExpectAnswersIdentical(*from_v1, *mapped);
   }
 }
 
@@ -191,17 +182,15 @@ TEST(ColumnarSnapshotTest, BitIdenticalToBlobTwinIntervalScheme) {
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ASSERT_TRUE(service->AddRun(run).ok());
 
-  TempFile v2("interval_v2");
-  TempFile v1("interval_v1");
-  ASSERT_TRUE(service->SaveSnapshot(v2.path()).ok());
-  ASSERT_TRUE(service->SaveSnapshotAtVersion(v1.path(), 1).ok());
-  auto from_v1 = ProvenanceService::LoadSnapshot(v1.path());
-  ASSERT_TRUE(from_v1.ok());
+  TempFile file("interval");
+  ASSERT_TRUE(service->SaveSnapshot(file.path()).ok());
+  auto copied = ProvenanceService::LoadSnapshot(file.path());
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  ExpectAnswersIdentical(*service, *copied);
   auto mapped =
-      ProvenanceService::LoadSnapshot(v2.path(), {}, {.use_mmap = true});
+      ProvenanceService::LoadSnapshot(file.path(), {}, {.use_mmap = true});
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ExpectAnswersIdentical(*service, *mapped);
-  ExpectAnswersIdentical(*from_v1, *mapped);
 }
 
 // ------------------------------------------------- mmap path and fallback --
@@ -230,21 +219,6 @@ TEST(ColumnarSnapshotTest, MmapLoadIsZeroCopyAndFallbacksAreNot) {
   ASSERT_TRUE(forced.ok());
   EXPECT_FALSE(forced->loaded_via_mmap());
   ExpectAnswersIdentical(*mapped, *forced);
-}
-
-TEST(ColumnarSnapshotTest, V1SnapshotLoadsUnderMmapRequestViaCopy) {
-  // A v1 snapshot has no columnar section to view: the mapped container
-  // parses fine, the blobs decode into owned memory, and the service must
-  // NOT report itself as mmap-backed (nothing references the mapping).
-  auto service = BuildService(SpecSchemeKind::kBfs);
-  ASSERT_TRUE(service.ok());
-  TempFile file("v1_under_mmap");
-  ASSERT_TRUE(service->SaveSnapshotAtVersion(file.path(), 1).ok());
-  auto restored =
-      ProvenanceService::LoadSnapshot(file.path(), {}, {.use_mmap = true});
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_FALSE(restored->loaded_via_mmap());
-  ExpectAnswersIdentical(*service, *restored);
 }
 
 TEST(ColumnarSnapshotTest, MappedServiceSurvivesFileUnlink) {
@@ -324,8 +298,7 @@ TEST(ColumnarSnapshotTest, BitFlipFuzzBothLoaders) {
 }
 
 TEST(ColumnarSnapshotTest, RunIndexTrailingBytesAreRejected) {
-  // v2 analog of snapshot_test's RunsSectionTrailingBytesAreRejected: a
-  // CRC-valid run index with bytes past the declared runs means a writer
+  // A CRC-valid run index with bytes past the declared runs means a writer
   // bug; those runs must not vanish silently.
   auto service = BuildService(SpecSchemeKind::kTcm);
   ASSERT_TRUE(service.ok());
@@ -335,7 +308,8 @@ TEST(ColumnarSnapshotTest, RunIndexTrailingBytesAreRejected) {
   ASSERT_TRUE(reader.ok());
   SnapshotWriter writer;
   for (uint32_t id : {kSnapshotSectionSpec, kSnapshotSectionScheme,
-                      kSnapshotSectionRunIndex, kSnapshotSectionColumns}) {
+                      kSnapshotSectionEpochs, kSnapshotSectionRunIndex,
+                      kSnapshotSectionColumns}) {
     auto section = reader->Section(id);
     ASSERT_TRUE(section.ok());
     std::vector<uint8_t> payload(section->begin(), section->end());
@@ -369,7 +343,8 @@ TEST(ColumnarSnapshotTest, SchemeTagMismatchIsRejected) {
   ASSERT_TRUE(reader.ok());
   SnapshotWriter writer;
   for (uint32_t id : {kSnapshotSectionSpec, kSnapshotSectionScheme,
-                      kSnapshotSectionRunIndex, kSnapshotSectionColumns}) {
+                      kSnapshotSectionEpochs, kSnapshotSectionRunIndex,
+                      kSnapshotSectionColumns}) {
     auto section = reader->Section(id);
     ASSERT_TRUE(section.ok());
     std::vector<uint8_t> payload(section->begin(), section->end());
@@ -405,7 +380,8 @@ TEST(ColumnarSnapshotTest, UnalignedColumnsStillDecode) {
   ASSERT_TRUE(reader.ok());
   SnapshotWriter writer;
   for (uint32_t id : {kSnapshotSectionSpec, kSnapshotSectionScheme,
-                      kSnapshotSectionRunIndex, kSnapshotSectionColumns}) {
+                      kSnapshotSectionEpochs, kSnapshotSectionRunIndex,
+                      kSnapshotSectionColumns}) {
     auto section = reader->Section(id);
     ASSERT_TRUE(section.ok());
     writer.AddSection(id,

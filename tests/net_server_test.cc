@@ -324,8 +324,8 @@ std::vector<uint8_t> EncodeOne(Frame frame) {
   return bytes;
 }
 
-/// A current-version ping: v5 request payloads end with the trace-id
-/// varint, even when there is nothing else to say.
+/// A current-version ping: request payloads end with the trace-id varint,
+/// even when there is nothing else to say.
 Frame PingFrame(uint64_t request_id, uint64_t trace_id = 0) {
   PayloadWriter payload;
   payload.U64(trace_id);
@@ -342,8 +342,8 @@ TEST(NetServerTest, CorruptionAtEveryByteGetsAnErrorNeverACrash) {
   payload.U64(1);
   payload.U64(0);
   payload.U64(1);
-  payload.U64(0);  // v3+ read-LSN token
-  payload.U64(0);  // v5 trace id
+  payload.U64(0);  // read-LSN token
+  payload.U64(0);  // trace id
   request.payload = std::move(payload).Finish();
   const std::vector<uint8_t> wire = EncodeOne(request);
 
@@ -421,7 +421,6 @@ TEST(NetServerTest, MalformedPayloadKeepsTheConnectionAlive) {
   ASSERT_TRUE(first.ok() && first->has_value());
   EXPECT_EQ((*first)->type, MsgType::kError);
   EXPECT_EQ((*first)->request_id, 1u);
-  // An in-range v5 request gets the v5 error shape (trailing trace id).
   uint64_t trace = ~0ull;
   Status carried = DecodeErrorPayload((*first)->payload, &trace);
   EXPECT_EQ(trace, 0u);  // the malformed request never got to its trace
@@ -472,120 +471,117 @@ TEST(NetServerTest, UnknownOpcodeAndWrongVersionGetDescriptiveErrors) {
 
 TEST(NetServerTest, VersionCrossesGetMatchingRepliesOrDescriptiveErrors) {
   auto server = StartServer(SpecSchemeKind::kTcm);
-  {
-    // A v2 client against this v5 server: still served, and the reply is
-    // stamped v2 so the old client's own version check passes. A v2
-    // ListRuns carries no read-LSN token and its reply must not carry LSN
-    // fields either — it decodes as exactly {count, count × id}.
+  // A peer one version older or newer is refused, and the error names both
+  // versions, so an operator reading one log line knows which side to
+  // upgrade. The reply itself is stamped with this server's version.
+  for (int version : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    SCOPED_TRACE("version " + std::to_string(version));
     RawConn conn(server->port());
-    conn.Send(EncodeOne(Frame{kMinSupportedProtocolVersion, MsgType::kPing,
+    conn.Send(EncodeOne(Frame{static_cast<uint8_t>(version), MsgType::kPing,
                               1, {}}));
-    conn.Send(EncodeOne(Frame{kMinSupportedProtocolVersion,
-                              MsgType::kListRuns, 2, {}}));
-    conn.FinishWrites();
-    FrameDecoder decoder;
-    decoder.Feed(conn.ReadUntilEof());
-    auto ping = decoder.Next();
-    ASSERT_TRUE(ping.ok() && ping->has_value());
-    EXPECT_EQ((*ping)->type, MsgType::kReply);
-    EXPECT_EQ((*ping)->version, kMinSupportedProtocolVersion);
-    auto list = decoder.Next();
-    ASSERT_TRUE(list.ok() && list->has_value());
-    EXPECT_EQ((*list)->type, MsgType::kReply);
-    EXPECT_EQ((*list)->version, kMinSupportedProtocolVersion);
-    PayloadReader reader((*list)->payload);
-    auto count = reader.U64();
-    ASSERT_TRUE(count.ok());
-    EXPECT_EQ(*count, 3u);  // StartServer pre-ingests three runs
-    for (uint64_t want = 1; want <= 3; ++want) {
-      auto id = reader.U64();
-      ASSERT_TRUE(id.ok());
-      EXPECT_EQ(*id, want);
-    }
-    EXPECT_TRUE(reader.ExpectEnd().ok());
-  }
-  {
-    // The trace-less middle versions: a v3 or v4 Reaches carries the read
-    // token but no trace id, and must get a plain boolean answer stamped
-    // with the requester's version — exactly what a pre-observability
-    // client expects.
-    for (uint8_t version : {uint8_t{3}, uint8_t{4}}) {
-      SCOPED_TRACE("version " + std::to_string(version));
-      PayloadWriter payload;
-      payload.U64(1);  // run
-      payload.U64(0);  // v
-      payload.U64(1);  // w
-      payload.U64(0);  // v3 read-LSN token — and nothing after it
-      RawConn conn(server->port());
-      conn.Send(EncodeOne(Frame{version, MsgType::kReaches, 1,
-                                std::move(payload).Finish()}));
-      conn.Send(EncodeOne(Frame{version, MsgType::kPing, 2, {}}));
-      conn.FinishWrites();
-      FrameDecoder decoder;
-      decoder.Feed(conn.ReadUntilEof());
-      auto answer = decoder.Next();
-      ASSERT_TRUE(answer.ok() && answer->has_value());
-      EXPECT_EQ((*answer)->type, MsgType::kReply);
-      EXPECT_EQ((*answer)->version, version);
-      PayloadReader reader((*answer)->payload);
-      auto value = reader.U64();
-      ASSERT_TRUE(value.ok());
-      EXPECT_LE(*value, 1u);  // a bare boolean, no trailing fields
-      EXPECT_TRUE(reader.ExpectEnd().ok());
-      auto ping = decoder.Next();
-      ASSERT_TRUE(ping.ok() && ping->has_value());
-      EXPECT_EQ((*ping)->type, MsgType::kReply);
-      EXPECT_EQ((*ping)->version, version);
-    }
-  }
-  {
-    // A client from the future: the error names both its version and the
-    // range this server speaks, so an operator reading one log line knows
-    // which side to upgrade.
-    RawConn conn(server->port());
-    conn.Send(EncodeOne(Frame{kProtocolVersion + 1, MsgType::kPing, 1, {}}));
+    conn.Send(EncodeOne(PingFrame(2)));
     conn.FinishWrites();
     FrameDecoder decoder;
     decoder.Feed(conn.ReadUntilEof());
     auto first = decoder.Next();
     ASSERT_TRUE(first.ok() && first->has_value());
     EXPECT_EQ((*first)->type, MsgType::kError);
+    EXPECT_EQ((*first)->version, kProtocolVersion);
     Status carried = DecodeErrorPayload((*first)->payload);
     EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(carried.message().find(std::to_string(kProtocolVersion + 1)),
+    EXPECT_NE(carried.message().find("version " + std::to_string(version)),
               std::string::npos)
         << carried.ToString();
     EXPECT_NE(carried.message().find(std::to_string(kProtocolVersion)),
               std::string::npos)
         << carried.ToString();
-    EXPECT_NE(
-        carried.message().find(std::to_string(kMinSupportedProtocolVersion)),
-        std::string::npos)
-        << carried.ToString();
-  }
-  {
-    // One below the supported floor is refused the same way.
-    RawConn conn(server->port());
-    conn.Send(EncodeOne(Frame{kMinSupportedProtocolVersion - 1,
-                              MsgType::kPing, 1, {}}));
-    conn.FinishWrites();
-    FrameDecoder decoder;
-    decoder.Feed(conn.ReadUntilEof());
-    auto first = decoder.Next();
-    ASSERT_TRUE(first.ok() && first->has_value());
-    EXPECT_EQ((*first)->type, MsgType::kError);
-    Status carried = DecodeErrorPayload((*first)->payload);
-    EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(carried.message().find("version"), std::string::npos);
+    // The refusal is per request: the current-version ping is answered.
+    auto second = decoder.Next();
+    ASSERT_TRUE(second.ok() && second->has_value());
+    EXPECT_EQ((*second)->type, MsgType::kReply);
   }
   server->Shutdown();
+}
+
+TEST(NetServerTest, ClientRefusesAReplyOfAnotherVersion) {
+  // A stand-in server that answers every request with an empty kReply
+  // stamped one version older than this client speaks.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                          &len),
+            0);
+  std::thread old_server([listen_fd] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    uint8_t buf[4096];
+    FrameDecoder decoder;
+    while (true) {
+      auto next = decoder.Next();
+      if (next.ok() && next->has_value()) {
+        const std::vector<uint8_t> reply =
+            EncodeOne(Frame{uint8_t{kProtocolVersion - 1}, MsgType::kReply,
+                            (*next)->request_id, {}});
+        (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+        break;
+      }
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      decoder.Feed({buf, static_cast<size_t>(n)});
+    }
+    ::close(fd);
+  });
+
+  auto client = ProvenanceClient::Connect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Status ping = client->Ping();
+  old_server.join();
+  ::close(listen_fd);
+  EXPECT_EQ(ping.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ping.message().find(std::to_string(kProtocolVersion - 1)),
+            std::string::npos)
+      << ping.ToString();
+  EXPECT_NE(ping.message().find(std::to_string(kProtocolVersion)),
+            std::string::npos)
+      << ping.ToString();
+  // The connection is poisoned: later calls repeat the refusal.
+  EXPECT_EQ(client->Ping().message(), ping.message());
+}
+
+TEST(NetServerTest, ClientReportsTheServersConnectionTerminalError) {
+  // A frame over the server's size cap ends the connection; the server's
+  // last frame is a kError with request id 0 carrying the reason, and the
+  // client must surface that reason rather than a request-id mismatch.
+  Specification spec = testing_util::MakeRunningExample().spec;
+  auto service = ProvenanceService::Create(std::move(spec),
+                                           SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok());
+  ProvenanceServer::Options options;
+  options.max_frame_bytes = 4096;
+  auto server = ProvenanceServer::Start(std::move(service).value(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ProvenanceClient client = NewClient(**server);
+  auto added = client.AddRunXml(std::string(100000, 'x'));
+  ASSERT_FALSE(added.ok());
+  EXPECT_NE(added.status().message().find("exceeds the maximum of 4096"),
+            std::string::npos)
+      << added.status().ToString();
+  (*server)->Shutdown();
 }
 
 // ---------------------------------------------------------- observability --
 
 TEST(NetServerTest, ErrorRepliesEchoTheClientTraceId) {
   auto server = StartServer(SpecSchemeKind::kTcm);
-  // A v5 Reaches against a run that does not exist, traced as 77: the
+  // A Reaches against a run that does not exist, traced as 77: the
   // error reply must carry the Status AND echo the trace id, so a client
   // log line and a server slow-query line join on one token.
   PayloadWriter payload;
@@ -741,7 +737,7 @@ TEST(NetServerTest, ServiceStatsRpcCountsServedQueries) {
   EXPECT_EQ(after->num_runs, 3u);
   EXPECT_EQ(after->runs_ingested, 3u);
   EXPECT_EQ(after->runs_imported, 1u);
-  // The result-cache counters travel the wire too (protocol v2): the five
+  // The result-cache counters travel the wire too: the five
   // answered pairs above were all cache lookups on the default-enabled
   // BFS cache, and the repeated (0, 1) query must have produced a hit.
   EXPECT_EQ((after->cache_hits + after->cache_misses) -

@@ -14,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/bit_codec.h"
 #include "src/common/check.h"
+#include "src/common/crc32.h"
 #include "src/common/temp_path.h"
 #include "src/replication/oplog.h"
 
@@ -151,6 +153,54 @@ TEST(OpLogTest, OpenRefusesAForeignHeader) {
   EXPECT_NE(wrong_scheme.status().message().find("tcm"), std::string::npos);
   EXPECT_NE(wrong_scheme.status().message().find("bfs"), std::string::npos);
   std::filesystem::remove(path);
+}
+
+TEST(OpLogTest, OtherFormatVersionIsRejected) {
+  // A hand-built header-only log at version 1 (and one from the future):
+  // magic "SKLO", the version varint, then the CRC-framed spec/scheme
+  // header. Replay and Open refuse it, naming both versions, and Open
+  // leaves the file untouched.
+  for (uint32_t version : {1u, kOpLogFormatVersion + 1}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    BitWriter header;
+    header.WriteVarint(sizeof(kSpecXml) - 1);
+    header.WriteBytes({reinterpret_cast<const uint8_t*>(kSpecXml),
+                       sizeof(kSpecXml) - 1});
+    header.WriteVarint(sizeof(kScheme) - 1);
+    header.WriteBytes({reinterpret_cast<const uint8_t*>(kScheme),
+                       sizeof(kScheme) - 1});
+    const std::vector<uint8_t> payload = header.Finish();
+    BitWriter file;
+    file.Write(0x534b4c4f, 32);  // "SKLO"
+    file.WriteVarint(version);
+    file.Write(static_cast<uint32_t>(payload.size()), 32);
+    file.Write(Crc32(payload), 32);
+    file.WriteBytes(payload);
+    const std::vector<uint8_t> bytes = file.Finish();
+    const std::string path = FreshLogPath("oplog_version");
+    WriteAll(path, bytes);
+
+    auto replay = OpLog::ReplayFile(path);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status().code(), StatusCode::kParseError);
+    EXPECT_NE(replay.status().message().find(
+                  "unsupported op-log format version " +
+                  std::to_string(version)),
+              std::string::npos)
+        << replay.status().ToString();
+    EXPECT_NE(replay.status().message().find(
+                  "only version " + std::to_string(kOpLogFormatVersion)),
+              std::string::npos)
+        << replay.status().ToString();
+
+    OpLog::Options options;
+    options.fsync = false;
+    auto opened = OpLog::Open(path, kSpecXml, kScheme, options);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().message(), replay.status().message());
+    EXPECT_EQ(ReadAll(path), bytes);
+    std::filesystem::remove(path);
+  }
 }
 
 TEST(OpLogTest, ReadFromServesLsnWindows) {

@@ -6,11 +6,19 @@
 // at every position.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/core/provenance_service.h"
 #include "src/net/protocol.h"
+#include "src/net/server.h"
+#include "tests/test_util.h"
 
 namespace skl {
 namespace {
@@ -212,9 +220,12 @@ TEST(ProtocolTest, ErrorPayloadRoundTripsEveryCode) {
         StatusCode::kUnavailable, StatusCode::kRetryAt}) {
     const Status original(code, std::string("message for ") +
                                     StatusCodeName(code));
-    Status decoded = DecodeErrorPayload(EncodeErrorPayload(original));
+    uint64_t trace = 0;
+    Status decoded =
+        DecodeErrorPayload(EncodeErrorPayload(original, 91), &trace);
     EXPECT_EQ(decoded.code(), original.code());
     EXPECT_EQ(decoded.message(), original.message());
+    EXPECT_EQ(trace, 91u);
   }
 }
 
@@ -222,6 +233,7 @@ TEST(ProtocolTest, UnknownErrorCodeMapsToInternalKeepingTheMessage) {
   PayloadWriter writer;
   writer.U64(200);  // a code from the future
   writer.Str("future failure");
+  writer.U64(0);  // trace id
   Status decoded = DecodeErrorPayload(std::move(writer).Finish());
   EXPECT_EQ(decoded.code(), StatusCode::kInternal);
   EXPECT_NE(decoded.message().find("future failure"), std::string::npos);
@@ -232,6 +244,88 @@ TEST(ProtocolTest, MalformedErrorPayloadIsAParseError) {
   EXPECT_EQ(decoded.code(), StatusCode::kParseError);
   EXPECT_NE(decoded.message().find("malformed error payload"),
             std::string::npos);
+  // A payload without the trailing trace id is malformed too.
+  PayloadWriter writer;
+  writer.U64(static_cast<uint64_t>(StatusCode::kNotFound));
+  writer.Str("no trace");
+  uint64_t trace = 7;
+  decoded = DecodeErrorPayload(std::move(writer).Finish(), &trace);
+  EXPECT_EQ(decoded.code(), StatusCode::kParseError);
+  EXPECT_EQ(trace, 0u);
+}
+
+TEST(ProtocolTest, OpcodeTableHasOneNamedRowPerOpcode) {
+  std::set<std::string> names;
+  int previous = -1;
+  for (const OpcodeInfo& row : OpcodeTable()) {
+    const uint8_t op = static_cast<uint8_t>(row.type);
+    SCOPED_TRACE(row.name);
+    EXPECT_GT(op, previous) << "rows must be in MsgType value order";
+    previous = op;
+    EXPECT_EQ(FindOpcode(op), &row);
+    EXPECT_STREQ(MsgTypeName(row.type), row.name);
+    EXPECT_STRNE(row.name, "Unknown");
+    EXPECT_TRUE(names.insert(row.name).second) << "duplicate name";
+    // Only requests mutate or name a run.
+    if (!row.is_request) EXPECT_FALSE(row.mutates || row.names_run);
+  }
+  size_t found = 0;
+  for (int op = 0; op < 256; ++op) {
+    if (FindOpcode(static_cast<uint8_t>(op)) != nullptr) ++found;
+  }
+  EXPECT_EQ(found, OpcodeTable().size());
+  EXPECT_STREQ(MsgTypeName(static_cast<MsgType>(200)), "Unknown");
+}
+
+TEST(ProtocolTest, LiveServerDispatchesEveryRequestRow) {
+  auto service = ProvenanceService::Create(
+      testing_util::MakeRunningExample().spec, SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto server = ProvenanceServer::Start(std::move(service).value(), {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  // One empty-payload frame per request row, pipelined on one connection.
+  // An empty payload lacks even the trace id, so every request (kShutdown
+  // included) fails its payload check — but inside its dispatch case.
+  std::vector<uint8_t> wire;
+  std::vector<const OpcodeInfo*> sent;
+  for (const OpcodeInfo& row : OpcodeTable()) {
+    if (!row.is_request) continue;
+    EncodeFrame(Frame{kProtocolVersion, row.type, sent.size() + 1, {}}, &wire);
+    sent.push_back(&row);
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons((*server)->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  ::shutdown(fd, SHUT_WR);
+  FrameDecoder decoder;
+  uint8_t buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    decoder.Feed({buf, static_cast<size_t>(n)});
+  }
+  ::close(fd);
+
+  for (const OpcodeInfo* row : sent) {
+    SCOPED_TRACE(row->name);
+    auto next = decoder.Next();
+    ASSERT_TRUE(next.ok() && next->has_value());
+    ASSERT_EQ((*next)->type, MsgType::kError);
+    const Status carried = DecodeErrorPayload((*next)->payload);
+    EXPECT_NE(carried.message().find(row->name), std::string::npos)
+        << carried.ToString();
+    EXPECT_EQ(carried.message().find("not a request"), std::string::npos)
+        << carried.ToString();
+    EXPECT_EQ(carried.message().find("not dispatchable"), std::string::npos)
+        << carried.ToString();
+  }
+  (*server)->Shutdown();
 }
 
 }  // namespace

@@ -123,6 +123,31 @@ TEST_F(ProvenanceStoreTest, CorruptBlobsRejected) {
   EXPECT_FALSE(ProvenanceStore::Deserialize(std::vector<uint8_t>{}).ok());
 }
 
+TEST_F(ProvenanceStoreTest, OtherBlobVersionsAreRejected) {
+  // The version varint sits right after the 4-byte "SKLP" magic. A
+  // version-1 header (the untagged layout) and one from the future are
+  // refused, naming both versions.
+  const std::vector<uint8_t> blob =
+      ProvenanceStore::Capture(*labeling_, nullptr, "TCM").Serialize();
+  ASSERT_EQ(blob[4], 2u);
+  for (uint8_t version : {uint8_t{1}, uint8_t{3}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    auto patched = blob;
+    patched[4] = version;
+    auto restored = ProvenanceStore::Deserialize(patched);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
+    EXPECT_NE(restored.status().message().find(
+                  "unsupported provenance store version " +
+                  std::to_string(version)),
+              std::string::npos)
+        << restored.status().ToString();
+    EXPECT_NE(restored.status().message().find("only version 2"),
+              std::string::npos)
+        << restored.status().ToString();
+  }
+}
+
 TEST(ProvenanceStoreLargeTest, GeneratedRunRoundTrip) {
   auto spec_result = BuildRunningExampleSpec();
   ASSERT_TRUE(spec_result.ok());

@@ -160,7 +160,7 @@ std::vector<uint8_t> PingFrame(uint64_t request_id) {
   frame.type = MsgType::kPing;
   frame.request_id = request_id;
   PayloadWriter payload;
-  payload.U64(0);  // v5 trace id: untraced
+  payload.U64(0);  // trace id: untraced
   frame.payload = std::move(payload).Finish();
   return EncodeOne(std::move(frame));
 }
@@ -171,8 +171,8 @@ std::vector<uint8_t> ExportFrame(RunId id, uint64_t request_id) {
   frame.request_id = request_id;
   PayloadWriter payload;
   payload.U64(id.value());
-  payload.U64(0);  // v3+ read token: any LSN is applied on a primary
-  payload.U64(0);  // v5 trace id: untraced
+  payload.U64(0);  // read token: any LSN is applied on a primary
+  payload.U64(0);  // trace id: untraced
   frame.payload = std::move(payload).Finish();
   return EncodeOne(std::move(frame));
 }

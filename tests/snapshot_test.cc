@@ -409,17 +409,43 @@ TEST(SnapshotTest, BadMagicIsDescriptive) {
       << restored.status().ToString();
 }
 
-TEST(SnapshotTest, FutureFormatVersionIsRejected) {
-  SnapshotWriter writer(/*format_version=*/kSnapshotFormatVersion + 41);
-  writer.AddSection(kSnapshotSectionSpec, {1, 2, 3});
-  TempFile file("version");
-  ASSERT_TRUE(std::move(writer).WriteFile(file.path()).ok());
-  auto restored = ProvenanceService::LoadSnapshot(file.path());
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
-  EXPECT_NE(restored.status().message().find("unsupported snapshot format"),
+/// Saves a one-run snapshot, rewrites its container version (the one-byte
+/// varint right after the 4-byte magic) to `version`, and loads it back.
+Status LoadWithFormatVersion(uint8_t version) {
+  auto ex = testing_util::MakeRunningExample();
+  auto service =
+      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
+  SKL_CHECK(service.ok());
+  SKL_CHECK(service->AddRun(ex.run).ok());
+  TempFile file("version_" + std::to_string(version));
+  SKL_CHECK(service->SaveSnapshot(file.path()).ok());
+  std::vector<uint8_t> bytes = ReadAll(file.path());
+  SKL_CHECK(bytes[4] == kSnapshotFormatVersion);
+  bytes[4] = version;
+  WriteAll(file.path(), bytes);
+  return ProvenanceService::LoadSnapshot(file.path()).status();
+}
+
+/// The refusal names both the found and the supported version.
+void ExpectVersionRefused(const Status& status, uint32_t found) {
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("unsupported snapshot format version " +
+                                  std::to_string(found)),
             std::string::npos)
-      << restored.status().ToString();
+      << status.ToString();
+  EXPECT_NE(status.message().find("only version " +
+                                  std::to_string(kSnapshotFormatVersion)),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(SnapshotTest, FutureFormatVersionIsRejected) {
+  ExpectVersionRefused(LoadWithFormatVersion(kSnapshotFormatVersion + 41),
+                       kSnapshotFormatVersion + 41);
+}
+
+TEST(SnapshotTest, OlderFormatVersionIsRejected) {
+  ExpectVersionRefused(LoadWithFormatVersion(2), 2);
 }
 
 TEST(SnapshotTest, TrailingBytesAreRejected) {
@@ -509,7 +535,6 @@ TEST(SnapshotReaderTest, SectionsRoundTripInMemory) {
   writer.AddSection(11, std::vector<uint8_t>(300, 0x42));
   auto parsed = SnapshotReader::Parse(std::move(writer).Finish());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->format_version(), kSnapshotFormatVersion);
   EXPECT_EQ(parsed->num_sections(), 3u);
   EXPECT_TRUE(parsed->Has(7));
   EXPECT_FALSE(parsed->Has(8));
@@ -534,42 +559,6 @@ TEST(SnapshotReaderTest, SaveLeavesNoTmpFileBehind) {
   ASSERT_TRUE(service->SaveSnapshot(file.path()).ok());
   EXPECT_TRUE(std::filesystem::exists(file.path()));
   EXPECT_TRUE(file.TmpSiblings().empty());
-}
-
-TEST(SnapshotTest, RunsSectionTrailingBytesAreRejected) {
-  // A CRC-valid runs section with bytes past the declared runs means a
-  // writer bug (count written too small); those runs must not vanish
-  // silently from the restored registry.
-  auto ex = testing_util::MakeRunningExample();
-  auto service =
-      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
-  ASSERT_TRUE(service.ok());
-  ASSERT_TRUE(service->AddRun(ex.run).ok());
-  TempFile file("runs_trailing");
-  // Pinned to format v1 — the only version with a kSnapshotSectionRuns
-  // section (the v2 run-index trailing-bytes case lives in
-  // columnar_snapshot_test.cc).
-  ASSERT_TRUE(service->SaveSnapshotAtVersion(file.path(), 1).ok());
-
-  auto reader = SnapshotReader::ReadFile(file.path());
-  ASSERT_TRUE(reader.ok());
-  SnapshotWriter writer;
-  for (uint32_t id :
-       {kSnapshotSectionSpec, kSnapshotSectionScheme, kSnapshotSectionRuns}) {
-    auto section = reader->Section(id);
-    ASSERT_TRUE(section.ok());
-    std::vector<uint8_t> payload(section->begin(), section->end());
-    if (id == kSnapshotSectionRuns) payload.push_back(0x00);
-    writer.AddSection(id, std::move(payload));
-  }
-  TempFile tampered("runs_trailing_tampered");
-  ASSERT_TRUE(std::move(writer).WriteFile(tampered.path()).ok());
-  auto restored = ProvenanceService::LoadSnapshot(tampered.path());
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
-  EXPECT_NE(restored.status().message().find("run registry has trailing"),
-            std::string::npos)
-      << restored.status().ToString();
 }
 
 }  // namespace

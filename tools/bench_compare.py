@@ -25,7 +25,9 @@ explicitly for every unit a gated key uses, and time-like units
 (ms, ns/query) otherwise regress upward, rate-like units (MB/s, runs/s)
 downward. A gated key that exists in the baseline but vanished from the
 current run also fails (a silently dropped metric must not pass the
-gate it used to guard).
+gate it used to guard) — unless it is listed in RETIRED_KEYS, the
+metrics whose measured code path was deliberately deleted; those are
+reported as retired.
 
 Artifact compatibility: documents written by JsonReporter carry
 bench_schema_version (bench/bench_common.h). A file whose version is
@@ -56,6 +58,11 @@ GATED_EXACT = ("query_cache_hit_ns", "qps_shards16_t2", "repl_lag_p50",
 #: (net_connscale_256_p99_latency, ..._1024_..., ...) without gating the
 #: qps/churn keys that share the prefix.
 GATED_AFFIXES = (("net_connscale_", "_p99_latency"),)
+#: Gated metrics whose code path was deleted on purpose. A baseline that
+#: still carries one reports it as retired instead of failing the gate.
+#: snapshot_load_v1_ms timed the version-1 snapshot loader, removed when
+#: the snapshot format kept only its current version.
+RETIRED_KEYS = ("snapshot_load_v1_ms",)
 
 #: Explicit direction for every unit a gated key uses (True = higher is
 #: better). The heuristic in higher_is_better covers the informational
@@ -154,7 +161,10 @@ def main():
     for key in sorted(set(baseline) | set(current)):
         gated = is_gated(key)
         if key not in current:
-            status = "MISSING" if gated else "removed"
+            if key.rsplit("/", 1)[-1] in RETIRED_KEYS:
+                gated, status = False, "retired"
+            else:
+                status = "MISSING" if gated else "removed"
             lines.append(f"| `{key}` | {baseline[key][0]:.4g} {baseline[key][1]}"
                          f" | — | — | {status} |")
             if gated:
