@@ -29,6 +29,10 @@ class BitWriter {
   /// snapshot) without re-encoding it bit by bit.
   void WriteBytes(std::span<const uint8_t> bytes);
 
+  /// Reserves room for `bytes` bytes in total, so a writer whose final size
+  /// is known up front fills one buffer instead of growing it.
+  void Reserve(size_t bytes) { bytes_.reserve(bytes); }
+
   /// Pads with zero bits to the next byte boundary.
   void AlignToByte();
 

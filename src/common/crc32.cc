@@ -1,36 +1,60 @@
 #include "src/common/crc32.h"
 
 #include <array>
+#include <cstddef>
 
 namespace skl {
 
 namespace {
 
-// Reflected CRC-32 table for polynomial 0xEDB88320 (IEEE 802.3).
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table;
+// Slice-by-8 tables for the reflected polynomial 0xEDB88320 (IEEE 802.3).
+// kTables[0] is the classic byte-at-a-time table; kTables[k][b] is the CRC
+// of byte b followed by k zero bytes, so eight lookups fold eight input
+// bytes into the register at once.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables BuildTables() {
+  Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-const std::array<uint32_t, 256>& Table() {
-  static const std::array<uint32_t, 256> table = BuildTable();
-  return table;
+constexpr Tables kTables = BuildTables();
+
+/// The four bytes at `p` as a little-endian word, whatever the host order.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t seed, std::span<const uint8_t> bytes) {
-  const std::array<uint32_t, 256>& table = Table();
+  const Tables& t = kTables;
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (uint8_t b : bytes) {
-    c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const uint8_t* p = bytes.data();
+  size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

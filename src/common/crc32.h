@@ -1,6 +1,8 @@
 // CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) used to checksum
-// snapshot sections: a flipped bit in a persisted service snapshot must be
-// reported as corruption, never parsed into a wrong-but-plausible registry.
+// every durable or transmitted byte: snapshot sections, op-log frames and
+// wire frames. A flipped bit in any of them must be reported as corruption,
+// never parsed into a wrong-but-plausible value. Computed slice-by-8 (eight
+// bytes per step); the checksum is the same as a byte-at-a-time table's.
 #ifndef SKL_COMMON_CRC32_H_
 #define SKL_COMMON_CRC32_H_
 

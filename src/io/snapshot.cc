@@ -16,7 +16,9 @@
 #endif
 
 #include "src/common/bit_codec.h"
+#include "src/common/check.h"
 #include "src/common/crc32.h"
+#include "src/common/file_bytes.h"
 #include "src/core/provenance_service.h"
 #include "src/io/workflow_xml.h"
 #include "src/speclabel/scheme.h"
@@ -62,15 +64,6 @@ Status SyncDir(const std::string& dir) {
 #endif
 }
 
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open snapshot file " + path);
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::Internal("error reading snapshot file " + path);
-  return bytes;
-}
-
 /// Encoded length of WriteVarint's LEB128 (7 bits per byte).
 size_t VarintLen(uint64_t value) {
   size_t n = 1;
@@ -86,11 +79,21 @@ size_t AlignUp(size_t offset) {
          ~(kSnapshotSectionAlignment - 1);
 }
 
-void AppendU32Le(std::vector<uint8_t>& out, uint32_t value) {
-  out.push_back(static_cast<uint8_t>(value));
-  out.push_back(static_cast<uint8_t>(value >> 8));
-  out.push_back(static_cast<uint8_t>(value >> 16));
-  out.push_back(static_cast<uint8_t>(value >> 24));
+/// Grows `out` by `count` little-endian u32 slots in one resize and returns
+/// the first, for PutU32Le to fill.
+uint8_t* GrowU32s(std::vector<uint8_t>& out, size_t count) {
+  const size_t at = out.size();
+  out.resize(at + 4 * count);
+  return out.data() + at;
+}
+
+/// Stores `value` little-endian at `p`; returns the next slot.
+uint8_t* PutU32Le(uint8_t* p, uint32_t value) {
+  p[0] = static_cast<uint8_t>(value);
+  p[1] = static_cast<uint8_t>(value >> 8);
+  p[2] = static_cast<uint8_t>(value >> 16);
+  p[3] = static_cast<uint8_t>(value >> 24);
+  return p + 4;
 }
 
 uint32_t LoadU32Le(const uint8_t* p) {
@@ -145,13 +148,13 @@ std::vector<uint8_t> SnapshotWriter::Finish() && {
   for (const PendingSection& s : sections_) {
     if (s.aligned) ++n_sections;  // each aligned section gets a pad section
   }
-  BitWriter writer;
-  writer.Write(kMagic, 32);
-  writer.WriteVarint(kSnapshotFormatVersion);
-  writer.WriteVarint(n_sections);
+  // Lay the file out first — the pad ahead of each aligned section and the
+  // total byte count — so the bytes go into one exactly sized buffer.
+  std::vector<size_t> pads(sections_.size(), 0);
   size_t offset =
       4 + VarintLen(kSnapshotFormatVersion) + VarintLen(n_sections);
-  for (const PendingSection& s : sections_) {
+  for (size_t i = 0; i < sections_.size(); ++i) {
+    const PendingSection& s = sections_[i];
     const size_t header_len = VarintLen(s.id) + VarintLen(s.payload.size()) + 4;
     if (s.aligned) {
       // A pad section (id 0) sized so the *next* section's payload lands on
@@ -159,22 +162,33 @@ std::vector<uint8_t> SnapshotWriter::Finish() && {
       // 1-byte length (the pad is < 64, so its varint is one byte), 4-byte
       // CRC.
       const size_t unpadded = offset + 6 + header_len;
-      const size_t pad =
+      pads[i] =
           (kSnapshotSectionAlignment - unpadded % kSnapshotSectionAlignment) %
           kSnapshotSectionAlignment;
-      const std::vector<uint8_t> zeros(pad, 0);
+      offset += 6 + pads[i];
+    }
+    offset += header_len + s.payload.size();
+  }
+  BitWriter writer;
+  writer.Reserve(offset);
+  writer.Write(kMagic, 32);
+  writer.WriteVarint(kSnapshotFormatVersion);
+  writer.WriteVarint(n_sections);
+  for (size_t i = 0; i < sections_.size(); ++i) {
+    const PendingSection& s = sections_[i];
+    if (s.aligned) {
+      const std::vector<uint8_t> zeros(pads[i], 0);
       writer.WriteVarint(kSnapshotSectionPad);
-      writer.WriteVarint(pad);
+      writer.WriteVarint(pads[i]);
       writer.Write(Crc32(zeros), 32);
       writer.WriteBytes(zeros);
-      offset += 6 + pad;
     }
     writer.WriteVarint(s.id);
     writer.WriteVarint(s.payload.size());
     writer.Write(Crc32(s.payload), 32);
     writer.WriteBytes(s.payload);
-    offset += header_len + s.payload.size();
   }
+  SKL_DCHECK(writer.bit_count() == offset * 8);
   return writer.Finish();
 }
 
@@ -293,7 +307,8 @@ Result<SnapshotReader> SnapshotReader::Parse(std::vector<uint8_t> bytes) {
 }
 
 Result<SnapshotReader> SnapshotReader::ReadFile(const std::string& path) {
-  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
+  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                       ReadFileBytes(path, "snapshot file"));
   return Parse(std::move(bytes));
 }
 
@@ -482,16 +497,19 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter() const {
                4 * (total_vertices * 4 + total_items + total_offsets +
                     total_readers) +
                7 * kSnapshotSectionAlignment);
-  AppendU32Le(cols, static_cast<uint32_t>(total_vertices));
-  AppendU32Le(cols, static_cast<uint32_t>(total_items));
-  AppendU32Le(cols, static_cast<uint32_t>(total_offsets));
-  AppendU32Le(cols, static_cast<uint32_t>(total_readers));
+  uint8_t* totals = GrowU32s(cols, 4);
+  for (uint64_t total :
+       {total_vertices, total_items, total_offsets, total_readers}) {
+    totals = PutU32Le(totals, static_cast<uint32_t>(total));
+  }
   const auto begin_column = [&cols] { cols.resize(AlignUp(cols.size()), 0); };
   const auto label_column = [&](std::span<const uint32_t> (
                                     ProvenanceStore::*column)() const) {
     begin_column();
     for (const SavedRun& r : saved) {
-      for (uint32_t value : (r.store.*column)()) AppendU32Le(cols, value);
+      const std::span<const uint32_t> values = (r.store.*column)();
+      uint8_t* p = GrowU32s(cols, values.size());
+      for (uint32_t value : values) p = PutU32Le(p, value);
     }
   };
   label_column(&ProvenanceStore::q1_column);
@@ -500,26 +518,30 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter() const {
   label_column(&ProvenanceStore::origin_column);
   begin_column();  // WRITERS
   for (const SavedRun& r : saved) {
+    uint8_t* p = GrowU32s(cols, r.store.num_items());
     for (DataItemId x = 0; x < r.store.num_items(); ++x) {
-      AppendU32Le(cols, r.store.item_writer(x));
+      p = PutU32Le(p, r.store.item_writer(x));
     }
   }
   begin_column();  // OFFSETS (run-local CSR)
   for (const SavedRun& r : saved) {
+    uint8_t* p = GrowU32s(cols, r.store.num_items() + 1);
     uint32_t off = 0;
-    AppendU32Le(cols, 0);
+    p = PutU32Le(p, 0);
     for (DataItemId x = 0; x < r.store.num_items(); ++x) {
       off += static_cast<uint32_t>(r.store.item_readers(x).size());
-      AppendU32Le(cols, off);
+      p = PutU32Le(p, off);
     }
   }
   begin_column();  // READERS
   for (const SavedRun& r : saved) {
+    uint8_t* p = GrowU32s(cols, r.store.num_reader_entries());
     for (DataItemId x = 0; x < r.store.num_items(); ++x) {
       for (VertexId reader : r.store.item_readers(x)) {
-        AppendU32Le(cols, reader);
+        p = PutU32Le(p, reader);
       }
     }
+    SKL_DCHECK(p == cols.data() + cols.size());
   }
   writer.AddAlignedSection(kSnapshotSectionColumns, std::move(cols));
   return writer;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -12,6 +11,7 @@
 
 #include "src/common/bit_codec.h"
 #include "src/common/crc32.h"
+#include "src/common/file_bytes.h"
 
 namespace skl {
 
@@ -55,15 +55,6 @@ Status SyncOpenFile(std::FILE* file, const std::string& path) {
   (void)path;
 #endif
   return Status::OK();
-}
-
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open op-log file " + path);
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::Internal("error reading op-log file " + path);
-  return bytes;
 }
 
 std::span<const uint8_t> StrSpan(const std::string& s) {
@@ -288,7 +279,8 @@ OpLog::~OpLog() {
 }
 
 Result<OpLogReplay> OpLog::ReplayFile(const std::string& path) {
-  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
+  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                       ReadFileBytes(path, "op-log file"));
   BitReader reader(bytes);
 
   uint64_t magic = 0;

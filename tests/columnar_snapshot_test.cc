@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,19 +41,8 @@ class TempFile {
   std::string path_;
 };
 
-std::vector<uint8_t> ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SKL_CHECK(static_cast<bool>(in));
-  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-}
-
-void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  SKL_CHECK(static_cast<bool>(out));
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
+using testing_util::ReadAll;
+using testing_util::WriteAll;
 
 ::skl::Run GenerateRun(const Specification& spec, uint32_t target,
                        uint64_t seed) {

@@ -319,6 +319,51 @@ TEST(Crc32Test, StreamingMatchesOneShot) {
   EXPECT_NE(Crc32(view.subspan(1)), one_shot);
 }
 
+/// Bit-at-a-time CRC-32 straight from the reflected polynomial: no tables,
+/// so it shares nothing with the slice-by-8 code under test.
+uint32_t ReferenceCrc32(std::span<const uint8_t> bytes) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every start offset 0-7 puts the eight-byte steps at every alignment,
+  // and every length 0-1024 gives the byte tail every size it can have.
+  const std::vector<uint8_t> bytes = RandomBytes(1024 + 8, 0xC3C3);
+  const std::span<const uint8_t> view(bytes);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const std::span<const uint8_t> piece = view.subspan(offset, length);
+      ASSERT_EQ(Crc32(piece), ReferenceCrc32(piece))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, StreamingMatchesReferenceAtEverySplit) {
+  const std::vector<uint8_t> bytes = RandomBytes(1024, 0x5EED);
+  const std::span<const uint8_t> view(bytes);
+  const uint32_t expected = ReferenceCrc32(view);
+  for (size_t split = 0; split <= view.size(); ++split) {
+    const uint32_t head = Crc32Update(0, view.first(split));
+    ASSERT_EQ(Crc32Update(head, view.subspan(split)), expected)
+        << "split at " << split;
+  }
+}
+
 TEST(BitCodecTest, RoundTripRawBytes) {
   std::vector<uint8_t> blob = {0x00, 0xFF, 0x42, 0x13};
   BitWriter w;

@@ -19,6 +19,7 @@
 #include "src/common/crc32.h"
 #include "src/common/temp_path.h"
 #include "src/replication/oplog.h"
+#include "tests/test_util.h"
 
 namespace skl {
 namespace {
@@ -47,17 +48,8 @@ LogOp MakeAddOp(uint64_t run_id, uint8_t blob_fill, size_t blob_len) {
   return op;
 }
 
-std::vector<uint8_t> ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
-
-void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
+using testing_util::ReadAll;
+using testing_util::WriteAll;
 
 /// A log with 3 entries (add, import, remove); fsync off — these tests
 /// exercise the format, not the disk.
@@ -201,6 +193,21 @@ TEST(OpLogTest, OtherFormatVersionIsRejected) {
     EXPECT_EQ(ReadAll(path), bytes);
     std::filesystem::remove(path);
   }
+}
+
+TEST(OpLogTest, ZeroLengthAndMissingFilesKeepTheirErrors) {
+  const std::string path = FreshLogPath("oplog_zero_length");
+  WriteAll(path, {});
+  auto empty = OpLog::ReplayFile(path);
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(empty.status().message(), "op-log truncated: missing file header");
+
+  std::filesystem::remove(path);
+  auto missing = OpLog::ReplayFile(path);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound)
+      << missing.status().ToString();
 }
 
 TEST(OpLogTest, ReadFromServesLsnWindows) {

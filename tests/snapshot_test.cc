@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -62,19 +61,8 @@ class TempFile {
   std::string path_;
 };
 
-std::vector<uint8_t> ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SKL_CHECK(static_cast<bool>(in));
-  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-}
-
-void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  SKL_CHECK(static_cast<bool>(out));
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
+using testing_util::ReadAll;
+using testing_util::WriteAll;
 
 ::skl::Run GenerateRun(const Specification& spec, uint32_t target,
                        uint64_t seed) {
@@ -361,10 +349,41 @@ TEST(SnapshotTest, SaveIsConsistentWhileIngestingAndQuerying) {
 // ---------------------------------------------------------- failure paths --
 
 TEST(SnapshotTest, MissingFileIsNotFound) {
-  auto missing = ProvenanceService::LoadSnapshot(
-      "/nonexistent/dir/missing.skls");
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  for (bool use_mmap : {false, true}) {
+    auto missing = ProvenanceService::LoadSnapshot(
+        "/nonexistent/dir/missing.skls", {}, {.use_mmap = use_mmap});
+    ASSERT_FALSE(missing.ok()) << "use_mmap " << use_mmap;
+    EXPECT_EQ(missing.status().code(), StatusCode::kNotFound)
+        << "use_mmap " << use_mmap;
+  }
+}
+
+TEST(SnapshotTest, DirectoryPathIsAnErrorOnBothLoaders) {
+  // A directory opens for reading but has no byte count to trust: the load
+  // must fail with a Status, not size a buffer from the directory's offset.
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  for (bool use_mmap : {false, true}) {
+    auto loaded =
+        ProvenanceService::LoadSnapshot(dir, {}, {.use_mmap = use_mmap});
+    ASSERT_FALSE(loaded.ok()) << "use_mmap " << use_mmap;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInternal)
+        << "use_mmap " << use_mmap << ": " << loaded.status().ToString();
+  }
+}
+
+TEST(SnapshotTest, ZeroLengthFileIsMissingHeaderOnBothLoaders) {
+  TempFile file("zero_length");
+  WriteAll(file.path(), {});
+  for (bool use_mmap : {false, true}) {
+    auto loaded = ProvenanceService::LoadSnapshot(file.path(), {},
+                                                  {.use_mmap = use_mmap});
+    ASSERT_FALSE(loaded.ok()) << "use_mmap " << use_mmap;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << "use_mmap " << use_mmap;
+    EXPECT_EQ(loaded.status().message(),
+              "snapshot truncated: missing file header")
+        << "use_mmap " << use_mmap;
+  }
 }
 
 TEST(SnapshotTest, TruncationAtEveryPrefixFailsCleanly) {

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +54,25 @@ inline uint64_t TestIterScale() {
     if (end != env && *end == '\0' && parsed >= 1) return parsed;
   }
   return 1;
+}
+
+/// Every byte of the file at `path`; aborts if it cannot be opened. Reads
+/// through the standard library rather than src/common's ReadFileBytes, so
+/// the durable-format suites never read their inputs with code under test.
+inline std::vector<uint8_t> ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  SKL_CHECK_MSG(static_cast<bool>(in), path.c_str());
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+}
+
+/// Replaces the file at `path` with `bytes`; aborts if it cannot be created.
+inline void WriteAll(const std::string& path,
+                     const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  SKL_CHECK_MSG(static_cast<bool>(out), path.c_str());
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 /// The Figure 3 run of the running example: F1 executed twice; in one copy
