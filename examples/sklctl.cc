@@ -66,7 +66,7 @@
 // stripes, rounded up to a power of two) and ingest-dir --fail-fast
 // (all-or-nothing batch). load rejects --scheme: the scheme identity is
 // part of the snapshot. The remote stats subcommand also prints the
-// server's result-cache hit rate.
+// server's spec-memo hit rate (search schemes only).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -609,15 +609,15 @@ int RemoteStats(ProvenanceClient& client, const std::vector<const char*>& args,
   std::printf("runs removed:         %llu\n", u(stats->runs_removed));
   std::printf("bulk batches:         %llu\n", u(stats->bulk_batches));
   std::printf("snapshot saves:       %llu\n", u(stats->snapshot_saves));
-  std::printf("cache hits:           %llu\n", u(stats->cache_hits));
-  std::printf("cache misses:         %llu\n", u(stats->cache_misses));
+  std::printf("spec memo hits:       %llu\n", u(stats->cache_hits));
+  std::printf("spec memo misses:     %llu\n", u(stats->cache_misses));
   const uint64_t lookups = stats->cache_hits + stats->cache_misses;
   if (lookups > 0) {
-    std::printf("cache hit rate:       %.1f%%\n",
+    std::printf("spec memo hit rate:   %.1f%%\n",
                 100.0 * static_cast<double>(stats->cache_hits) /
                     static_cast<double>(lookups));
   } else {
-    std::printf("cache hit rate:       n/a (no cached lookups)\n");
+    std::printf("spec memo hit rate:   n/a (no memo lookups)\n");
   }
   std::printf("replication lsn:      %llu\n", u(stats->replication_lsn));
   std::printf("replication lag:      %llu\n",

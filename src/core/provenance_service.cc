@@ -72,47 +72,28 @@ bool StoreDataDependsOnModule(const ProvenanceStore& store, DataItemId x,
                              store.label(store.item_writer(x)), scheme);
 }
 
-/// The one memoize shape behind every boolean query: probe the shard's
-/// cache under the read lock the caller already holds, recompute via
-/// `compute` on a miss, publish the answer stamped with the generation the
-/// caller saw. Stale stamps (a Remove/Import/swap bumped the shard since)
-/// can never hit, so a cached answer is always exactly what the recompute
-/// would produce — the property tests/query_cache_test.cc proves
-/// differentially. Preconditions (record found, ids in range) are the
-/// caller's; `compute` must not fail.
-template <typename Compute>
-bool Memoized(const RunRegistry::ReadHandle& handle, uint64_t run,
-              uint32_t src, uint32_t dst, QueryKind kind,
-              const Compute& compute) {
-  QueryCache* cache = handle.cache();
-  if (cache == nullptr) return compute();
-  bool answer = false;
-  if (cache->Lookup(handle.generation(), run, src, dst, kind, &answer)) {
-    handle.Count(Tally::kCacheHits);
-    return answer;
-  }
-  handle.Count(Tally::kCacheMisses);
-  answer = compute();
-  cache->Insert(handle.generation(), run, src, dst, kind, answer);
-  return answer;
+/// Search schemes (BFS, DFS) serve through a spec-pair memo; an indexed
+/// scheme's compare beats a probe, so it is served as is.
+std::unique_ptr<SpecLabelingScheme> ForServing(
+    std::unique_ptr<SpecLabelingScheme> scheme, MemoTally* tally) {
+  if (!scheme->SearchesGraph()) return scheme;
+  return std::make_unique<MemoizedScheme>(std::move(scheme), tally);
 }
 
 }  // namespace
 
 ProvenanceService::ProvenanceService(
     std::unique_ptr<const Specification> spec,
-    std::unique_ptr<SpecLabelingScheme> scheme, Options options)
+    std::unique_ptr<SpecLabelingScheme> scheme,
+    std::unique_ptr<MemoTally> memo_tally, Options options)
     : epochs_(std::make_unique<std::deque<SpecEpoch>>()),
       head_(std::make_unique<std::atomic<const SpecEpoch*>>(nullptr)),
       epoch_mu_(std::make_unique<std::mutex>()),
       options_(options),
       counters_(std::make_unique<Counters>()),
-      // Cache placement: only search schemes (BFS/DFS), whose compare is a
-      // graph search, get shard caches. Every epoch rebuilds the same kind,
-      // so this holds for the service's lifetime.
-      registry_(std::make_unique<RunRegistry>(RunRegistry::Options{
-          .num_shards = options.num_shards,
-          .cache_slots = scheme->SearchesGraph() ? options.cache_slots : 0})),
+      memo_tally_(std::move(memo_tally)),
+      registry_(std::make_unique<RunRegistry>(
+          RunRegistry::Options{.num_shards = options.num_shards})),
       metrics_(std::make_unique<MetricsRegistry>()),
       pool_mu_(std::make_unique<std::mutex>()) {
   // Only a scheme whose name round-trips through the kind parser can be
@@ -149,22 +130,18 @@ void ProvenanceService::RegisterServiceMetrics() {
         const SpecEpoch* entry = head->load(std::memory_order_acquire);
         return entry != nullptr ? entry->number : 0;
       });
-  // Per-shard cache tallies (the blocks ServiceStats sums), only when the
-  // shards keep caches: no always-zero series. The captured registry
-  // address is stable behind its unique_ptr.
-  const RunRegistry* reg = registry_.get();
-  if (reg->cache_slots_per_shard() == 0) return;
-  const auto add_family = [&](Tally t, const char* name, const char* help) {
-    for (size_t s = 0; s < reg->num_shards(); ++s) {
-      metrics_->AddCallbackGauge(
-          name, help, "shard=\"" + std::to_string(s) + "\"",
-          [reg, s, t] { return reg->ShardTally(s, t); });
-    }
-  };
-  add_family(Tally::kCacheHits, "skl_cache_shard_hits",
-             "Query-cache hits served by this shard");
-  add_family(Tally::kCacheMisses, "skl_cache_shard_misses",
-             "Query-cache misses taken by this shard");
+  // The memo tally ServiceStats reads, only under a search scheme (every
+  // epoch rebuilds the same kind): no always-zero series.
+  if (!head_epoch_entry().scheme->SearchesGraph()) return;
+  const MemoTally* tally = memo_tally_.get();
+  metrics_->AddCallbackGauge(
+      "skl_spec_memo_hits",
+      "Skeleton predicates answered from the spec-pair memo", "",
+      [tally] { return tally->hits(); });
+  metrics_->AddCallbackGauge(
+      "skl_spec_memo_misses",
+      "Skeleton predicates computed by graph search and memoized", "",
+      [tally] { return tally->misses(); });
 }
 
 size_t ProvenanceService::shard_of(RunId id) const {
@@ -184,9 +161,11 @@ Result<ProvenanceService> ProvenanceService::Create(
   }
   auto owned_spec =
       std::make_unique<const Specification>(std::move(spec));
+  auto memo_tally = std::make_unique<MemoTally>();
+  scheme = ForServing(std::move(scheme), memo_tally.get());
   SKL_RETURN_NOT_OK(scheme->Build(owned_spec->graph()));
   return ProvenanceService(std::move(owned_spec), std::move(scheme),
-                           options);
+                           std::move(memo_tally), options);
 }
 
 Result<RunId> ProvenanceService::AddRun(const Run& run,
@@ -259,7 +238,7 @@ RunRecord ProvenanceService::CaptureRecord(const RunLabeling& labeling,
   return record;
 }
 
-Result<RunId> ProvenanceService::Publish(RunRecord record, bool invalidate) {
+Result<RunId> ProvenanceService::Publish(RunRecord record) {
   LogOp op;
   if (oplog_ != nullptr) {
     // Serialize before the registry takes ownership of the record; the op
@@ -269,7 +248,7 @@ Result<RunId> ProvenanceService::Publish(RunRecord record, bool invalidate) {
     op.stats = record.stats;
     op.blob = record.store.Serialize();
   }
-  RunId id(registry_->Publish(std::move(record), invalidate));
+  RunId id(registry_->Publish(std::move(record)));
   counters_->runs_ingested.fetch_add(1, std::memory_order_relaxed);
   if (oplog_ != nullptr) {
     op.run_id = id.value();
@@ -512,14 +491,6 @@ Status CheckEpochPin(const RunRecord& record, uint64_t at_epoch) {
   return Status::OK();
 }
 
-/// The scheme a record's labels answer under: its ingest epoch's scheme.
-/// `fallback` (the head scheme) covers records built without a service —
-/// registry unit tests; the service always sets the pointer.
-const SpecLabelingScheme& SchemeFor(const RunRecord& record,
-                                    const SpecLabelingScheme& fallback) {
-  return record.scheme != nullptr ? *record.scheme : fallback;
-}
-
 }  // namespace
 
 Result<bool> ProvenanceService::Reaches(RunId id, VertexId v, VertexId w,
@@ -531,11 +502,9 @@ Result<bool> ProvenanceService::Reaches(RunId id, VertexId v, VertexId w,
   if (v >= record.stats.num_vertices || w >= record.stats.num_vertices) {
     return Status::InvalidArgument("vertex out of range for run");
   }
-  const SpecLabelingScheme& sch = SchemeFor(record, scheme());
+  const SpecLabelingScheme& sch = *record.scheme;
   handle.Count(Tally::kReaches);
-  return Memoized(handle, id.value(), v, w, QueryKind::kReaches, [&] {
-    return StoreReaches(record.store, v, w, sch);
-  });
+  return StoreReaches(record.store, v, w, sch);
 }
 
 Result<std::vector<bool>> ProvenanceService::ReachesBatch(
@@ -545,20 +514,17 @@ Result<std::vector<bool>> ProvenanceService::ReachesBatch(
   SKL_RETURN_NOT_OK(CheckEpochPin(handle.record(), at_epoch));
   const VertexId n = handle.record().stats.num_vertices;
   // Validate the whole span first: a failing batch answers nothing and
-  // must touch no counter — including the cache lookup counters, which by
-  // contract only tally answered queries.
+  // must touch no counter.
   for (const auto& [v, w] : pairs) {
     if (v >= n || w >= n) {
       return Status::InvalidArgument("vertex out of range for run");
     }
   }
-  const SpecLabelingScheme& sch = SchemeFor(handle.record(), scheme());
+  const SpecLabelingScheme& sch = *handle.record().scheme;
   std::vector<bool> answers;
   answers.reserve(pairs.size());
   for (const auto& [v, w] : pairs) {
-    answers.push_back(Memoized(
-        handle, id.value(), v, w, QueryKind::kReaches,
-        [&] { return StoreReaches(handle.record().store, v, w, sch); }));
+    answers.push_back(StoreReaches(handle.record().store, v, w, sch));
   }
   handle.Count(Tally::kBatchCalls);
   handle.Count(Tally::kReaches, pairs.size());
@@ -575,11 +541,9 @@ Result<bool> ProvenanceService::DependsOn(RunId id, DataItemId x,
   if (x >= items || x_from >= items) {
     return Status::InvalidArgument("unknown data item");
   }
-  const SpecLabelingScheme& sch = SchemeFor(handle.record(), scheme());
+  const SpecLabelingScheme& sch = *handle.record().scheme;
   handle.Count(Tally::kDependsOn);
-  return Memoized(handle, id.value(), x, x_from, QueryKind::kDependsOn, [&] {
-    return StoreDependsOn(handle.record().store, x, x_from, sch);
-  });
+  return StoreDependsOn(handle.record().store, x, x_from, sch);
 }
 
 Result<std::vector<bool>> ProvenanceService::DependsOnBatch(
@@ -589,20 +553,17 @@ Result<std::vector<bool>> ProvenanceService::DependsOnBatch(
   SKL_RETURN_NOT_OK(CheckEpochPin(handle.record(), at_epoch));
   const size_t items = handle.record().store.num_items();
   // Same discipline as ReachesBatch: all-or-nothing validation before any
-  // counter or cache traffic.
+  // counter traffic.
   for (const auto& [x, x_from] : pairs) {
     if (x >= items || x_from >= items) {
       return Status::InvalidArgument("unknown data item");
     }
   }
-  const SpecLabelingScheme& sch = SchemeFor(handle.record(), scheme());
+  const SpecLabelingScheme& sch = *handle.record().scheme;
   std::vector<bool> answers;
   answers.reserve(pairs.size());
   for (const auto& [x, x_from] : pairs) {
-    answers.push_back(
-        Memoized(handle, id.value(), x, x_from, QueryKind::kDependsOn, [&] {
-          return StoreDependsOn(handle.record().store, x, x_from, sch);
-        }));
+    answers.push_back(StoreDependsOn(handle.record().store, x, x_from, sch));
   }
   handle.Count(Tally::kBatchCalls);
   handle.Count(Tally::kDependsOn, pairs.size());
@@ -622,11 +583,9 @@ Result<bool> ProvenanceService::ModuleDependsOnData(RunId id, VertexId v,
   if (v >= record.store.num_vertices()) {
     return Status::InvalidArgument("unknown vertex");
   }
-  const SpecLabelingScheme& sch = SchemeFor(record, scheme());
+  const SpecLabelingScheme& sch = *record.scheme;
   handle.Count(Tally::kModuleData);
-  return Memoized(handle, id.value(), v, x, QueryKind::kModuleData, [&] {
-    return StoreModuleDependsOnData(record.store, v, x, sch);
-  });
+  return StoreModuleDependsOnData(record.store, v, x, sch);
 }
 
 Result<bool> ProvenanceService::DataDependsOnModule(RunId id, DataItemId x,
@@ -642,11 +601,9 @@ Result<bool> ProvenanceService::DataDependsOnModule(RunId id, DataItemId x,
   if (v >= record.store.num_vertices()) {
     return Status::InvalidArgument("unknown vertex");
   }
-  const SpecLabelingScheme& sch = SchemeFor(record, scheme());
+  const SpecLabelingScheme& sch = *record.scheme;
   handle.Count(Tally::kDataModule);
-  return Memoized(handle, id.value(), x, v, QueryKind::kDataModule, [&] {
-    return StoreDataDependsOnModule(record.store, x, v, sch);
-  });
+  return StoreDataDependsOnModule(record.store, x, v, sch);
 }
 
 Result<std::vector<uint8_t>> ProvenanceService::ExportRun(RunId id) const {
@@ -693,9 +650,7 @@ Result<RunId> ProvenanceService::ImportRun(
   record.scheme = at.scheme.get();
   record.store = std::move(store);
   counters_->runs_imported.fetch_add(1, std::memory_order_relaxed);
-  // Invalidate the target shard's cache: an import changes what the shard
-  // can answer, and generation-stamping makes that O(1).
-  return Publish(std::move(record), /*invalidate=*/true);
+  return Publish(std::move(record));
 }
 
 bool ProvenanceService::Contains(RunId id) const {
@@ -721,8 +676,8 @@ ServiceStats ProvenanceService::service_stats() const {
   stats.module_data_queries = registry_->TotalTally(Tally::kModuleData);
   stats.data_module_queries = registry_->TotalTally(Tally::kDataModule);
   stats.batch_calls = registry_->TotalTally(Tally::kBatchCalls);
-  stats.cache_hits = registry_->TotalTally(Tally::kCacheHits);
-  stats.cache_misses = registry_->TotalTally(Tally::kCacheMisses);
+  stats.cache_hits = memo_tally_->hits();
+  stats.cache_misses = memo_tally_->misses();
   stats.runs_ingested = get(counters_->runs_ingested);
   stats.runs_imported = get(counters_->runs_imported);
   stats.runs_removed = get(counters_->runs_removed);
@@ -894,7 +849,7 @@ Result<uint64_t> ProvenanceService::ApplyDeltaLocked(const SpecDelta& delta,
   SKL_ASSIGN_OR_RETURN(SpecDeltaApplication applied,
                        ApplySpecDeltaToSpec(*head.spec, delta));
   std::unique_ptr<SpecLabelingScheme> scheme =
-      CreateSpecScheme(scheme_kind_);
+      ForServing(CreateSpecScheme(scheme_kind_), memo_tally_.get());
   {
     Stopwatch relabel_timer;
     Status built =

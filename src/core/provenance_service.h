@@ -43,9 +43,9 @@
 // (src/core/run_registry.h): a query locks only the one shard that owns
 // its run — shared, so readers never block each other — and counts the
 // query on that shard's own tally line, so no query writes service-wide
-// state. Under a search-based scheme (BFS/DFS) each shard also memoizes
-// answers in a generation-stamped QueryCache (src/core/query_cache.h;
-// Options::cache_slots sizes it, 0 disables).
+// state. Under a search-based scheme (BFS/DFS) each spec epoch's scheme is
+// wrapped in a spec-pair memo (src/speclabel/memo.h) shared by every run of
+// that epoch; run operations never invalidate it.
 // Ingestion does the expensive labeling outside any lock and takes one
 // shard's writer lock only to publish; queries on other shards proceed
 // entirely undisturbed, and queries on the same shard keep answering while
@@ -74,6 +74,7 @@
 #include "src/core/online_labeler.h"
 #include "src/core/run_labeling.h"
 #include "src/core/run_registry.h"
+#include "src/speclabel/memo.h"
 #include "src/speclabel/scheme.h"
 #include "src/workflow/run.h"
 #include "src/workflow/spec_delta.h"
@@ -122,11 +123,12 @@ using ItemPair = std::pair<DataItemId, DataItemId>;
 /// the net server's kLoadSnapshot — starts counting afresh; see
 /// docs/NETWORK.md). Query counters tally *answered* queries — a NotFound
 /// or out-of-range request does not count as served. Batch calls count one
-/// per answered pair, plus one batch_calls tick per invocation. Cache
-/// counters tally result-cache lookups on answered queries (both stay 0
-/// when the service keeps no cache: an indexed scheme, or
-/// Options::cache_slots = 0). Query and cache fields are sums of the
-/// registry's per-shard tallies, taken when service_stats() is called.
+/// per answered pair, plus one batch_calls tick per invocation. The cache
+/// fields count spec-memo lookups (src/speclabel/memo.h): one per skeleton
+/// predicate a query consults, under a search scheme only (both stay 0 for
+/// an indexed scheme). Query fields are sums of the registry's per-shard
+/// tallies and memo fields sums of the memo's per-thread stripes, taken
+/// when service_stats() is called.
 struct ServiceStats {
   uint64_t num_runs = 0;             ///< currently registered (point in time)
   uint64_t reaches_queries = 0;      ///< Reaches + ReachesBatch pairs
@@ -139,8 +141,8 @@ struct ServiceStats {
   uint64_t runs_removed = 0;
   uint64_t bulk_batches = 0;         ///< AddRuns*Parallel invocations
   uint64_t snapshot_saves = 0;       ///< successful SaveSnapshot calls
-  uint64_t cache_hits = 0;           ///< result-cache hits
-  uint64_t cache_misses = 0;         ///< result-cache misses (computed)
+  uint64_t cache_hits = 0;           ///< spec-memo hits
+  uint64_t cache_misses = 0;         ///< spec-memo misses (computed)
   /// Replication state (docs/REPLICATION.md): the op-log LSN this service
   /// has durably appended (primary) or applied (replica). 0 when no op-log
   /// is attached. Over the wire the server fills both fields; a replica's
@@ -193,12 +195,6 @@ struct ProvenanceServiceOptions {
   /// clamped to [1, 1024]. More shards = less reader/writer contention;
   /// 1 reproduces the old single-lock behavior.
   size_t num_shards = 8;
-  /// Reachability result-cache slots per shard (rounded up to a power of
-  /// two, 32 bytes each). 0 disables caching — the configuration the
-  /// differential conformance test replays against. Only schemes with no
-  /// index (SearchesGraph(): BFS, DFS) get caches; an indexed
-  /// scheme's compare beats a probe, so it ignores this knob.
-  size_t cache_slots = 4096;
   /// Forces ApplySpecDelta to rebuild the new epoch's scheme from scratch
   /// instead of relabeling the dirty region incrementally. The two paths
   /// must be bit-identical — the differential update harness
@@ -322,7 +318,8 @@ class ProvenanceService {
   /// One entry of the append-only spec-epoch chain (docs/UPDATES.md).
   /// Entries are never destroyed or mutated once published, so the
   /// pointers handed out to run records and sessions stay valid for the
-  /// service's lifetime.
+  /// service's lifetime. Under a search scheme `scheme` is the epoch's
+  /// MemoizedScheme around the search.
   struct SpecEpoch {
     uint64_t number = 1;
     std::unique_ptr<const Specification> spec;
@@ -462,7 +459,7 @@ class ProvenanceService {
   const Options& options() const { return options_; }
 
   /// The service-level metrics registry (docs/OBSERVABILITY.md): the
-  /// labeling-time histogram and any per-shard result-cache tallies. The
+  /// labeling-time histogram and, under a search scheme, the memo tallies. The
   /// net server renders it into its kMetrics exposition. Like the
   /// ServiceStats counters, it describes this service object's lifetime —
   /// a snapshot load swaps in a fresh registry.
@@ -476,8 +473,9 @@ class ProvenanceService {
   friend class RunSession;
 
   /// The write-path half of ServiceStats; atomic because mutations hold
-  /// different shard locks, or none. Query and cache events are counted
-  /// per shard (RunRegistry::Tallies), so no read writes a shared line.
+  /// different shard locks, or none. Query events are counted per shard
+  /// (RunRegistry::Tallies) and memo lookups per thread stripe (MemoTally),
+  /// so no read writes a shared line.
   struct Counters {
     std::atomic<uint64_t> runs_ingested{0};
     std::atomic<uint64_t> runs_imported{0};
@@ -488,7 +486,7 @@ class ProvenanceService {
 
   ProvenanceService(std::unique_ptr<const Specification> spec,
                     std::unique_ptr<SpecLabelingScheme> scheme,
-                    Options options);
+                    std::unique_ptr<MemoTally> memo_tally, Options options);
 
   /// The head of the epoch chain (acquire load; published with release by
   /// ApplySpecDelta, so a reader always sees a fully constructed entry).
@@ -520,8 +518,7 @@ class ProvenanceService {
   /// Publishes a record under a fresh id (takes one shard's writer lock),
   /// then appends the op to the attached op-log (if any) before returning
   /// — the append-before-ack half of the replication contract.
-  /// `invalidate` bumps the target shard's cache generation (ImportRun).
-  Result<RunId> Publish(RunRecord record, bool invalidate = false);
+  Result<RunId> Publish(RunRecord record);
 
   /// Captures a labeling (+ optional catalog) and publishes it under a new
   /// id. Validates the catalog against the labeling first.
@@ -547,11 +544,6 @@ class ProvenanceService {
                                  std::string_view scheme_name,
                                  ProvenanceService* service);
 
-  // The query methods memoize through the shard's QueryCache (when it
-  // exists) via one shared helper (Memoized, provenance_service.cc): probe
-  // under the read lock the ReadHandle holds, recompute on a miss, stamp
-  // with the handle's generation.
-
   // The append-only spec-epoch chain. Behind a unique_ptr so entry (and
   // container) addresses survive service moves: schemes hold a pointer to
   // their epoch's spec.graph(), sessions and run records to both. Reads go
@@ -567,12 +559,14 @@ class ProvenanceService {
   SpecSchemeKind scheme_kind_ = SpecSchemeKind::kTcm;
   Options options_;
 
-  /// Registers the labeling histogram and any per-shard cache gauges on
-  /// metrics_ (constructor only; the gauges capture registry_'s address,
-  /// which unique_ptr keeps stable across service moves).
+  /// Registers the labeling histogram and, under a search scheme, the memo
+  /// gauges on metrics_ (constructor only; the gauges capture addresses
+  /// that unique_ptr keeps stable across service moves).
   void RegisterServiceMetrics();
 
   std::unique_ptr<Counters> counters_;  // see Counters for the contract
+  /// Hit/miss tally shared by every epoch's memo (each memo borrows it).
+  std::unique_ptr<MemoTally> memo_tally_;
   // The sharded, lock-striped run storage (internally synchronized);
   // behind a unique_ptr so the service stays movable while shard mutexes
   // and handed-out ReadHandles keep stable addresses.

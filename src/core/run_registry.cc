@@ -13,14 +13,7 @@ RunRegistry::RunRegistry(const Options& options)
     : shard_mask_(std::bit_ceil(std::clamp<size_t>(options.num_shards, 1,
                                                    kMaxShards)) -
                   1),
-      cache_slots_(options.cache_slots),
-      shards_(std::make_unique<Shard[]>(shard_mask_ + 1)) {
-  if (cache_slots_ > 0) {
-    for (size_t s = 0; s <= shard_mask_; ++s) {
-      shards_[s].cache = std::make_unique<QueryCache>(cache_slots_);
-    }
-  }
-}
+      shards_(std::make_unique<Shard[]>(shard_mask_ + 1)) {}
 
 size_t RunRegistry::ShardIndexOf(uint64_t id) const {
   // Mix64: ids are allocated sequentially, so without mixing a
@@ -40,8 +33,6 @@ RunRegistry::ReadHandle RunRegistry::AcquireRead(uint64_t id) const {
     return handle;
   }
   handle.record_ = &it->second;
-  handle.cache_ = shard.cache.get();
-  handle.generation_ = shard.generation;
   handle.tallies_ = &shard.tallies;
   return handle;
 }
@@ -52,12 +43,11 @@ uint64_t RunRegistry::TotalTally(Tally t) const {
   return total;
 }
 
-uint64_t RunRegistry::Publish(RunRecord record, bool invalidate) {
+uint64_t RunRegistry::Publish(RunRecord record) {
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_acq_rel);
   Shard& shard = ShardOf(id);
   std::unique_lock lock(shard.mu);
   shard.runs.emplace(id, std::move(record));
-  if (invalidate) ++shard.generation;
   return id;
 }
 
@@ -90,11 +80,7 @@ std::vector<uint64_t> RunRegistry::PublishBatch(
 bool RunRegistry::Remove(uint64_t id) {
   Shard& shard = ShardOf(id);
   std::unique_lock lock(shard.mu);
-  if (shard.runs.erase(id) == 0) return false;
-  // O(1) invalidation: every cached answer in this shard is stamped with an
-  // older generation and can no longer hit. No scan, no per-entry work.
-  ++shard.generation;
-  return true;
+  return shard.runs.erase(id) != 0;
 }
 
 bool RunRegistry::Contains(uint64_t id) const {

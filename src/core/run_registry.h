@@ -1,11 +1,10 @@
 // Sharded, lock-striped run registry: the storage layer under
 // ProvenanceService. Runs are partitioned over N shards by a mixed hash of
 // their RunId; each shard owns its runs' ProvenanceStores and stats behind
-// its own std::shared_mutex, its query tallies, and (optionally) a bounded
-// QueryCache of memoized answers. A query therefore takes only its shard's
-// *read* lock and writes only its shard's cache lines — two queries on
-// runs in different shards share no written memory at all, which is what
-// lets multi-reader throughput scale with threads
+// its own std::shared_mutex, and its query tallies. A query therefore takes
+// only its shard's *read* lock and writes only its shard's tally line — two
+// queries on runs in different shards share no written memory at all, which
+// is what lets multi-reader throughput scale with threads
 // (bench/bench_query_cache.cc measures it).
 //
 //   shard = shards_[mix(id) & mask]          (mask = num_shards - 1)
@@ -13,22 +12,13 @@
 //   ┌ Shard (64-byte aligned) ────────────────────────────┐
 //   │ shared_mutex mu                                     │
 //   │   runs:       id -> RunRecord        (guarded by mu)│
-//   │   generation: uint64                 (guarded by mu)│
-//   │   cache:      QueryCache or null     (lock-free)    │
 //   │ tallies:      own cache line         (relaxed RMW)  │
 //   └─────────────────────────────────────────────────────┘
 //
-// Generations make invalidation O(1): every cached answer is stamped with
-// its shard's generation, and Remove / an invalidating Publish (ImportRun)
-// bump the generation under the shard's writer lock instead of scanning
-// the cache. A whole-service swap (LoadSnapshot) simply builds a fresh
-// registry, whose shards start at a fresh generation. (Strictly, exact-key
-// matching plus never-reused ids and immutable records already prevent a
-// removed run's entries from ever being served; the stamp is the layer
-// that keeps the cache sound under any future mutation shape, priced at
-// shard-wide eviction on remove/import — a deliberate trade of hit rate
-// under churn for an invalidation argument that needs no per-mutation
-// reasoning.)
+// Records are immutable once published, and the registry memoizes nothing
+// about them: the only memo on the query path is the per-epoch spec-pair
+// memo of the search schemes (src/speclabel/memo.h), which no run operation
+// can make stale.
 //
 // Cross-registry operations (ListIds, size, ForEach — the substrate of
 // ListRuns / ServiceStats / SaveSnapshot) compose per-shard snapshots by
@@ -54,7 +44,6 @@
 #include <vector>
 
 #include "src/core/provenance_store.h"
-#include "src/core/query_cache.h"
 
 namespace skl {
 
@@ -96,8 +85,6 @@ enum class Tally : uint8_t {
   kModuleData,   ///< ModuleDependsOnData answers
   kDataModule,   ///< DataDependsOnModule answers
   kBatchCalls,   ///< ReachesBatch + DependsOnBatch calls
-  kCacheHits,    ///< result-cache hits
-  kCacheMisses,  ///< result-cache misses (computed and inserted)
   kCount,
 };
 
@@ -110,9 +97,6 @@ class RunRegistry {
     /// Shard count; rounded up to a power of two, clamped to
     /// [1, kMaxShards].
     size_t num_shards = 8;
-    /// QueryCache slots per shard (rounded up to a power of two);
-    /// 0 allocates no cache. The service passes 0 for indexed schemes.
-    size_t cache_slots = 4096;
   };
 
   explicit RunRegistry(const Options& options);
@@ -128,18 +112,14 @@ class RunRegistry {
     std::atomic<uint64_t> count[static_cast<size_t>(Tally::kCount)] = {};
   };
 
-  /// A shard read lock + everything a query needs: the record, the shard's
-  /// cache (null when the registry keeps none) and the generation to stamp
-  /// / match cache entries with. Falsy when the id is unknown (the lock is
-  /// released immediately in that case).
+  /// A shard read lock + the record a query needs. Falsy when the id is
+  /// unknown (the lock is released immediately in that case).
   class ReadHandle {
    public:
     explicit operator bool() const { return record_ != nullptr; }
     const RunRecord& record() const { return *record_; }
-    QueryCache* cache() const { return cache_; }
-    uint64_t generation() const { return generation_; }
     /// Counts `n` events of kind `t` on the owning shard: a query's only
-    /// write besides its shard lock and cache slot. Handle must be truthy.
+    /// registry write besides its shard lock. Handle must be truthy.
     void Count(Tally t, uint64_t n = 1) const {
       tallies_->count[static_cast<size_t>(t)].fetch_add(
           n, std::memory_order_relaxed);
@@ -150,8 +130,6 @@ class RunRegistry {
     ReadHandle() = default;
     std::shared_lock<std::shared_mutex> lock_;
     const RunRecord* record_ = nullptr;
-    QueryCache* cache_ = nullptr;
-    uint64_t generation_ = 0;
     Tallies* tallies_ = nullptr;
   };
 
@@ -161,18 +139,15 @@ class RunRegistry {
   ReadHandle AcquireRead(uint64_t id) const;
 
   /// Allocates the next id and inserts the record under its shard's writer
-  /// lock. `invalidate` additionally bumps the shard's generation (the
-  /// ImportRun contract: an imported blob's answers must never be
-  /// satisfied by entries cached before it existed).
-  uint64_t Publish(RunRecord record, bool invalidate = false);
+  /// lock.
+  uint64_t Publish(RunRecord record);
 
   /// Bulk publish: allocates a contiguous ascending id block (so ids
   /// mirror batch order), then inserts grouped by shard — each shard's
   /// writer lock is taken exactly once per batch.
   std::vector<uint64_t> PublishBatch(std::vector<RunRecord> records);
 
-  /// Removes a run and bumps its shard's generation (O(1) invalidation of
-  /// every cached answer that could mention it). False if unknown.
+  /// Removes a run. False if unknown.
   bool Remove(uint64_t id);
 
   bool Contains(uint64_t id) const;
@@ -221,7 +196,6 @@ class RunRegistry {
   }
 
   size_t num_shards() const { return shard_mask_ + 1; }
-  size_t cache_slots_per_shard() const { return cache_slots_; }
 
   /// Which shard owns `id` — the label the observability layer stamps on
   /// per-shard series and slow-query entries.
@@ -240,11 +214,6 @@ class RunRegistry {
   struct alignas(64) Shard {
     mutable std::shared_mutex mu;
     std::map<uint64_t, RunRecord> runs;  // guarded by mu
-    // Guarded by mu (bumped under unique, read under shared): the stamp
-    // cached answers must match. Starts at 1 so the zero-initialized
-    // cache slots can never satisfy a lookup.
-    uint64_t generation = 1;
-    std::unique_ptr<QueryCache> cache;  // null when the registry keeps none
     mutable Tallies tallies;
   };
 
@@ -255,7 +224,6 @@ class RunRegistry {
   }
 
   size_t shard_mask_;
-  size_t cache_slots_;
   std::atomic<uint64_t> next_id_{1};
   std::unique_ptr<Shard[]> shards_;
 };

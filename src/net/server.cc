@@ -1204,12 +1204,12 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
     }
     case MsgType::kLoadSnapshot: {
       // Caller holds service_mu_ exclusively (see HandleFrame). The swap
-      // replaces the whole service — sharded registry, caches (fresh
-      // generations) and ServiceStats counters included. Counters RESET on
-      // load by contract: they describe the served lifetime of a registry,
-      // not the process (asserted by net_server_test, documented in
-      // docs/NETWORK.md). Runtime knobs (threads, shards, cache size) are
-      // not part of the snapshot and carry over from the old service.
+      // replaces the whole service — sharded registry, spec memos and
+      // ServiceStats counters included. Counters RESET on load by
+      // contract: they describe the served lifetime of a registry, not the
+      // process (asserted by net_server_test, documented in
+      // docs/NETWORK.md). Runtime knobs (threads, shards) are not part of
+      // the snapshot and carry over from the old service.
       SKL_ASSIGN_OR_RETURN(std::string path, reader.Str());
       SKL_RETURN_NOT_OK(end_request(reader));
       SKL_ASSIGN_OR_RETURN(

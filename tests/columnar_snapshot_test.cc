@@ -43,69 +43,8 @@ class TempFile {
 
 using testing_util::ReadAll;
 using testing_util::WriteAll;
-
-::skl::Run GenerateRun(const Specification& spec, uint32_t target,
-                       uint64_t seed) {
-  RunGenerator generator(&spec);
-  RunGenOptions opt;
-  opt.target_vertices = target;
-  opt.seed = seed;
-  auto gen = generator.Generate(opt);
-  SKL_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
-  return std::move(gen->run);
-}
-
-/// Exhaustive module-level (Reaches) and item-level (DependsOn)
-/// equivalence over every pair of every run, single and batch.
-void ExpectAnswersIdentical(const ProvenanceService& a,
-                            const ProvenanceService& b) {
-  ASSERT_EQ(a.num_runs(), b.num_runs());
-  std::vector<RunId> ids = a.ListRuns();
-  std::vector<RunId> b_ids = b.ListRuns();
-  ASSERT_EQ(ids.size(), b_ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_EQ(ids[i].value(), b_ids[i].value());
-  }
-  for (RunId id : ids) {
-    auto sa = a.Stats(id);
-    auto sb = b.Stats(id);
-    ASSERT_TRUE(sa.ok() && sb.ok());
-    EXPECT_EQ(sa->num_vertices, sb->num_vertices);
-    EXPECT_EQ(sa->num_items, sb->num_items);
-    EXPECT_EQ(sa->label_bits, sb->label_bits);
-    EXPECT_EQ(sa->imported, sb->imported);
-
-    const VertexId n = sa->num_vertices;
-    std::vector<VertexPair> pairs;
-    pairs.reserve(static_cast<size_t>(n) * n);
-    for (VertexId v = 0; v < n; ++v) {
-      for (VertexId w = 0; w < n; ++w) pairs.push_back({v, w});
-    }
-    auto ra = a.ReachesBatch(id, pairs);
-    auto rb = b.ReachesBatch(id, pairs);
-    ASSERT_TRUE(ra.ok() && rb.ok());
-    ASSERT_EQ(*ra, *rb) << "run " << id.value();
-    // Spot-check the single-query path through the same store.
-    for (VertexId v = 0; v < n; ++v) {
-      auto qa = a.Reaches(id, v, n - 1);
-      auto qb = b.Reaches(id, v, n - 1);
-      ASSERT_TRUE(qa.ok() && qb.ok());
-      ASSERT_EQ(*qa, *qb);
-    }
-
-    const size_t items = sa->num_items;
-    if (items == 0) continue;
-    std::vector<ItemPair> item_pairs;
-    item_pairs.reserve(items * items);
-    for (DataItemId x = 0; x < items; ++x) {
-      for (DataItemId y = 0; y < items; ++y) item_pairs.push_back({x, y});
-    }
-    auto da = a.DependsOnBatch(id, item_pairs);
-    auto db = b.DependsOnBatch(id, item_pairs);
-    ASSERT_TRUE(da.ok() && db.ok());
-    ASSERT_EQ(*da, *db) << "run " << id.value() << " (items)";
-  }
-}
+using testing_util::GenerateRun;
+using testing_util::ExpectSameAnswers;
 
 /// Builds a service with two generated runs (one with a data catalog) and
 /// returns it, for a given scheme over the running-example spec.
@@ -143,30 +82,21 @@ TEST(ColumnarSnapshotTest, BitIdenticalToBlobTwinEveryBundledScheme) {
     auto copied = ProvenanceService::LoadSnapshot(file.path());
     ASSERT_TRUE(copied.ok()) << copied.status().ToString();
     EXPECT_FALSE(copied->loaded_via_mmap());
-    ExpectAnswersIdentical(*service, *copied);
+    ExpectSameAnswers(*service, *copied);
 
     // ... and through the zero-copy mapped reader.
     auto mapped =
         ProvenanceService::LoadSnapshot(file.path(), {}, {.use_mmap = true});
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    ExpectAnswersIdentical(*service, *mapped);
+    ExpectSameAnswers(*service, *mapped);
   }
 }
 
 TEST(ColumnarSnapshotTest, BitIdenticalToBlobTwinIntervalScheme) {
-  SpecificationBuilder builder;
-  VertexId a = builder.AddModule("a");
-  VertexId b = builder.AddModule("b");
-  VertexId c = builder.AddModule("c");
-  VertexId d = builder.AddModule("d");
-  builder.AddEdge(a, b).AddEdge(b, c).AddEdge(c, d);
-  builder.DeclareLoop({b, c});
-  auto spec = std::move(builder).Build();
-  ASSERT_TRUE(spec.ok());
-
-  ::skl::Run run = GenerateRun(*spec, 30, 5);
-  auto service = ProvenanceService::Create(std::move(spec).value(),
-                                           SpecSchemeKind::kInterval);
+  Specification spec = testing_util::MakeTreeSpec();
+  ::skl::Run run = GenerateRun(spec, 30, 5);
+  auto service =
+      ProvenanceService::Create(std::move(spec), SpecSchemeKind::kInterval);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ASSERT_TRUE(service->AddRun(run).ok());
 
@@ -174,11 +104,11 @@ TEST(ColumnarSnapshotTest, BitIdenticalToBlobTwinIntervalScheme) {
   ASSERT_TRUE(service->SaveSnapshot(file.path()).ok());
   auto copied = ProvenanceService::LoadSnapshot(file.path());
   ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-  ExpectAnswersIdentical(*service, *copied);
+  ExpectSameAnswers(*service, *copied);
   auto mapped =
       ProvenanceService::LoadSnapshot(file.path(), {}, {.use_mmap = true});
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectAnswersIdentical(*service, *mapped);
+  ExpectSameAnswers(*service, *mapped);
 }
 
 // ------------------------------------------------- mmap path and fallback --
@@ -206,7 +136,7 @@ TEST(ColumnarSnapshotTest, MmapLoadIsZeroCopyAndFallbacksAreNot) {
   ::unsetenv("SKL_NO_MMAP");
   ASSERT_TRUE(forced.ok());
   EXPECT_FALSE(forced->loaded_via_mmap());
-  ExpectAnswersIdentical(*mapped, *forced);
+  ExpectSameAnswers(*mapped, *forced);
 }
 
 TEST(ColumnarSnapshotTest, MappedServiceSurvivesFileUnlink) {
@@ -224,7 +154,7 @@ TEST(ColumnarSnapshotTest, MappedServiceSurvivesFileUnlink) {
   ASSERT_TRUE(mapped->loaded_via_mmap());
   std::error_code ec;
   ASSERT_TRUE(std::filesystem::remove(file.path(), ec));
-  ExpectAnswersIdentical(*service, *mapped);
+  ExpectSameAnswers(*service, *mapped);
 }
 
 // ------------------------------------------------------- failure battery --
@@ -277,11 +207,11 @@ TEST(ColumnarSnapshotTest, BitFlipFuzzBothLoaders) {
     // must answer bit-identically to the uncorrupted original. Never a
     // crash, never a silently different registry.
     auto copied = ProvenanceService::LoadSnapshot(flipped.path());
-    if (copied.ok()) ExpectAnswersIdentical(*service, *copied);
+    if (copied.ok()) ExpectSameAnswers(*service, *copied);
     auto mapped = ProvenanceService::LoadSnapshot(flipped.path(), {},
                                                   {.use_mmap = true});
     ASSERT_EQ(copied.ok(), mapped.ok()) << "byte " << i;
-    if (mapped.ok()) ExpectAnswersIdentical(*service, *mapped);
+    if (mapped.ok()) ExpectSameAnswers(*service, *mapped);
   }
 }
 
@@ -379,7 +309,7 @@ TEST(ColumnarSnapshotTest, UnalignedColumnsStillDecode) {
   ASSERT_TRUE(std::move(writer).WriteFile(rebuilt.path()).ok());
   auto restored = ProvenanceService::LoadSnapshot(rebuilt.path());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ExpectAnswersIdentical(*service, *restored);
+  ExpectSameAnswers(*service, *restored);
 }
 
 TEST(ColumnarSnapshotTest, ImportRejectsBlobFromAnotherScheme) {

@@ -32,31 +32,7 @@
 namespace skl {
 namespace {
 
-::skl::Run GenerateRun(const Specification& spec, uint32_t target,
-                       uint64_t seed) {
-  RunGenerator generator(&spec);
-  RunGenOptions opt;
-  opt.target_vertices = target;
-  opt.seed = seed;
-  auto gen = generator.Generate(opt);
-  SKL_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
-  return std::move(gen->run);
-}
-
-/// A tree-shaped specification for the interval scheme (which rejects spec
-/// graphs with undirected cycles); same shape as snapshot_test.cc uses.
-Specification MakeTreeSpec() {
-  SpecificationBuilder builder;
-  VertexId a = builder.AddModule("a");
-  VertexId b = builder.AddModule("b");
-  VertexId c = builder.AddModule("c");
-  VertexId d = builder.AddModule("d");
-  builder.AddEdge(a, b).AddEdge(b, c).AddEdge(c, d);
-  builder.DeclareLoop({b, c});
-  auto spec = std::move(builder).Build();
-  SKL_CHECK_MSG(spec.ok(), spec.status().ToString().c_str());
-  return std::move(spec).value();
-}
+using testing_util::GenerateRun;
 
 /// Builds a service with three registered runs — a plain one, one with a
 /// data catalog, and an imported one (export → import round trip) — then
@@ -64,9 +40,7 @@ Specification MakeTreeSpec() {
 /// running example.
 std::unique_ptr<ProvenanceServer> StartServer(SpecSchemeKind kind,
                                               unsigned server_threads = 6) {
-  const bool tree = kind == SpecSchemeKind::kInterval;
-  Specification spec =
-      tree ? MakeTreeSpec() : testing_util::MakeRunningExample().spec;
+  Specification spec = testing_util::MakeSpecFor(kind);
   ::skl::Run plain = GenerateRun(spec, 40, 11);
   ::skl::Run with_data = GenerateRun(spec, 60, 12);
   DataGenOptions dopt;
@@ -717,7 +691,7 @@ TEST(NetServerTest, FourConcurrentClientsIngestAndQueryRaceFree) {
 // ------------------------------------------- counters, snapshots, lifecycle --
 
 TEST(NetServerTest, ServiceStatsRpcCountsServedQueries) {
-  // BFS: a search scheme, so the cache counters below are live.
+  // BFS: a search scheme, so the memo counters below are live.
   auto server = StartServer(SpecSchemeKind::kBfs);
   ProvenanceClient client = NewClient(*server);
   auto before = client.GetServiceStats();
@@ -726,8 +700,8 @@ TEST(NetServerTest, ServiceStatsRpcCountsServedQueries) {
   ASSERT_TRUE(ids.ok());
 
   ASSERT_TRUE(client.Reaches((*ids)[0], 0, 1).ok());
-  ASSERT_TRUE(client.Reaches((*ids)[0], 1, 0).ok());
-  std::vector<VertexPair> pairs = {{0, 1}, {1, 2}, {2, 3}};
+  ASSERT_TRUE(client.Reaches((*ids)[0], 0, 0).ok());
+  std::vector<VertexPair> pairs = {{0, 0}, {1, 2}, {2, 3}};
   ASSERT_TRUE(client.ReachesBatch((*ids)[0], pairs).ok());
 
   auto after = client.GetServiceStats();
@@ -737,12 +711,11 @@ TEST(NetServerTest, ServiceStatsRpcCountsServedQueries) {
   EXPECT_EQ(after->num_runs, 3u);
   EXPECT_EQ(after->runs_ingested, 3u);
   EXPECT_EQ(after->runs_imported, 1u);
-  // The result-cache counters travel the wire too: the five
-  // answered pairs above were all cache lookups on the default-enabled
-  // BFS cache, and the repeated (0, 1) query must have produced a hit.
-  EXPECT_EQ((after->cache_hits + after->cache_misses) -
-                (before->cache_hits + before->cache_misses),
-            2u + 3u);
+  // The memo counters travel the wire too: a reflexive pair always
+  // consults the skeleton, so the point (0, 0) query was a memo lookup and
+  // the batch's (0, 0) right after it a hit.
+  EXPECT_GT(after->cache_misses + after->cache_hits,
+            before->cache_misses + before->cache_hits);
   EXPECT_GT(after->cache_hits, before->cache_hits);
   server->Shutdown();
 }

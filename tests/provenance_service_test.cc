@@ -27,16 +27,7 @@ Specification MakeSpec() {
   return testing_util::MakeRunningExample().spec;
 }
 
-Run MakeGeneratedRun(const Specification& spec, uint32_t target,
-                     uint64_t seed) {
-  RunGenerator generator(&spec);
-  RunGenOptions opt;
-  opt.target_vertices = target;
-  opt.seed = seed;
-  auto gen = generator.Generate(opt);
-  SKL_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
-  return std::move(gen->run);
-}
+using testing_util::GenerateRun;
 
 /// Reference answers via the low-level facade the service wraps.
 std::vector<std::vector<bool>> ReferenceMatrix(const Specification& spec,
@@ -87,7 +78,7 @@ TEST(ProvenanceServiceTest, MultiRunRegistryIsolation) {
   Specification spec = MakeSpec();
   std::vector<::skl::Run> runs;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
-    runs.push_back(MakeGeneratedRun(spec, 40 + 20 * seed, seed));
+    runs.push_back(GenerateRun(spec, 40 + 20 * seed, seed));
   }
   std::vector<std::vector<std::vector<bool>>> expected;
   for (const ::skl::Run& r : runs) expected.push_back(ReferenceMatrix(spec, r));
@@ -245,7 +236,7 @@ TEST(ProvenanceServiceTest, SessionSealsIntoRegistry) {
 
 TEST(ProvenanceServiceTest, ExportImportQueryEquivalence) {
   Specification spec = MakeSpec();
-  ::skl::Run run = MakeGeneratedRun(spec, 120, 9);
+  ::skl::Run run = GenerateRun(spec, 120, 9);
   DataGenOptions dopt;
   dopt.seed = 5;
   DataCatalog catalog = GenerateDataCatalog(run, dopt);
@@ -339,7 +330,7 @@ TEST(ProvenanceServiceTest, ImportRejectsForeignSpecBlob) {
   opt.seed = 77;
   auto big_spec = GenerateSpecification(opt);
   ASSERT_TRUE(big_spec.ok());
-  ::skl::Run big_run = MakeGeneratedRun(*big_spec, 150, 3);
+  ::skl::Run big_run = GenerateRun(*big_spec, 150, 3);
   auto big_service = ProvenanceService::Create(std::move(big_spec).value(),
                                                SpecSchemeKind::kTcm);
   ASSERT_TRUE(big_service.ok());
@@ -371,7 +362,7 @@ TEST(ProvenanceServiceTest, AddRunsParallelPublishesInInputOrder) {
   std::vector<::skl::Run> runs;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     // Distinct sizes so a slot mix-up is caught by Stats alone.
-    runs.push_back(MakeGeneratedRun(spec, 30 + 25 * seed, seed));
+    runs.push_back(GenerateRun(spec, 30 + 25 * seed, seed));
   }
   std::vector<std::vector<std::vector<bool>>> expected;
   for (const ::skl::Run& r : runs) expected.push_back(ReferenceMatrix(spec, r));
@@ -448,9 +439,9 @@ TEST(ProvenanceServiceTest, AddRunsWithPlansParallelMatchesSerialPath) {
 TEST(ProvenanceServiceTest, AddRunsParallelPartialFailureWithoutFailFast) {
   Specification spec = MakeSpec();
   std::vector<::skl::Run> runs;
-  runs.push_back(MakeGeneratedRun(spec, 40, 1));
+  runs.push_back(GenerateRun(spec, 40, 1));
   runs.push_back(MakeForeignRun());  // fails plan recovery
-  runs.push_back(MakeGeneratedRun(spec, 60, 2));
+  runs.push_back(GenerateRun(spec, 60, 2));
 
   auto service =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm,
@@ -471,9 +462,9 @@ TEST(ProvenanceServiceTest, AddRunsParallelPartialFailureWithoutFailFast) {
 TEST(ProvenanceServiceTest, AddRunsParallelFailFastIsAllOrNothing) {
   Specification spec = MakeSpec();
   std::vector<::skl::Run> runs;
-  runs.push_back(MakeGeneratedRun(spec, 40, 1));
+  runs.push_back(GenerateRun(spec, 40, 1));
   runs.push_back(MakeForeignRun());
-  runs.push_back(MakeGeneratedRun(spec, 60, 2));
+  runs.push_back(GenerateRun(spec, 60, 2));
 
   auto service =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm,
@@ -502,7 +493,7 @@ TEST(ProvenanceServiceTest, AddRunsParallelFailFastIsAllOrNothing) {
 TEST(ProvenanceServiceTest, AddRunsParallelCatalogMismatchAndEmptyBatch) {
   Specification spec = MakeSpec();
   std::vector<::skl::Run> runs;
-  runs.push_back(MakeGeneratedRun(spec, 40, 1));
+  runs.push_back(GenerateRun(spec, 40, 1));
   auto service =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm);
   ASSERT_TRUE(service.ok());
@@ -522,16 +513,18 @@ TEST(ProvenanceServiceTest, ServiceStatsResetAcrossLoadSnapshot) {
   // describe the served lifetime of one registry and are NOT part of a
   // snapshot — a LoadSnapshot-restored service starts every cumulative
   // counter at zero, while the point-in-time num_runs reflects the
-  // restored registry. BFS, so that the cache counters are live too.
+  // restored registry. BFS, so that the memo counters are live too.
   Specification spec = MakeSpec();
-  ::skl::Run run = MakeGeneratedRun(spec, 60, 3);
+  ::skl::Run run = GenerateRun(spec, 60, 3);
   auto service =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kBfs);
   ASSERT_TRUE(service.ok());
   auto id = service->AddRun(run);
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service->Reaches(*id, 0, 1).ok());
-  ASSERT_TRUE(service->Reaches(*id, 0, 1).ok());
+  // A reflexive pair always consults the skeleton: the first query fills
+  // the memo slot, the repeat hits it.
+  ASSERT_TRUE(service->Reaches(*id, 1, 1).ok());
+  ASSERT_TRUE(service->Reaches(*id, 1, 1).ok());
 
   const std::string path =
       PidQualifiedTempPath("skl_service_stats_reset", ".skls");
@@ -541,7 +534,8 @@ TEST(ProvenanceServiceTest, ServiceStatsResetAcrossLoadSnapshot) {
   EXPECT_EQ(before.runs_ingested, 1u);
   EXPECT_EQ(before.reaches_queries, 2u);
   EXPECT_EQ(before.snapshot_saves, 1u);
-  EXPECT_EQ(before.cache_hits + before.cache_misses, 2u);
+  EXPECT_EQ(before.cache_misses, 1u);
+  EXPECT_EQ(before.cache_hits, 1u);
 
   auto restored = ProvenanceService::LoadSnapshot(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -568,54 +562,52 @@ TEST(ProvenanceServiceTest, ServiceStatsResetAcrossLoadSnapshot) {
   std::filesystem::remove(path, ec);
 }
 
-TEST(ProvenanceServiceTest, ShardedRegistryAndCacheAnswerIdentically) {
-  // Smoke for the Options knobs themselves: extreme shard counts (clamped)
-  // and cache on/off answer identically, and repeated queries on a cached
-  // service actually hit. BFS: only search schemes keep a cache.
+TEST(ProvenanceServiceTest, ShardedRegistryAndMemoAnswerIdentically) {
+  // Smoke for the shard knob and the memo placement: extreme shard counts
+  // (clamped) answer identically, and repeated queries on a BFS service
+  // hit its spec memo. Only search schemes keep a memo.
   Specification spec = MakeSpec();
-  ::skl::Run run = MakeGeneratedRun(spec, 80, 5);
+  ::skl::Run run = GenerateRun(spec, 80, 5);
   std::vector<std::vector<bool>> reference = ReferenceMatrix(spec, run);
 
   for (size_t shards : {size_t{0}, size_t{1}, size_t{3}, size_t{64},
                         size_t{100000}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto service = ProvenanceService::Create(
-        Specification(spec), SpecSchemeKind::kBfs,
-        {.num_shards = shards, .cache_slots = 64});
+        Specification(spec), SpecSchemeKind::kBfs, {.num_shards = shards});
     ASSERT_TRUE(service.ok());
     auto id = service->AddRun(run);
     ASSERT_TRUE(id.ok());
     for (VertexId u = 0; u < run.num_vertices(); u += 3) {
       for (VertexId v = 0; v < run.num_vertices(); v += 5) {
         ASSERT_EQ(*service->Reaches(*id, u, v), reference[u][v]);
-        ASSERT_EQ(*service->Reaches(*id, u, v), reference[u][v]);  // cached
+        ASSERT_EQ(*service->Reaches(*id, u, v), reference[u][v]);  // memo
       }
     }
     const ServiceStats stats = service->service_stats();
     EXPECT_GT(stats.cache_hits, 0u) << "repeat queries must hit";
-  }
-
-  // No cache, no lookups, same answers: cache_slots = 0 turns a search
-  // scheme's cache off, and an indexed scheme (TCM) never keeps one.
-  for (auto [kind, slots] : {std::pair{SpecSchemeKind::kBfs, size_t{0}},
-                             std::pair{SpecSchemeKind::kTcm, size_t{64}}}) {
-    SCOPED_TRACE(SpecSchemeKindName(kind));
-    auto uncached = ProvenanceService::Create(Specification(spec), kind,
-                                              {.cache_slots = slots});
-    ASSERT_TRUE(uncached.ok());
-    auto id = uncached->AddRun(run);
-    ASSERT_TRUE(id.ok());
-    for (VertexId u = 0; u < run.num_vertices(); u += 3) {
-      ASSERT_EQ(*uncached->Reaches(*id, u, 0), reference[u][0]);
-      ASSERT_EQ(*uncached->Reaches(*id, u, 0), reference[u][0]);
-    }
-    const ServiceStats stats = uncached->service_stats();
-    EXPECT_EQ(stats.cache_hits, 0u);
-    EXPECT_EQ(stats.cache_misses, 0u);
-    // Nor does it export the always-zero per-shard cache gauges.
-    EXPECT_EQ(uncached->metrics().RenderPrometheus().find("skl_cache_shard"),
+    EXPECT_NE(service->metrics().RenderPrometheus().find(
+                  "skl_spec_memo_hits " + std::to_string(stats.cache_hits)),
               std::string::npos);
   }
+
+  // No memo, no lookups, same answers: an indexed scheme (TCM) is served
+  // as is.
+  auto indexed = ProvenanceService::Create(Specification(spec),
+                                           SpecSchemeKind::kTcm);
+  ASSERT_TRUE(indexed.ok());
+  auto id = indexed->AddRun(run);
+  ASSERT_TRUE(id.ok());
+  for (VertexId u = 0; u < run.num_vertices(); u += 3) {
+    ASSERT_EQ(*indexed->Reaches(*id, u, 0), reference[u][0]);
+    ASSERT_EQ(*indexed->Reaches(*id, u, 0), reference[u][0]);
+  }
+  const ServiceStats stats = indexed->service_stats();
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 0u);
+  // Nor does it export the always-zero memo gauges.
+  EXPECT_EQ(indexed->metrics().RenderPrometheus().find("skl_spec_memo"),
+            std::string::npos);
 }
 
 TEST(ProvenanceServiceTest, ShardTalliesCountConcurrentQueriesExactly) {
@@ -630,12 +622,15 @@ TEST(ProvenanceServiceTest, ShardTalliesCountConcurrentQueriesExactly) {
   std::vector<::skl::Run> runs;
   std::vector<DataCatalog> catalogs;
   for (uint64_t i = 0; i < kRuns; ++i) {
-    runs.push_back(MakeGeneratedRun(spec, 40 + 10 * i, 300 + i));
+    runs.push_back(GenerateRun(spec, 40 + 10 * i, 300 + i));
     DataGenOptions dopt;
     dopt.seed = 50 + i;
     catalogs.push_back(GenerateDataCatalog(runs.back(), dopt));
   }
-  const std::vector<VertexPair> vertex_pairs = {{0, 1}, {1, 2}, {2, 0}};
+  // The reflexive pair always consults the skeleton, so BFS must see
+  // memo lookups whatever the run's contexts.
+  const std::vector<VertexPair> vertex_pairs = {{0, 1}, {1, 2}, {2, 0},
+                                                {0, 0}};
   const std::vector<ItemPair> item_pairs = {{0, 0}, {0, 0}};
 
   for (SpecSchemeKind kind : {SpecSchemeKind::kTcm, SpecSchemeKind::kBfs}) {
@@ -678,15 +673,14 @@ TEST(ProvenanceServiceTest, ShardTalliesCountConcurrentQueriesExactly) {
     EXPECT_EQ(stats.module_data_queries, rounds);
     EXPECT_EQ(stats.data_module_queries, rounds);
     EXPECT_EQ(stats.batch_calls, rounds * 2);
-    // Every answered query is one lookup where a cache exists (BFS), and
-    // none at all where it does not (TCM).
-    const uint64_t lookups =
-        kind == SpecSchemeKind::kBfs
-            ? stats.reaches_queries + stats.depends_on_queries +
-                  stats.module_data_queries + stats.data_module_queries
-            : 0;
-    EXPECT_EQ(stats.cache_hits + stats.cache_misses, lookups);
-    if (kind == SpecSchemeKind::kBfs) EXPECT_GT(stats.cache_hits, 0u);
+    // BFS consults its spec memo (the repeated pairs must hit); TCM keeps
+    // none and counts no lookup at all.
+    if (kind == SpecSchemeKind::kBfs) {
+      EXPECT_GT(stats.cache_misses, 0u);
+      EXPECT_GT(stats.cache_hits, 0u);
+    } else {
+      EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
+    }
   }
 }
 
@@ -694,10 +688,10 @@ TEST(ProvenanceServiceTest, ConcurrentBulkIngestWhileQuerying) {
   // TSan target: readers hammer an existing run while bulk batches land and
   // a remover retires them; answers must stay byte-identical throughout.
   Specification spec = MakeSpec();
-  ::skl::Run stable_run = MakeGeneratedRun(spec, 90, 7);
+  ::skl::Run stable_run = GenerateRun(spec, 90, 7);
   std::vector<::skl::Run> batch;
   for (uint64_t seed = 0; seed < 4; ++seed) {
-    batch.push_back(MakeGeneratedRun(spec, 50 + 10 * seed, 100 + seed));
+    batch.push_back(GenerateRun(spec, 50 + 10 * seed, 100 + seed));
   }
   auto service =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm,
@@ -750,7 +744,7 @@ TEST(ProvenanceServiceTest, ThreadedReadersMatchSingleThreaded) {
 
   std::vector<::skl::Run> runs;
   for (uint64_t seed = 0; seed < kRuns; ++seed) {
-    runs.push_back(MakeGeneratedRun(spec, 80 + 40 * seed, seed + 21));
+    runs.push_back(GenerateRun(spec, 80 + 40 * seed, seed + 21));
   }
   auto service =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm);

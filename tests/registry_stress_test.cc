@@ -1,7 +1,7 @@
-// Concurrency stress for the sharded run registry and its per-shard result
-// cache, written to run under the CI ThreadSanitizer leg. Each round runs
-// twice: on TCM (indexed, no cache: the tallies and locks alone) and on BFS
-// (a search scheme, so the seqlock shard caches are live). 4 writer threads
+// Concurrency stress for the sharded run registry, written to run under the
+// CI ThreadSanitizer leg. Each round runs twice: on TCM (indexed: the
+// tallies and locks alone) and on BFS (a search scheme, so every reader also
+// probes and fills the epoch's spec-pair memo). 4 writer threads
 // (AddRun / ImportRun / RemoveRun churn) and 4 reader threads (single +
 // batch queries verified against precomputed answers) hammer one service,
 // first with every id colliding on a single shard, then striped over many
@@ -10,7 +10,7 @@
 // swap discipline of ProvenanceServer's kLoadSnapshot handler. Readers
 // must keep observing bit-identical answers for the stable runs across
 // the swap (the snapshot contains them with the same ids and labels), and
-// no interleaving may produce a torn cache answer, a lost run, or a TSan
+// no interleaving may produce a wrong memo answer, a lost run, or a TSan
 // report.
 #include <gtest/gtest.h>
 
@@ -36,20 +36,11 @@ constexpr int kReaders = 4;
 constexpr int kReaderRounds = 60;
 constexpr int kWriterRounds = 40;
 
-::skl::Run GenerateRun(const Specification& spec, uint32_t target,
-                       uint64_t seed) {
-  RunGenerator generator(&spec);
-  RunGenOptions opt;
-  opt.target_vertices = target;
-  opt.seed = seed;
-  auto gen = generator.Generate(opt);
-  SKL_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
-  return std::move(gen->run);
-}
+using testing_util::GenerateRun;
 
 /// One full stress round at the given shard count and scheme. num_shards = 1
-/// forces every run — stable and churned — onto one shard (maximal lock and
-/// cache collision); larger counts exercise genuine striping.
+/// forces every run — stable and churned — onto one shard (maximal lock
+/// collision); larger counts exercise genuine striping.
 void StressWithShards(size_t num_shards, SpecSchemeKind kind) {
   SCOPED_TRACE("num_shards=" + std::to_string(num_shards) +
                " scheme=" + SpecSchemeKindName(kind));
@@ -57,7 +48,6 @@ void StressWithShards(size_t num_shards, SpecSchemeKind kind) {
 
   ProvenanceService::Options options;
   options.num_shards = num_shards;
-  options.cache_slots = 128;  // small: constant eviction + seqlock traffic
   auto created = ProvenanceService::Create(std::move(spec), kind, options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   ProvenanceService service = std::move(created).value();
@@ -139,7 +129,7 @@ void StressWithShards(size_t num_shards, SpecSchemeKind kind) {
           failures.fetch_add(1);
           return;
         }
-        // Query the freshly added run once (warming its shard's cache),
+        // Query the freshly added run once (a reflexive pair: a memo probe),
         // then retire it. The swap may have replaced the registry between
         // our Add and Remove: NotFound is then the *correct* outcome for
         // both calls, not a failure.
@@ -174,7 +164,7 @@ void StressWithShards(size_t num_shards, SpecSchemeKind kind) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(swaps_done.load(), 2);
   // Post-swap sanity: the stable runs answer exactly as before, cold
-  // caches and all, and the restored stats counters started afresh
+  // memo and all, and the restored stats counters started afresh
   // relative to the pre-swap traffic (only post-swap ops are visible).
   for (size_t i = 0; i < kStableRuns; ++i) {
     auto answers = service.ReachesBatch(stable_ids[i], queries[i]);
@@ -184,8 +174,8 @@ void StressWithShards(size_t num_shards, SpecSchemeKind kind) {
   const ServiceStats stats = service.service_stats();
   EXPECT_EQ(stats.snapshot_saves, 0u)
       << "counters must reset across LoadSnapshot";
-  // The restored service keeps the scheme's cache placement: BFS probed its
-  // shard caches for the sanity batches above, TCM has none to probe.
+  // The restored service keeps the scheme's memo placement: BFS probed its
+  // memo for the sanity batches above, TCM has none to probe.
   if (kind == SpecSchemeKind::kBfs) {
     EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
   } else {

@@ -63,64 +63,8 @@ class TempFile {
 
 using testing_util::ReadAll;
 using testing_util::WriteAll;
-
-::skl::Run GenerateRun(const Specification& spec, uint32_t target,
-                       uint64_t seed) {
-  RunGenerator generator(&spec);
-  RunGenOptions opt;
-  opt.target_vertices = target;
-  opt.seed = seed;
-  auto gen = generator.Generate(opt);
-  SKL_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
-  return std::move(gen->run);
-}
-
-void ExpectStatsEqual(const RunStats& a, const RunStats& b) {
-  EXPECT_EQ(a.num_vertices, b.num_vertices);
-  EXPECT_EQ(a.num_items, b.num_items);
-  EXPECT_EQ(a.label_bits, b.label_bits);
-  EXPECT_EQ(a.context_bits, b.context_bits);
-  EXPECT_EQ(a.origin_bits, b.origin_bits);
-  EXPECT_EQ(a.num_nonempty_plus, b.num_nonempty_plus);
-  EXPECT_EQ(a.imported, b.imported);
-}
-
-/// Exhaustive Reaches equivalence over every vertex pair of every run.
-void ExpectQueryEquivalent(const ProvenanceService& a,
-                           const ProvenanceService& b) {
-  ASSERT_EQ(a.num_runs(), b.num_runs());
-  std::vector<RunId> ids = a.ListRuns();
-  std::vector<RunId> restored_ids = b.ListRuns();
-  ASSERT_EQ(ids.size(), restored_ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(ids[i].value(), restored_ids[i].value());
-  }
-  for (RunId id : ids) {
-    auto sa = a.Stats(id);
-    auto sb = b.Stats(id);
-    ASSERT_TRUE(sa.ok());
-    ASSERT_TRUE(sb.ok());
-    ExpectStatsEqual(*sa, *sb);
-    const VertexId n = sa->num_vertices;
-    std::vector<VertexPair> pairs;
-    pairs.reserve(static_cast<size_t>(n) * n);
-    for (VertexId v = 0; v < n; ++v) {
-      for (VertexId w = 0; w < n; ++w) {
-        pairs.push_back({v, w});
-        auto ra = a.Reaches(id, v, w);
-        auto rb = b.Reaches(id, v, w);
-        ASSERT_TRUE(ra.ok() && rb.ok());
-        ASSERT_EQ(*ra, *rb) << "run " << id.value() << " pair " << v << "->"
-                            << w;
-      }
-    }
-    // The batch variant must agree pairwise too.
-    auto ba = a.ReachesBatch(id, pairs);
-    auto bb = b.ReachesBatch(id, pairs);
-    ASSERT_TRUE(ba.ok() && bb.ok());
-    ASSERT_EQ(*ba, *bb) << "run " << id.value();
-  }
-}
+using testing_util::GenerateRun;
+using testing_util::ExpectSameAnswers;
 
 // --------------------------------------------------------- round tripping --
 
@@ -144,26 +88,16 @@ TEST(SnapshotTest, RoundTripsEveryBundledScheme) {
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_EQ(std::string(restored->scheme().name()),
               std::string(service->scheme().name()));
-    ExpectQueryEquivalent(*service, *restored);
+    ExpectSameAnswers(*service, *restored);
   }
 }
 
 TEST(SnapshotTest, RoundTripsIntervalSchemeOnTreeSpec) {
-  // A tree-shaped specification (chain with a loop) for the one scheme that
-  // rejects DAGs with undirected cycles.
-  SpecificationBuilder builder;
-  VertexId a = builder.AddModule("a");
-  VertexId b = builder.AddModule("b");
-  VertexId c = builder.AddModule("c");
-  VertexId d = builder.AddModule("d");
-  builder.AddEdge(a, b).AddEdge(b, c).AddEdge(c, d);
-  builder.DeclareLoop({b, c});
-  auto spec = std::move(builder).Build();
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-
-  ::skl::Run run = GenerateRun(*spec, 30, 5);
-  auto service = ProvenanceService::Create(std::move(spec).value(),
-                                           SpecSchemeKind::kInterval);
+  // The tree spec: the one scheme that rejects DAGs with undirected cycles.
+  Specification spec = testing_util::MakeTreeSpec();
+  ::skl::Run run = GenerateRun(spec, 30, 5);
+  auto service =
+      ProvenanceService::Create(std::move(spec), SpecSchemeKind::kInterval);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ASSERT_TRUE(service->AddRun(run).ok());
 
@@ -171,7 +105,7 @@ TEST(SnapshotTest, RoundTripsIntervalSchemeOnTreeSpec) {
   ASSERT_TRUE(service->SaveSnapshot(file.path()).ok());
   auto restored = ProvenanceService::LoadSnapshot(file.path());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ExpectQueryEquivalent(*service, *restored);
+  ExpectSameAnswers(*service, *restored);
 }
 
 TEST(SnapshotTest, RoundTripsDataCatalogAndDependsOn) {
@@ -254,7 +188,7 @@ TEST(SnapshotTest, RoundTripsImportedRuns) {
   auto stats = restored->Stats(*imported);
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(stats->imported);
-  ExpectQueryEquivalent(*service, *restored);
+  ExpectSameAnswers(*service, *restored);
 }
 
 TEST(SnapshotTest, EmptyRegistryRoundTrips) {

@@ -3,6 +3,8 @@
 #ifndef SKL_TESTS_TEST_UTIL_H_
 #define SKL_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -13,9 +15,12 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/core/provenance_service.h"
+#include "src/speclabel/scheme.h"
 #include "src/workflow/run.h"
 #include "src/workflow/specification.h"
 #include "src/workload/real_workflows.h"
+#include "src/workload/run_generator.h"
 
 namespace skl {
 namespace testing_util {
@@ -158,6 +163,88 @@ inline RunningExample MakeRunningExample() {
   SKL_CHECK_MSG(run_result.ok(), run_result.status().ToString().c_str());
   ex.run = std::move(run_result).value();
   return ex;
+}
+
+/// A generated conforming run of `spec` with about `target` vertices.
+inline Run GenerateRun(const Specification& spec, uint32_t target,
+                       uint64_t seed) {
+  RunGenerator generator(&spec);
+  RunGenOptions opt;
+  opt.target_vertices = target;
+  opt.seed = seed;
+  auto gen = generator.Generate(opt);
+  SKL_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
+  return std::move(gen->run);
+}
+
+/// A tree-shaped specification for the interval scheme (which rejects spec
+/// graphs with undirected cycles): a -> b -> c -> d with a loop over {b, c}.
+inline Specification MakeTreeSpec() {
+  SpecificationBuilder builder;
+  VertexId a = builder.AddModule("a");
+  VertexId b = builder.AddModule("b");
+  VertexId c = builder.AddModule("c");
+  VertexId d = builder.AddModule("d");
+  builder.AddEdge(a, b).AddEdge(b, c).AddEdge(c, d);
+  builder.DeclareLoop({b, c});
+  auto spec = std::move(builder).Build();
+  SKL_CHECK_MSG(spec.ok(), spec.status().ToString().c_str());
+  return std::move(spec).value();
+}
+
+/// The spec a suite that sweeps every scheme runs `kind` on: the tree spec
+/// for the interval scheme, the running example for every other one.
+inline Specification MakeSpecFor(SpecSchemeKind kind) {
+  return kind == SpecSchemeKind::kInterval ? MakeTreeSpec()
+                                           : MakeRunningExample().spec;
+}
+
+/// Two services hold the same runs under the same ids with the same stats,
+/// and answer every Reaches pair (single and batch) and every DependsOn
+/// item pair (batch) identically — the equivalence a snapshot round trip
+/// must preserve.
+inline void ExpectSameAnswers(const ProvenanceService& a,
+                              const ProvenanceService& b) {
+  const std::vector<RunId> ids = a.ListRuns();
+  ASSERT_EQ(ids, b.ListRuns());
+  for (RunId id : ids) {
+    auto sa = a.Stats(id);
+    auto sb = b.Stats(id);
+    ASSERT_TRUE(sa.ok() && sb.ok());
+    EXPECT_EQ(sa->num_vertices, sb->num_vertices);
+    EXPECT_EQ(sa->num_items, sb->num_items);
+    EXPECT_EQ(sa->label_bits, sb->label_bits);
+    EXPECT_EQ(sa->context_bits, sb->context_bits);
+    EXPECT_EQ(sa->origin_bits, sb->origin_bits);
+    EXPECT_EQ(sa->num_nonempty_plus, sb->num_nonempty_plus);
+    EXPECT_EQ(sa->imported, sb->imported);
+    const VertexId n = sa->num_vertices;
+    std::vector<VertexPair> pairs;
+    for (VertexId v = 0; v < n; ++v) {
+      for (VertexId w = 0; w < n; ++w) {
+        pairs.push_back({v, w});
+        auto ra = a.Reaches(id, v, w);
+        auto rb = b.Reaches(id, v, w);
+        ASSERT_TRUE(ra.ok() && rb.ok());
+        ASSERT_EQ(*ra, *rb) << "run " << id.value() << " pair " << v
+                            << "->" << w;
+      }
+    }
+    auto ba = a.ReachesBatch(id, pairs);
+    auto bb = b.ReachesBatch(id, pairs);
+    ASSERT_TRUE(ba.ok() && bb.ok());
+    ASSERT_EQ(*ba, *bb) << "run " << id.value();
+    std::vector<ItemPair> item_pairs;
+    for (DataItemId x = 0; x < sa->num_items; ++x) {
+      for (DataItemId y = 0; y < sa->num_items; ++y) {
+        item_pairs.push_back({x, y});
+      }
+    }
+    auto da = a.DependsOnBatch(id, item_pairs);
+    auto db = b.DependsOnBatch(id, item_pairs);
+    ASSERT_TRUE(da.ok() && db.ok());
+    ASSERT_EQ(*da, *db) << "run " << id.value() << " (items)";
+  }
 }
 
 }  // namespace testing_util
