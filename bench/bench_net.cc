@@ -18,6 +18,13 @@
 // thread-per-connection model this sweep would need thousands of threads;
 // the reactor serves it from Options::num_io_threads.
 //
+// A fourth mode times both sides of the server's inline/pool split for
+// batches (ProvenanceServer::kMaxInlineBatchPairs): on a server with one
+// I/O thread, one client streams ReachesBatch frames of 256 to 16384 pairs
+// while a second client times point reads. An inline batch runs on the
+// reactor both clients share, so the point reads wait behind it; a pooled
+// one pays a thread hop but leaves the reactor free.
+//
 // Environment knobs (CI uses tiny values, docs/BENCHMARKS.md the defaults):
 //   SKL_BENCH_NET_QUERIES    total queries per mode point (default 20000)
 //   SKL_BENCH_NET_SIZE       run size in vertices (default 2000)
@@ -26,6 +33,8 @@
 //                            0 skips the connection-scale sweep)
 //   SKL_BENCH_NET_ACTIVE     active clients at each level (default 32)
 //   SKL_BENCH_NET_IO_THREADS reactor threads for the server (default 2)
+//   SKL_BENCH_NET_BATCH_PAIRS pairs streamed per batch size (default 2^22,
+//                            0 skips the batch-split mode)
 //   SKL_BENCH_JSON           machine-readable results (bench_common.h)
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -313,5 +322,70 @@ int main() {
   }
 
   (*server)->Shutdown();
+
+  // ---- batch split: batches beside point reads on one reactor ----
+  const size_t batch_total =
+      EnvOr("SKL_BENCH_NET_BATCH_PAIRS", size_t{1} << 22);
+  if (batch_total == 0) return 0;
+  auto batch_service =
+      ProvenanceService::Create(QblastSpec(), SpecSchemeKind::kTcm);
+  SKL_CHECK_MSG(batch_service.ok(), batch_service.status().ToString().c_str());
+  auto batch_run = batch_service->AddRun(gen.run);
+  SKL_CHECK_MSG(batch_run.ok(), batch_run.status().ToString().c_str());
+  ProvenanceServer::Options batch_options;
+  batch_options.num_io_threads = 1;  // both clients share the reactor
+  batch_options.num_threads = 2;
+  auto batch_server = ProvenanceServer::Start(
+      std::move(batch_service).value(), batch_options);
+  SKL_CHECK_MSG(batch_server.ok(), batch_server.status().ToString().c_str());
+  const uint16_t batch_port = (*batch_server)->port();
+  PrintHeader("batch split: ReachesBatch stream beside timed point reads, "
+              "one I/O thread");
+  std::printf("%6s  %-10s %14s %14s %14s\n", "pairs", "path", "batch pairs/s",
+              "point p50(us)", "point p99(us)");
+  for (size_t size : {size_t{256}, size_t{1024}, size_t{4096}, size_t{16384}}) {
+    auto batcher = ProvenanceClient::Connect("127.0.0.1", batch_port);
+    auto reader = ProvenanceClient::Connect("127.0.0.1", batch_port);
+    SKL_CHECK_MSG(batcher.ok(), batcher.status().ToString().c_str());
+    SKL_CHECK_MSG(reader.ok(), reader.status().ToString().c_str());
+    const std::vector<VertexPair> batch =
+        make_pairs(static_cast<unsigned>(200 + size), size);
+    const std::vector<VertexPair> points = make_pairs(300, 4096);
+    LatencyHistogram lat_hist;  // recorded in ns (see run_mode)
+    std::atomic<bool> done{false};
+    std::thread point_reader([&] {
+      Stopwatch sw;
+      for (size_t i = 0; !done.load(std::memory_order_relaxed); ++i) {
+        const auto& [v, w] = points[i % points.size()];
+        sw.Restart();
+        auto answer = reader->Reaches(*batch_run, v, w);
+        lat_hist.Record(static_cast<uint64_t>(sw.ElapsedSeconds() * 1e9));
+        SKL_CHECK_MSG(answer.ok(), answer.status().ToString().c_str());
+      }
+    });
+    size_t answered = 0;
+    Stopwatch wall;
+    while (answered < batch_total) {
+      auto answers = batcher->ReachesBatch(*batch_run, batch);
+      SKL_CHECK_MSG(answers.ok(), answers.status().ToString().c_str());
+      answered += answers->size();
+    }
+    const double secs = wall.ElapsedSeconds();
+    done.store(true, std::memory_order_relaxed);
+    point_reader.join();
+    const double pairs_per_sec =
+        secs > 0 ? static_cast<double>(answered) / secs : 0;
+    const double p50 = lat_hist.Quantile(0.50) / 1e3;
+    const double p99 = lat_hist.Quantile(0.99) / 1e3;
+    const char* path =
+        size <= ProvenanceServer::kMaxInlineBatchPairs ? "inline" : "pool";
+    std::printf("%6zu  %-10s %14.0f %14.1f %14.1f\n", size, path,
+                pairs_per_sec, p50, p99);
+    const std::string prefix = "net_batch_" + std::to_string(size) + "_";
+    json.Add(prefix + "pairs_per_sec", pairs_per_sec, "pairs/s");
+    json.Add(prefix + "point_p50_latency", p50, "us");
+    json.Add(prefix + "point_p99_latency", p99, "us");
+  }
+  (*batch_server)->Shutdown();
   return 0;
 }

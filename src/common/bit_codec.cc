@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "src/common/check.h"
+#include "src/common/varint.h"
 
 namespace skl {
 
@@ -20,13 +21,9 @@ void BitWriter::Write(uint64_t value, int bits) {
 }
 
 void BitWriter::WriteVarint(uint64_t value) {
-  AlignToByte();
-  do {
-    uint8_t byte = value & 0x7f;
-    value >>= 7;
-    if (value != 0) byte |= 0x80;
-    Write(byte, 8);
-  } while (value != 0);
+  AlignToByte();  // now bytes_ holds exactly bit_count_ / 8 bytes
+  AppendVarint(value, &bytes_);
+  bit_count_ = bytes_.size() * 8;
 }
 
 void BitWriter::WriteBytes(std::span<const uint8_t> bytes) {
@@ -68,18 +65,17 @@ Status BitReader::Read(int bits, uint64_t* value) {
 
 Status BitReader::ReadVarint(uint64_t* value) {
   AlignToByte();
-  uint64_t out = 0;
-  int shift = 0;
-  for (;;) {
-    uint64_t byte = 0;
-    SKL_RETURN_NOT_OK(Read(8, &byte));
-    out |= (byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-    if (shift > 63) return Status::ParseError("varint too long");
+  size_t pos = bit_pos_ >> 3;
+  switch (DecodeVarint({data_, size_bits_ >> 3}, &pos, value)) {
+    case VarintError::kNone:
+      bit_pos_ = pos << 3;
+      return Status::OK();
+    case VarintError::kTruncated:
+      return Status::ParseError("bit stream exhausted");
+    case VarintError::kTooLong:
+      break;
   }
-  *value = out;
-  return Status::OK();
+  return Status::ParseError("varint too long");
 }
 
 Status BitReader::ReadBytes(size_t count, std::span<const uint8_t>* out) {

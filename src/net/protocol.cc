@@ -1,7 +1,6 @@
 #include "src/net/protocol.h"
 
-#include <algorithm>
-#include <cstring>
+#include <array>
 
 #include "src/common/crc32.h"
 
@@ -9,70 +8,107 @@ namespace skl {
 
 namespace {
 
-// One row per opcode. Columns: type, name, is_request, mutates, names_run.
+// One row per opcode. Columns: type, name, is_request, mutates, names_run,
+// runs_inline. DependsOn and ModuleDependsOnData make one label compare per
+// reader of a data item, so they are not runs_inline: their cost grows with
+// the reader count.
 constexpr OpcodeInfo kOpcodes[] = {
-    {MsgType::kPing,                "Ping",                true,  false, false},
-    {MsgType::kReaches,             "Reaches",             true,  false, true},
-    {MsgType::kReachesBatch,        "ReachesBatch",        true,  false, true},
-    {MsgType::kDependsOn,           "DependsOn",           true,  false, true},
-    {MsgType::kDependsOnBatch,      "DependsOnBatch",      true,  false, true},
-    {MsgType::kModuleDependsOnData, "ModuleDependsOnData", true,  false, true},
-    {MsgType::kDataDependsOnModule, "DataDependsOnModule", true,  false, true},
-    {MsgType::kAddRun,              "AddRun",              true,  true,  false},
-    {MsgType::kImportRun,           "ImportRun",           true,  true,  false},
-    {MsgType::kExportRun,           "ExportRun",           true,  false, true},
-    {MsgType::kRemoveRun,           "RemoveRun",           true,  true,  true},
-    {MsgType::kListRuns,            "ListRuns",            true,  false, false},
-    {MsgType::kRunStats,            "RunStats",            true,  false, true},
-    {MsgType::kServiceStats,        "ServiceStats",        true,  false, false},
-    {MsgType::kSaveSnapshot,        "SaveSnapshot",        true,  false, false},
-    {MsgType::kLoadSnapshot,        "LoadSnapshot",        true,  true,  false},
-    {MsgType::kShutdown,            "Shutdown",            true,  false, false},
-    {MsgType::kSnapshotFetch,       "SnapshotFetch",       true,  false, false},
-    {MsgType::kSubscribe,           "Subscribe",           true,  false, false},
-    {MsgType::kMetrics,             "Metrics",             true,  false, false},
-    {MsgType::kSlowQueries,         "SlowQueries",         true,  false, false},
-    {MsgType::kApplySpecDelta,      "ApplySpecDelta",      true,  true,  false},
-    {MsgType::kReply,               "Reply",               false, false, false},
-    {MsgType::kError,               "Error",               false, false, false},
-    {MsgType::kLogEntries,          "LogEntries",          false, false, false},
-    {MsgType::kRetryAt,             "RetryAt",             false, false, false},
+    {MsgType::kPing,                "Ping",                true,  false, false, false},
+    {MsgType::kReaches,             "Reaches",             true,  false, true,  true},
+    {MsgType::kReachesBatch,        "ReachesBatch",        true,  false, true,  true},
+    {MsgType::kDependsOn,           "DependsOn",           true,  false, true,  false},
+    {MsgType::kDependsOnBatch,      "DependsOnBatch",      true,  false, true,  false},
+    {MsgType::kModuleDependsOnData, "ModuleDependsOnData", true,  false, true,  false},
+    {MsgType::kDataDependsOnModule, "DataDependsOnModule", true,  false, true,  true},
+    {MsgType::kAddRun,              "AddRun",              true,  true,  false, false},
+    {MsgType::kImportRun,           "ImportRun",           true,  true,  false, false},
+    {MsgType::kExportRun,           "ExportRun",           true,  false, true,  false},
+    {MsgType::kRemoveRun,           "RemoveRun",           true,  true,  true,  false},
+    {MsgType::kListRuns,            "ListRuns",            true,  false, false, false},
+    {MsgType::kRunStats,            "RunStats",            true,  false, true,  false},
+    {MsgType::kServiceStats,        "ServiceStats",        true,  false, false, false},
+    {MsgType::kSaveSnapshot,        "SaveSnapshot",        true,  false, false, false},
+    {MsgType::kLoadSnapshot,        "LoadSnapshot",        true,  true,  false, false},
+    {MsgType::kShutdown,            "Shutdown",            true,  false, false, false},
+    {MsgType::kSnapshotFetch,       "SnapshotFetch",       true,  false, false, false},
+    {MsgType::kSubscribe,           "Subscribe",           true,  false, false, false},
+    {MsgType::kMetrics,             "Metrics",             true,  false, false, false},
+    {MsgType::kSlowQueries,         "SlowQueries",         true,  false, false, false},
+    {MsgType::kApplySpecDelta,      "ApplySpecDelta",      true,  true,  false, false},
+    {MsgType::kReply,               "Reply",               false, false, false, false},
+    {MsgType::kError,               "Error",               false, false, false, false},
+    {MsgType::kLogEntries,          "LogEntries",          false, false, false, false},
+    {MsgType::kRetryAt,             "RetryAt",             false, false, false, false},
 };
+
+// kOpcodes indexed by opcode byte, derived from the table itself.
+constexpr std::array<const OpcodeInfo*, 256> kOpcodeByByte = [] {
+  std::array<const OpcodeInfo*, 256> index{};
+  for (const OpcodeInfo& row : kOpcodes) {
+    index[static_cast<uint8_t>(row.type)] = &row;
+  }
+  return index;
+}();
+
+/// Offsets of the patched header fields and of the type byte in a frame.
+constexpr size_t kBodyLenOffset = 2;
+constexpr size_t kBodyCrcOffset = 6;
+constexpr size_t kTypeOffset = kFrameHeaderBytes + 1;
+
+void StoreBigEndian32(uint32_t value, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(value >> 24);
+  out[1] = static_cast<uint8_t>(value >> 16);
+  out[2] = static_cast<uint8_t>(value >> 8);
+  out[3] = static_cast<uint8_t>(value);
+}
+
+uint32_t LoadBigEndian32(const uint8_t* in) {
+  return static_cast<uint32_t>(in[0]) << 24 |
+         static_cast<uint32_t>(in[1]) << 16 |
+         static_cast<uint32_t>(in[2]) << 8 | static_cast<uint32_t>(in[3]);
+}
 
 }  // namespace
 
 std::span<const OpcodeInfo> OpcodeTable() { return kOpcodes; }
 
-const OpcodeInfo* FindOpcode(uint8_t type) {
-  for (const OpcodeInfo& row : kOpcodes) {
-    if (static_cast<uint8_t>(row.type) == type) return &row;
-  }
-  return nullptr;
-}
+const OpcodeInfo* FindOpcode(uint8_t type) { return kOpcodeByByte[type]; }
 
 const char* MsgTypeName(MsgType type) {
   const OpcodeInfo* row = FindOpcode(static_cast<uint8_t>(type));
   return row != nullptr ? row->name : "Unknown";
 }
 
-void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out) {
-  // Body first: its length and CRC go into the header.
-  BitWriter body_writer;
-  body_writer.Write(frame.version, 8);
-  body_writer.Write(static_cast<uint8_t>(frame.type), 8);
-  body_writer.WriteVarint(frame.request_id);
-  body_writer.WriteBytes(frame.payload);
-  const std::vector<uint8_t> body = std::move(body_writer).Finish();
+FrameWriter::FrameWriter(std::vector<uint8_t>* out, MsgType type,
+                         uint64_t request_id, uint8_t version)
+    : out_(out), start_(out->size()), payload_(out) {
+  const uint8_t head[kFrameHeaderBytes + 2] = {
+      static_cast<uint8_t>(kFrameMagic >> 8),
+      static_cast<uint8_t>(kFrameMagic & 0xff),
+      0, 0, 0, 0,  // body_len, filled in by Finish
+      0, 0, 0, 0,  // body_crc, filled in by Finish
+      version, static_cast<uint8_t>(type)};
+  out->insert(out->end(), head, head + sizeof(head));
+  payload_.U64(request_id);
+  payload_start_ = out->size();
+}
 
-  BitWriter header;
-  header.Write(kFrameMagic, 16);
-  header.Write(static_cast<uint32_t>(body.size()), 32);
-  header.Write(Crc32(body), 32);
-  const std::vector<uint8_t> header_bytes = std::move(header).Finish();
+void FrameWriter::SetType(MsgType type) {
+  (*out_)[start_ + kTypeOffset] = static_cast<uint8_t>(type);
+}
 
-  out->reserve(out->size() + header_bytes.size() + body.size());
-  out->insert(out->end(), header_bytes.begin(), header_bytes.end());
-  out->insert(out->end(), body.begin(), body.end());
+void FrameWriter::Finish() {
+  uint8_t* frame = out_->data() + start_;
+  const size_t body_len = out_->size() - start_ - kFrameHeaderBytes;
+  StoreBigEndian32(static_cast<uint32_t>(body_len), frame + kBodyLenOffset);
+  StoreBigEndian32(Crc32({frame + kFrameHeaderBytes, body_len}),
+                   frame + kBodyCrcOffset);
+}
+
+void EncodeFrame(const FrameView& frame, std::vector<uint8_t>* out) {
+  FrameWriter writer(out, frame.type, frame.request_id, frame.version);
+  out->insert(out->end(), frame.payload.begin(), frame.payload.end());
+  writer.Finish();
 }
 
 void FrameDecoder::Feed(std::span<const uint8_t> bytes) {
@@ -90,17 +126,20 @@ void FrameDecoder::Feed(std::span<const uint8_t> bytes) {
 }
 
 Result<std::optional<Frame>> FrameDecoder::Next() {
+  SKL_ASSIGN_OR_RETURN(std::optional<FrameView> view, NextView());
+  if (!view.has_value()) return std::optional<Frame>();
+  return std::optional<Frame>(view->ToFrame());
+}
+
+Result<std::optional<FrameView>> FrameDecoder::NextView() {
   if (poisoned_.has_value()) return *poisoned_;
   const size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderBytes) return std::optional<Frame>();
+  if (available < kFrameHeaderBytes) return std::optional<FrameView>();
 
   const uint8_t* base = buffer_.data() + consumed_;
-  BitReader header(base, kFrameHeaderBytes);
-  uint64_t magic = 0, body_len = 0, body_crc = 0;
-  // The header reads cannot fail: kFrameHeaderBytes are present.
-  (void)header.Read(16, &magic);
-  (void)header.Read(32, &body_len);
-  (void)header.Read(32, &body_crc);
+  const uint32_t magic = static_cast<uint32_t>(base[0]) << 8 | base[1];
+  const uint64_t body_len = LoadBigEndian32(base + kBodyLenOffset);
+  const uint32_t body_crc = LoadBigEndian32(base + kBodyCrcOffset);
   if (magic != kFrameMagic) {
     poisoned_ = Status::ParseError(
         "bad frame magic: peer is not speaking the SKL wire protocol or the "
@@ -119,7 +158,7 @@ Result<std::optional<Frame>> FrameDecoder::Next() {
     return *poisoned_;
   }
   if (available < kFrameHeaderBytes + body_len) {
-    return std::optional<Frame>();  // incomplete: wait for more bytes
+    return std::optional<FrameView>();  // incomplete: wait for more bytes
   }
 
   const std::span<const uint8_t> body(base + kFrameHeaderBytes,
@@ -131,36 +170,39 @@ Result<std::optional<Frame>> FrameDecoder::Next() {
     return *poisoned_;
   }
 
-  Frame frame;
+  FrameView frame;
   frame.version = body[0];
   frame.type = static_cast<MsgType>(body[1]);
-  BitReader body_reader(body.data() + 2, body.size() - 2);
-  uint64_t request_id = 0;
-  Status id_status = body_reader.ReadVarint(&request_id);
-  if (!id_status.ok()) {
+  size_t pos = 2;
+  if (DecodeVarint(body, &pos, &frame.request_id) != VarintError::kNone) {
     // CRC was fine, so this is a malformed body encoding, not line noise;
     // still unrecoverable as a message, and ids cannot be echoed.
     poisoned_ = Status::ParseError("frame body truncated inside request id");
     return *poisoned_;
   }
-  frame.request_id = request_id;
-  body_reader.AlignToByte();
-  const size_t payload_offset = 2 + body_reader.bit_position() / 8;
-  frame.payload.assign(body.begin() + static_cast<ptrdiff_t>(payload_offset),
-                       body.end());
+  frame.payload = body.subspan(pos);
   consumed_ += kFrameHeaderBytes + static_cast<size_t>(body_len);
-  return std::optional<Frame>(std::move(frame));
+  return std::optional<FrameView>(frame);
 }
 
 Result<uint64_t> PayloadReader::U64() {
   uint64_t value = 0;
-  SKL_RETURN_NOT_OK(reader_.ReadVarint(&value));
-  return value;
+  switch (DecodeVarint(payload_, &pos_, &value)) {
+    case VarintError::kNone:
+      return value;
+    case VarintError::kTruncated:
+      return Status::ParseError("payload truncated inside a varint");
+    case VarintError::kTooLong:
+      break;
+  }
+  return Status::ParseError("varint too long");
 }
 
 Result<bool> PayloadReader::Boolean() {
-  uint64_t value = 0;
-  SKL_RETURN_NOT_OK(reader_.Read(8, &value));
+  if (pos_ >= payload_.size()) {
+    return Status::ParseError("payload truncated before a boolean");
+  }
+  const uint8_t value = payload_[pos_++];
   if (value > 1) {
     return Status::ParseError("boolean field holds " + std::to_string(value));
   }
@@ -168,10 +210,14 @@ Result<bool> PayloadReader::Boolean() {
 }
 
 Result<std::span<const uint8_t>> PayloadReader::Bytes() {
-  uint64_t length = 0;
-  SKL_RETURN_NOT_OK(reader_.ReadVarint(&length));
-  std::span<const uint8_t> out;
-  SKL_RETURN_NOT_OK(reader_.ReadBytes(static_cast<size_t>(length), &out));
+  SKL_ASSIGN_OR_RETURN(uint64_t length, U64());
+  if (length > payload_.size() - pos_) {
+    return Status::ParseError("blob of " + std::to_string(length) +
+                              " bytes overruns the payload");
+  }
+  const std::span<const uint8_t> out =
+      payload_.subspan(pos_, static_cast<size_t>(length));
+  pos_ += out.size();
   return out;
 }
 
@@ -182,22 +228,25 @@ Result<std::string> PayloadReader::Str() {
 }
 
 Status PayloadReader::ExpectEnd() {
-  reader_.AlignToByte();
-  if (reader_.bit_position() / 8 != size_bytes_) {
-    return Status::ParseError(
-        "payload has " +
-        std::to_string(size_bytes_ - reader_.bit_position() / 8) +
-        " trailing bytes");
+  if (pos_ != payload_.size()) {
+    return Status::ParseError("payload has " +
+                              std::to_string(payload_.size() - pos_) +
+                              " trailing bytes");
   }
   return Status::OK();
+}
+
+void EncodeErrorPayload(const Status& status, uint64_t trace_id,
+                        PayloadWriter& out) {
+  out.U64(static_cast<uint64_t>(status.code()));
+  out.Str(status.message());
+  out.U64(trace_id);
 }
 
 std::vector<uint8_t> EncodeErrorPayload(const Status& status,
                                         uint64_t trace_id) {
   PayloadWriter writer;
-  writer.U64(static_cast<uint64_t>(status.code()));
-  writer.Str(status.message());
-  writer.U64(trace_id);
+  EncodeErrorPayload(status, trace_id, writer);
   return std::move(writer).Finish();
 }
 

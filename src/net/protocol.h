@@ -6,12 +6,16 @@
 //
 //   magic    "SN"            16 bits
 //   body_len                 32 bits   bytes in `body`, big-endian
-//   body_crc                 32 bits   CRC-32 of the body bytes
+//   body_crc                 32 bits   CRC-32 of the body bytes, big-endian
 //   body:
 //     version                 8 bits   kProtocolVersion
 //     type                    8 bits   MsgType
 //     request_id             varint    echoed verbatim in the response
 //     payload                          type-specific (PayloadWriter/Reader)
+//
+// Every field is whole bytes, so both directions are byte codecs: a frame
+// is written straight into the caller's buffer (FrameWriter) and read in
+// place from the receive buffer (FrameDecoder::NextView).
 //
 // The CRC covers the whole body, so a flipped bit anywhere in a request is
 // reported as a descriptive ParseError — never parsed into a plausible but
@@ -36,8 +40,8 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/bit_codec.h"
 #include "src/common/status.h"
+#include "src/common/varint.h"
 
 namespace skl {
 
@@ -94,20 +98,26 @@ enum class MsgType : uint8_t {
 
 /// Static facts about one opcode. OpcodeTable() has one row per MsgType
 /// and is the only place these facts are kept: opcode names, the request
-/// set, the read-only replica's refusals and the slow-query log's run-id
-/// peek all read it.
+/// set, the read-only replica's refusals, the slow-query log's run-id peek
+/// and the server's choice of thread all read it.
 struct OpcodeInfo {
   MsgType type;
   const char* name;  ///< for logs, errors and metric labels ("Reaches")
   bool is_request;   ///< a server dispatches it
   bool mutates;      ///< changes the registry or spec: a replica refuses it
   bool names_run;    ///< the payload starts with a run-id varint
+  /// A read costing one label compare a pair: the connection's I/O thread
+  /// may answer it itself instead of handing it to the worker pool (under
+  /// an indexed scheme only, and batches only up to
+  /// ProvenanceServer::kMaxInlineBatchPairs pairs).
+  bool runs_inline;
 };
 
 /// Every opcode, in MsgType value order.
 std::span<const OpcodeInfo> OpcodeTable();
 
 /// The row for a raw opcode byte; nullptr for a byte no MsgType names.
+/// One array index: a table built from OpcodeTable() at compile time.
 const OpcodeInfo* FindOpcode(uint8_t type);
 
 /// Opcode name for logs and error messages ("Reaches", "Error", ...);
@@ -122,8 +132,28 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
+/// A decoded message whose payload aliases the decoder's buffer: valid
+/// until the decoder's next Feed().
+struct FrameView {
+  uint8_t version = kProtocolVersion;
+  MsgType type = MsgType::kPing;
+  uint64_t request_id = 0;
+  std::span<const uint8_t> payload;
+
+  FrameView() = default;
+  FrameView(const Frame& frame)  // implicit, as std::span is from a vector
+      : version(frame.version),
+        type(frame.type),
+        request_id(frame.request_id),
+        payload(frame.payload) {}
+  /// An owning copy, for a frame that must outlive the decoder's buffer.
+  Frame ToFrame() const {
+    return Frame{version, type, request_id, {payload.begin(), payload.end()}};
+  }
+};
+
 /// Encodes `frame` into the wire format, appending to `*out`.
-void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out);
+void EncodeFrame(const FrameView& frame, std::vector<uint8_t>* out);
 
 /// Incremental frame decoder over a received byte stream. Feed() bytes as
 /// they arrive; Next() yields complete frames in order.
@@ -146,6 +176,10 @@ class FrameDecoder {
   /// normally (the dispatcher answers kError), not treated as corruption.
   Result<std::optional<Frame>> Next();
 
+  /// Next() without the payload copy: the view aliases the buffered bytes
+  /// and is valid until the next Feed().
+  Result<std::optional<FrameView>> NextView();
+
   /// Bytes buffered but not yet consumed by a decoded frame.
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
@@ -158,24 +192,61 @@ class FrameDecoder {
   std::optional<Status> poisoned_;
 };
 
-/// Appends payload fields in the canonical encodings (varints byte-aligned,
-/// blobs length-prefixed). Thin wrapper over BitWriter so request/response
-/// payloads are built the same way everywhere.
+/// Appends payload fields in the canonical encodings: varints LEB128
+/// (src/common/varint.h), booleans one byte, blobs length-prefixed.
+/// Either builds the payload in a buffer of its own, handed over by
+/// Finish(), or appends straight onto a caller's buffer.
 class PayloadWriter {
  public:
-  void U64(uint64_t value) { writer_.WriteVarint(value); }
-  void Boolean(bool value) { writer_.Write(value ? 1 : 0, 8); }
+  PayloadWriter() : out_(&owned_) { owned_.reserve(kInitialBytes); }
+  /// Appends onto `*out`, which must outlive the writer; Finish() is then
+  /// empty.
+  explicit PayloadWriter(std::vector<uint8_t>* out) : out_(out) {}
+  // A copy would append to the original's buffer.
+  PayloadWriter(const PayloadWriter&) = delete;
+  PayloadWriter& operator=(const PayloadWriter&) = delete;
+
+  void U64(uint64_t value) { AppendVarint(value, out_); }
+  void Boolean(bool value) { out_->push_back(value ? 1 : 0); }
   void Bytes(std::span<const uint8_t> bytes) {
-    writer_.WriteVarint(bytes.size());
-    writer_.WriteBytes(bytes);
+    U64(bytes.size());
+    out_->insert(out_->end(), bytes.begin(), bytes.end());
   }
   void Str(std::string_view s) {
     Bytes({reinterpret_cast<const uint8_t*>(s.data()), s.size()});
   }
-  std::vector<uint8_t> Finish() && { return std::move(writer_).Finish(); }
+  std::vector<uint8_t> Finish() && { return std::move(owned_); }
 
  private:
-  BitWriter writer_;
+  /// Room for any point request, so building one allocates once.
+  static constexpr size_t kInitialBytes = 64;
+
+  std::vector<uint8_t> owned_;
+  std::vector<uint8_t>* out_;
+};
+
+/// Appends one frame to `*out` in place, with no intermediate buffer: the
+/// constructor writes the header (length and CRC left blank), version, type
+/// and request id; payload() appends the payload right after them; Finish()
+/// fills in body_len and body_crc. The bytes are EncodeFrame's exactly.
+class FrameWriter {
+ public:
+  FrameWriter(std::vector<uint8_t>* out, MsgType type, uint64_t request_id,
+              uint8_t version = kProtocolVersion);
+
+  PayloadWriter& payload() { return payload_; }
+  /// Overwrites the type byte: a reply's type is settled by its dispatch.
+  void SetType(MsgType type);
+  /// Drops the payload written so far (a request that failed midway).
+  void ClearPayload() { out_->resize(payload_start_); }
+  /// Completes the frame. Call exactly once, after the last payload byte.
+  void Finish();
+
+ private:
+  std::vector<uint8_t>* out_;
+  size_t start_;          ///< offset of the frame's first byte in *out_
+  size_t payload_start_ = 0;  ///< offset of its first payload byte
+  PayloadWriter payload_;
 };
 
 /// Reads back payload fields written by PayloadWriter, every read checked:
@@ -184,7 +255,7 @@ class PayloadWriter {
 class PayloadReader {
  public:
   explicit PayloadReader(std::span<const uint8_t> payload)
-      : reader_(payload.data(), payload.size()), size_bytes_(payload.size()) {}
+      : payload_(payload) {}
 
   Result<uint64_t> U64();
   Result<bool> Boolean();
@@ -196,8 +267,8 @@ class PayloadReader {
   Status ExpectEnd();
 
  private:
-  BitReader reader_;
-  size_t size_bytes_;
+  std::span<const uint8_t> payload_;
+  size_t pos_ = 0;  ///< bytes consumed
 };
 
 /// Encodes a non-OK status as a kError payload: code + message + a
@@ -206,6 +277,9 @@ class PayloadReader {
 /// trace field, or for a connection-terminal error).
 std::vector<uint8_t> EncodeErrorPayload(const Status& status,
                                         uint64_t trace_id);
+/// The same payload, appended through `out` (a reply built in place).
+void EncodeErrorPayload(const Status& status, uint64_t trace_id,
+                        PayloadWriter& out);
 
 /// Decodes a kError payload back into the Status it carried, writing the
 /// echoed trace id to `*trace_id` when non-null (left 0 when the payload is

@@ -69,12 +69,49 @@ uint64_t UsBetween(Clock::time_point from, Clock::time_point to) {
 /// carry it as the first payload varint. 0 for run-less opcodes or when
 /// the payload is too malformed to read one (the dispatch error already
 /// describes that).
-uint64_t PeekRunId(const Frame& frame) {
+uint64_t PeekRunId(const FrameView& frame) {
   const OpcodeInfo* op = FindOpcode(static_cast<uint8_t>(frame.type));
   if (op == nullptr || !op->names_run) return 0;
   PayloadReader reader(frame.payload);
   Result<uint64_t> run = reader.U64();
   return run.ok() ? *run : 0;
+}
+
+/// Whether an I/O thread may answer `frame` itself, as far as the frame
+/// alone tells: a current-version request whose opcode row is marked
+/// runs_inline, and for a batch at most kMaxInlineBatchPairs pairs.
+/// Anything malformed goes to the pool, which answers the error.
+bool IsInlineRead(const FrameView& frame) {
+  const OpcodeInfo* op = FindOpcode(static_cast<uint8_t>(frame.type));
+  if (op == nullptr || !op->runs_inline || frame.version != kProtocolVersion) {
+    return false;
+  }
+  if (frame.type != MsgType::kReachesBatch) return true;
+  // A batch payload starts with the run id and the pair count.
+  PayloadReader reader(frame.payload);
+  if (!reader.U64().ok()) return false;
+  Result<uint64_t> pairs = reader.U64();
+  return pairs.ok() && *pairs <= ProvenanceServer::kMaxInlineBatchPairs;
+}
+
+/// Completes the reply frame `reply` to `frame`: a `reply_type` frame
+/// carrying the payload dispatch wrote, or, when `status` failed, a kError
+/// naming the request and echoing its trace id (0 when the payload never
+/// got as far as the trace field).
+void FinishReply(const FrameView& frame, const Status& status,
+                 MsgType reply_type, uint64_t trace_id, FrameWriter& reply) {
+  if (status.ok()) {
+    reply.SetType(reply_type);
+  } else {
+    reply.ClearPayload();
+    reply.SetType(MsgType::kError);
+    // Name the failing request so client-side logs are self-explanatory.
+    EncodeErrorPayload(Status(status.code(),
+                              std::string(MsgTypeName(frame.type)) + ": " +
+                                  status.message()),
+                       trace_id, reply.payload());
+  }
+  reply.Finish();
 }
 
 }  // namespace
@@ -87,6 +124,18 @@ uint64_t PeekRunId(const Frame& frame) {
 struct ProvenanceServer::Conn {
   Conn(int fd_in, size_t io, size_t max_frame)
       : fd(fd_in), io_index(io), decoder(max_frame) {}
+
+  /// Adds EPOLLOUT to the connection's interest set. Owner I/O thread only,
+  /// under `mu`. EPOLL_CTL_MOD re-arms the edge: if the socket is already
+  /// writable again, the event fires immediately — no stall window.
+  void ArmWritable(int epoll_fd) {
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
+    ev.data.ptr = this;
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &ev) == 0) {
+      epollout_armed = true;
+    }
+  }
 
   /// A decoded request stamped with its decode time, so dispatch can split
   /// total latency into queue-wait (decoded -> dequeued) and execute.
@@ -460,9 +509,9 @@ void ProvenanceServer::AdoptConn(IoThread& io,
 }
 
 void ProvenanceServer::ReadFrom(IoThread& io, const std::shared_ptr<Conn>& c) {
-  (void)io;
   uint8_t buf[65536];
   bool progress = false;
+  bool answered = false;  // inline replies buffered since the last flush
   for (;;) {
     {
       std::lock_guard lock(c->mu);
@@ -478,7 +527,7 @@ void ProvenanceServer::ReadFrom(IoThread& io, const std::shared_ptr<Conn>& c) {
     bool poisoned = false;
     bool throttled = false;
     for (;;) {
-      Result<std::optional<Frame>> next = c->decoder.Next();
+      Result<std::optional<FrameView>> next = c->decoder.NextView();
       if (!next.ok()) {
         // Frame desynchronization (corrupted header): queue one
         // best-effort error — emitted after the replies to frames that
@@ -492,8 +541,12 @@ void ProvenanceServer::ReadFrom(IoThread& io, const std::shared_ptr<Conn>& c) {
       }
       if (!next->has_value()) break;  // incomplete: read more
       progress = true;
+      if (AnswerInline(*c, **next)) {
+        answered = true;
+        continue;
+      }
       std::lock_guard lock(c->mu);
-      c->pending.push_back({std::move(**next), Clock::now()});
+      c->pending.push_back({(*next)->ToFrame(), Clock::now()});
       if (c->pending.size() >= kMaxPendingFrames) {
         c->read_throttled = true;  // dispatch drains it, then reads resume
         throttled = true;
@@ -501,6 +554,18 @@ void ProvenanceServer::ReadFrom(IoThread& io, const std::shared_ptr<Conn>& c) {
       }
     }
     if (poisoned || throttled) break;
+    if (answered) {
+      // A long pipelined burst still leaves in chunk-sized sends.
+      bool chunk_ready;
+      {
+        std::lock_guard lock(c->mu);
+        chunk_ready = c->wbuf.size() - c->woff >= kFlushChunkBytes;
+      }
+      if (chunk_ready) {
+        FlushAndSettle(c, &io);
+        answered = false;
+      }
+    }
     const ssize_t n = ::recv(c->fd, buf, sizeof(buf), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -522,7 +587,41 @@ void ProvenanceServer::ReadFrom(IoThread& io, const std::shared_ptr<Conn>& c) {
     std::lock_guard lock(c->mu);
     c->last_activity = Clock::now();
   }
+  if (answered) FlushAndSettle(c, &io);  // once per read sweep
   MaybeDispatch(c);
+}
+
+bool ProvenanceServer::AnswerInline(Conn& c, const FrameView& frame) {
+  if (!IsInlineRead(frame)) return false;
+  std::unique_lock conn_lock(c.mu);
+  // Only at the head of the connection's queue, so replies stay in request
+  // order and a read queued behind a pooled mutation sees its effect.
+  if (c.task_active || !c.pending.empty() || c.paused ||
+      c.wbuf.size() - c.woff >= options_.max_write_buffer_bytes) {
+    return false;
+  }
+  // A kLoadSnapshot/ReplaceService swap holds the lock exclusively: hand
+  // the frame to the pool rather than stall every connection of this
+  // thread behind the swap.
+  std::shared_lock service_lock(service_mu_, std::try_to_lock);
+  if (!service_lock.owns_lock()) return false;
+  // Under a search scheme a memo miss is a graph search: not a bounded
+  // read, however few its pairs.
+  if (service_.scheme().SearchesGraph()) return false;
+  const auto exec_start = Clock::now();
+  FrameWriter reply(&c.wbuf, MsgType::kReply, frame.request_id);
+  MsgType reply_type = MsgType::kReply;
+  bool shutdown_after_reply = false;  // never set by a read
+  uint64_t trace_id = 0;
+  const Status status = Dispatch(frame, reply.payload(),
+                                 &shutdown_after_reply, &reply_type,
+                                 &trace_id);
+  FinishReply(frame, status, reply_type, trace_id, reply);
+  conn_lock.unlock();
+  RecordFrameTiming(frame, trace_id, /*queue_us=*/0,
+                    UsBetween(exec_start, Clock::now()),
+                    /*service_locked=*/true);
+  return true;
 }
 
 void ProvenanceServer::MaybeDispatch(const std::shared_ptr<Conn>& c) {
@@ -544,6 +643,9 @@ void ProvenanceServer::MaybeDispatch(const std::shared_ptr<Conn>& c) {
 }
 
 void ProvenanceServer::DispatchLoop(std::shared_ptr<Conn> c) {
+  // Each reply is built here, outside c->mu (a mutation must not hold the
+  // connection lock the I/O thread needs), then handed to wbuf whole.
+  std::vector<uint8_t> out;
   for (;;) {
     Conn::PendingFrame pending;
     bool resume_read = false;
@@ -563,11 +665,9 @@ void ProvenanceServer::DispatchLoop(std::shared_ptr<Conn> c) {
       }
       if (c->pending.empty()) {
         if (c->terminal.has_value() && !c->terminal_encoded) {
-          Frame err;
-          err.type = MsgType::kError;
-          err.request_id = 0;
-          err.payload = EncodeErrorPayload(*c->terminal, /*trace_id=*/0);
-          EncodeFrame(err, &c->wbuf);
+          FrameWriter err(&c->wbuf, MsgType::kError, /*request_id=*/0);
+          EncodeErrorPayload(*c->terminal, /*trace_id=*/0, err.payload());
+          err.Finish();
           c->terminal_encoded = true;
           c->close_after_flush = true;
         }
@@ -583,18 +683,23 @@ void ProvenanceServer::DispatchLoop(std::shared_ptr<Conn> c) {
     }
     if (resume_read) NudgeOwner(c);
     const Frame& frame = pending.frame;
-    std::vector<uint8_t> out;
+    out.clear();
     bool shutdown_after_reply = false;
     uint64_t trace_id = 0;
     const auto exec_start = Clock::now();
     HandleFrame(frame, &out, &shutdown_after_reply, &trace_id);
     RecordFrameTiming(frame, trace_id,
                       UsBetween(pending.enqueued, exec_start),
-                      UsBetween(exec_start, Clock::now()));
+                      UsBetween(exec_start, Clock::now()),
+                      /*service_locked=*/false);
     bool flush_now;
     {
       std::lock_guard lock(c->mu);
-      c->wbuf.insert(c->wbuf.end(), out.begin(), out.end());
+      if (c->wbuf.empty()) {
+        c->wbuf.swap(out);  // the common case: no copy
+      } else {
+        c->wbuf.insert(c->wbuf.end(), out.begin(), out.end());
+      }
       if (shutdown_after_reply) c->shutdown_after_flush = true;
       // Batch small pipelined replies into large sends; flush eagerly once
       // a chunk has built up (or a shutdown reply must get out).
@@ -606,7 +711,8 @@ void ProvenanceServer::DispatchLoop(std::shared_ptr<Conn> c) {
   FlushAndSettle(c);
 }
 
-void ProvenanceServer::FlushAndSettle(const std::shared_ptr<Conn>& c) {
+void ProvenanceServer::FlushAndSettle(const std::shared_ptr<Conn>& c,
+                                      IoThread* owner) {
   bool begin_shutdown = false;
   bool redispatch = false;
   bool nudge = false;
@@ -641,8 +747,11 @@ void ProvenanceServer::FlushAndSettle(const std::shared_ptr<Conn>& c) {
       }
     }
     const size_t backlog = c->wbuf.size() - c->woff;
+    // On the owner thread, its caller's TryClose settles a dead transport
+    // or a finished connection, and EPOLLOUT is armed right here: the
+    // eventfd nudge is only for news another thread must deliver.
     if (c->io_error) {
-      nudge = true;  // owner force-closes
+      nudge = owner == nullptr;  // owner force-closes
     } else {
       if (backlog == 0 && c->shutdown_after_flush) {
         c->shutdown_after_flush = false;
@@ -653,9 +762,16 @@ void ProvenanceServer::FlushAndSettle(const std::shared_ptr<Conn>& c) {
         redispatch = true;
         nudge = true;
       }
-      if (c->want_write && !c->epollout_armed) nudge = true;
-      if (backlog == 0 && (c->close_after_flush || c->read_closed) &&
-          !c->task_active && c->pending.empty() &&
+      if (c->want_write && !c->epollout_armed) {
+        if (owner != nullptr) {
+          c->ArmWritable(owner->epoll_fd);
+        } else {
+          nudge = true;
+        }
+      }
+      if (owner == nullptr && backlog == 0 &&
+          (c->close_after_flush || c->read_closed) && !c->task_active &&
+          c->pending.empty() &&
           !(c->terminal.has_value() && !c->terminal_encoded)) {
         nudge = true;  // nothing left: owner closes
       }
@@ -668,7 +784,7 @@ void ProvenanceServer::FlushAndSettle(const std::shared_ptr<Conn>& c) {
 
 void ProvenanceServer::HandleWritable(IoThread& io,
                                       const std::shared_ptr<Conn>& c) {
-  FlushAndSettle(c);
+  FlushAndSettle(c, &io);
   std::lock_guard lock(c->mu);
   if (c->closed) return;
   if (!c->want_write && c->epollout_armed) {
@@ -682,25 +798,13 @@ void ProvenanceServer::HandleWritable(IoThread& io,
 
 void ProvenanceServer::ServiceNudge(IoThread& io,
                                     const std::shared_ptr<Conn>& c) {
-  bool arm = false;
   bool read_more = false;
   {
     std::lock_guard lock(c->mu);
     if (c->closed) return;
-    if (c->want_write && !c->epollout_armed) {
-      // EPOLL_CTL_MOD re-arms the edge: if the socket is already writable
-      // again, the event fires immediately — no stall window.
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
-      ev.data.ptr = c.get();
-      if (::epoll_ctl(io.epoll_fd, EPOLL_CTL_MOD, c->fd, &ev) == 0) {
-        c->epollout_armed = true;
-      }
-      arm = true;
-    }
+    if (c->want_write && !c->epollout_armed) c->ArmWritable(io.epoll_fd);
     read_more = !c->read_closed && !c->paused && !c->read_throttled;
   }
-  (void)arm;
   // A nudge can mean "resume reading" (backpressure lifted, throttle
   // cleared): the data's edge was consumed long ago, so read explicitly.
   if (read_more) ReadFrom(io, c);
@@ -829,9 +933,10 @@ std::vector<SlowQueryEntry> ProvenanceServer::slow_queries() const {
   return {slow_queries_.begin(), slow_queries_.end()};
 }
 
-void ProvenanceServer::RecordFrameTiming(const Frame& frame,
+void ProvenanceServer::RecordFrameTiming(const FrameView& frame,
                                          uint64_t trace_id, uint64_t queue_us,
-                                         uint64_t exec_us) {
+                                         uint64_t exec_us,
+                                         bool service_locked) {
   const size_t op = static_cast<uint8_t>(frame.type);
   if (op >= kOpcodeSlots || queue_hist_[op] == nullptr) return;
   queue_hist_[op]->Record(queue_us);
@@ -845,7 +950,8 @@ void ProvenanceServer::RecordFrameTiming(const Frame& frame,
   if (entry.run_id != 0) {
     // Slow path only: a brief shared service lock to resolve the owning
     // shard (the registry can be swapped by kLoadSnapshot/ReplaceService).
-    std::shared_lock service_lock(service_mu_);
+    std::shared_lock service_lock(service_mu_, std::defer_lock);
+    if (!service_locked) service_lock.lock();
     entry.shard = service_.shard_of(RunId::FromValue(entry.run_id));
   }
   entry.queue_us = queue_us;
@@ -881,64 +987,47 @@ std::string ProvenanceServer::RenderMetricsText() {
   return RenderMetricsLocked();
 }
 
-void ProvenanceServer::HandleFrame(const Frame& frame,
+void ProvenanceServer::HandleFrame(const FrameView& frame,
                                    std::vector<uint8_t>* out,
                                    bool* shutdown_after_reply,
                                    uint64_t* trace_id) {
   *trace_id = 0;
+  FrameWriter reply(out, MsgType::kReply, frame.request_id);
   MsgType reply_type = MsgType::kReply;
-  Result<std::vector<uint8_t>> payload = [&]() -> Result<std::vector<uint8_t>> {
-    if (frame.version != kProtocolVersion) {
-      // Name both versions so a mismatched peer's log says exactly which
-      // side must upgrade (asserted by net_server_test).
-      return Status::InvalidArgument(
-          "unsupported protocol version " + std::to_string(frame.version) +
-          "; this server speaks only version " +
-          std::to_string(kProtocolVersion) + ", upgrade the older side");
-    }
-    const OpcodeInfo* op = FindOpcode(static_cast<uint8_t>(frame.type));
-    if (op == nullptr || !op->is_request) {
-      return Status::InvalidArgument(
-          "opcode " + std::to_string(static_cast<uint8_t>(frame.type)) +
-          " is not a request");
-    }
-    if (options_.read_only && op->mutates) {
-      return Status::InvalidArgument(
-          "read-only replica; writes must go to the primary");
-    }
-    if (frame.type == MsgType::kLoadSnapshot) {
-      // The one request that replaces the service object outright: exclude
-      // every other in-flight dispatch for its duration.
-      std::unique_lock lock(service_mu_);
-      return Dispatch(frame, shutdown_after_reply, &reply_type, trace_id);
-    }
-    std::shared_lock lock(service_mu_);
-    return Dispatch(frame, shutdown_after_reply, &reply_type, trace_id);
-  }();
-
-  Frame reply;
-  reply.request_id = frame.request_id;
-  if (payload.ok()) {
-    reply.type = reply_type;
-    reply.payload = std::move(payload).value();
+  const OpcodeInfo* op = FindOpcode(static_cast<uint8_t>(frame.type));
+  Status status;
+  if (frame.version != kProtocolVersion) {
+    // Name both versions so a mismatched peer's log says exactly which
+    // side must upgrade (asserted by net_server_test).
+    status = Status::InvalidArgument(
+        "unsupported protocol version " + std::to_string(frame.version) +
+        "; this server speaks only version " +
+        std::to_string(kProtocolVersion) + ", upgrade the older side");
+  } else if (op == nullptr || !op->is_request) {
+    status = Status::InvalidArgument(
+        "opcode " + std::to_string(static_cast<uint8_t>(frame.type)) +
+        " is not a request");
+  } else if (options_.read_only && op->mutates) {
+    status = Status::InvalidArgument(
+        "read-only replica; writes must go to the primary");
+  } else if (frame.type == MsgType::kLoadSnapshot) {
+    // The one request that replaces the service object outright: exclude
+    // every other in-flight dispatch for its duration.
+    std::unique_lock lock(service_mu_);
+    status = Dispatch(frame, reply.payload(), shutdown_after_reply,
+                      &reply_type, trace_id);
   } else {
-    reply.type = MsgType::kError;
-    // Name the failing request so client-side logs are self-explanatory.
-    Status named(payload.status().code(),
-                 std::string(MsgTypeName(frame.type)) + ": " +
-                     payload.status().message());
-    // Echo the request's trace id (0 when the payload never got as far as
-    // the trace field).
-    reply.payload = EncodeErrorPayload(named, *trace_id);
+    std::shared_lock lock(service_mu_);
+    status = Dispatch(frame, reply.payload(), shutdown_after_reply,
+                      &reply_type, trace_id);
   }
-  EncodeFrame(reply, out);
+  FinishReply(frame, status, reply_type, *trace_id, reply);
 }
 
-Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
-    const Frame& frame, bool* shutdown_after_reply, MsgType* reply_type,
-    uint64_t* trace_id) {
+Status ProvenanceServer::Dispatch(const FrameView& frame, PayloadWriter& out,
+                                  bool* shutdown_after_reply,
+                                  MsgType* reply_type, uint64_t* trace_id) {
   PayloadReader reader(frame.payload);
-  PayloadWriter out;
   // Every request payload ends with a client-generated trace-id varint
   // (docs/OBSERVABILITY.md), after the read token on reads. Every case ends
   // its payload through here.
@@ -1276,12 +1365,11 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
           " is not dispatchable");
   }
   if (bounce) {
+    // Every case bounces before writing its answer: the payload is empty.
     *reply_type = MsgType::kRetryAt;
-    PayloadWriter behind;
-    behind.U64(bounce_applied);
-    return std::move(behind).Finish();
+    out.U64(bounce_applied);
   }
-  return std::move(out).Finish();
+  return Status::OK();
 }
 
 uint64_t ProvenanceServer::CurrentAppliedLsn() const {

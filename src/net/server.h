@@ -12,14 +12,26 @@
 // hundred bytes of state, never a thread, so thousands of mostly-idle
 // clients are cheap. Each accepted connection is owned by exactly one I/O
 // thread (round-robin at accept); that thread does every socket read and
-// all epoll bookkeeping for it. Decoded request frames are handed to a
-// query-execution ThreadPool (Options::num_threads workers): at most one
-// dispatch task runs per connection at a time, draining its frame queue in
-// FIFO order — which is what keeps responses strictly in request order
-// while different connections' queries run concurrently. Responses are
-// appended to a per-connection write buffer and flushed non-blockingly by
-// whoever holds the buffer (the pool task on the fast path, the owning I/O
-// thread via an eventfd nudge + EPOLLOUT when the socket is full).
+// all epoll bookkeeping for it.
+//
+// Bounded reads run to completion on that I/O thread: under an indexed
+// scheme (SearchesGraph() false), a point Reaches or DataDependsOnModule,
+// or a ReachesBatch of at most kMaxInlineBatchPairs pairs, is answered as
+// soon as it is decoded, its reply encoded straight into the connection's
+// write buffer, which is flushed once per read sweep. Each pair is one
+// O(1) label compare, so a thread hop would cost more than the work.
+// Everything else goes to a query-execution ThreadPool
+// (Options::num_threads workers): mutations, snapshot and admin requests,
+// larger batches, DependsOn and ModuleDependsOnData (one compare per reader
+// of a data item), every read under a search scheme (BFS/DFS: a memo miss
+// is a graph search), and any read that arrives while its connection still
+// has pooled work queued or running, or while a kLoadSnapshot swap holds
+// the service. At most one dispatch task runs per connection at a time,
+// draining its frame queue in FIFO order, so responses stay strictly in
+// request order and a read never overtakes an earlier write on its
+// connection. Pool tasks flush what they append; the owning I/O thread
+// finishes a flush via EPOLLOUT when the socket is full (pool threads ask
+// it to through an eventfd nudge).
 //
 // Flow control: the per-connection write buffer is bounded
 // (Options::max_write_buffer_bytes). A client that stops draining its
@@ -81,10 +93,12 @@ struct ProvenanceServerOptions {
   /// Listen address. Loopback by default: serving beyond the host is a
   /// deployment decision (see docs/NETWORK.md) — pass "0.0.0.0" explicitly.
   std::string bind_address = "127.0.0.1";
-  /// Query-execution pool size: how many requests (across all connections)
-  /// can be answered concurrently. 0 = one per hardware thread. Workers
-  /// are no longer pinned to connections — a worker serves one request
-  /// batch and moves on — so this bounds CPU parallelism, not clients.
+  /// Worker-pool size: how many mutations, admin requests, large batches
+  /// and unbounded reads (across all connections) can run concurrently.
+  /// 0 = one per hardware thread. Bounded reads do not use it: the I/O
+  /// threads answer them (see the threading model above). A worker serves
+  /// one connection's queue and moves on, so this bounds CPU parallelism,
+  /// not clients.
   unsigned num_threads = 8;
   /// Reactor (epoll) I/O threads multiplexing the sockets. 0 = 1. More
   /// than 1 only pays off when socket I/O itself saturates a core;
@@ -228,6 +242,21 @@ class ProvenanceServer {
   /// reads pause (the request-side twin of max_write_buffer_bytes).
   static constexpr size_t kMaxPendingFrames = 1024;
 
+  /// The largest ReachesBatch an I/O thread answers itself; larger ones go
+  /// to the worker pool. An inline batch holds up every other connection
+  /// of its I/O thread while it runs; a pooled one pays a thread hop. Both
+  /// sides measured by bench_net's batch-split mode (one I/O thread, a
+  /// batch stream beside timed point reads, TCM, 4-vCPU VM, medians of 6
+  /// runs, docs/BENCHMARKS.md): inline batches ran 17-26 % more pairs/s
+  /// than pooled ones at every size, and the other connection's point p99
+  /// was 135 vs 64 us at 1024 pairs, 368 vs 65 us at 4096 and 1050 vs 108
+  /// us at 16384. 1024 keeps that stall within about two pooled p99s. The
+  /// value is a judgement on those figures, not a measured optimum (sizes
+  /// between the measured ones were not tried). It is a constant, not an
+  /// Options field: it weighs other clients' latency against one thread
+  /// hop, and neither depends on the deployment.
+  static constexpr size_t kMaxInlineBatchPairs = 1024;
+
  private:
   struct Conn;      // per-connection state (server.cc)
   struct IoThread;  // per-reactor-thread state (server.cc)
@@ -250,9 +279,19 @@ class ProvenanceServer {
   /// Adds a connection to its owner thread's epoll + map (owner only).
   void AdoptConn(IoThread& io, const std::shared_ptr<Conn>& conn);
 
-  /// Reads until EAGAIN/EOF, feeds the decoder, queues decoded frames and
-  /// submits a dispatch task when one is due. Owner I/O thread only.
+  /// Reads until EAGAIN/EOF and feeds the decoder. Each decoded frame is
+  /// answered inline when AnswerInline allows, and queued otherwise; then
+  /// flushes the inline replies and submits a dispatch task when one is
+  /// due. Owner I/O thread only.
   void ReadFrom(IoThread& io, const std::shared_ptr<Conn>& conn);
+  /// Answers `frame` on the calling (owner I/O) thread, its reply encoded
+  /// into the write buffer, when it is a bounded read (a runs_inline
+  /// opcode; a batch of at most kMaxInlineBatchPairs pairs), the
+  /// connection has nothing queued or running in the pool, its write
+  /// backlog is under the cap, service_mu_ is free to share, and the
+  /// served scheme does not search the graph. False when any of these
+  /// fails: the caller queues the frame instead.
+  bool AnswerInline(Conn& conn, const FrameView& frame);
   /// EPOLLOUT handler: flush, then disarm EPOLLOUT once the buffer drains.
   /// Owner I/O thread only.
   void HandleWritable(IoThread& io, const std::shared_ptr<Conn>& conn);
@@ -267,8 +306,11 @@ class ProvenanceServer {
   void DispatchLoop(std::shared_ptr<Conn> conn);
   /// Flushes the write buffer (non-blocking) and settles the aftermath:
   /// un-pausing, EPOLLOUT arming, shutdown-after-flush, owner nudging.
-  /// Safe from pool and I/O threads.
-  void FlushAndSettle(const std::shared_ptr<Conn>& conn);
+  /// Safe from pool and I/O threads; `owner` is the calling thread when it
+  /// is the connection's owner, which then arms EPOLLOUT itself and leaves
+  /// closing to its own TryClose instead of nudging itself.
+  void FlushAndSettle(const std::shared_ptr<Conn>& conn,
+                      IoThread* owner = nullptr);
   /// Closes the connection if it has nothing left to do (or `force`).
   /// Owner I/O thread only.
   void TryClose(IoThread& io, const std::shared_ptr<Conn>& conn, bool force);
@@ -277,33 +319,35 @@ class ProvenanceServer {
   /// through the thread's eventfd. Any thread.
   void NudgeOwner(const std::shared_ptr<Conn>& conn);
 
-  /// Dispatches one decoded request frame, appending the encoded response
-  /// frame to *out; sets *shutdown_after_reply for kShutdown and
-  /// *trace_id to the request's trace token (0 when the payload failed
-  /// before the trace field).
-  void HandleFrame(const Frame& frame, std::vector<uint8_t>* out,
+  /// Dispatches one decoded request frame under service_mu_ (the pool
+  /// path), appending the encoded response frame to *out; sets
+  /// *shutdown_after_reply for kShutdown and *trace_id to the request's
+  /// trace token (0 when the payload failed before the trace field).
+  void HandleFrame(const FrameView& frame, std::vector<uint8_t>* out,
                    bool* shutdown_after_reply, uint64_t* trace_id);
 
-  /// Request-type switch: decodes the payload, calls the service, encodes
-  /// the reply payload. Caller holds service_mu_ (unique for LoadSnapshot,
-  /// shared otherwise) and maps errors onto a kError response. The reply is
-  /// kReply unless the case overrides *reply_type (kLogEntries for
-  /// kSubscribe, kRetryAt for a read whose min-LSN token is ahead of the
-  /// applied LSN). Every payload ends with a trace-id varint, written to
-  /// *trace_id.
-  Result<std::vector<uint8_t>> Dispatch(const Frame& frame,
-                                        bool* shutdown_after_reply,
-                                        MsgType* reply_type,
-                                        uint64_t* trace_id);
+  /// Request-type switch: decodes the payload, calls the service, writes
+  /// the reply payload through `out`. Caller holds service_mu_ (unique for
+  /// LoadSnapshot, shared otherwise) and maps an error onto a kError reply,
+  /// dropping any payload written before it. The reply is kReply unless the
+  /// case overrides *reply_type (kLogEntries for kSubscribe, kRetryAt for a
+  /// read whose min-LSN token is ahead of the applied LSN). Every request
+  /// payload ends with a trace-id varint, written to *trace_id.
+  Status Dispatch(const FrameView& frame, PayloadWriter& out,
+                  bool* shutdown_after_reply, MsgType* reply_type,
+                  uint64_t* trace_id);
 
   /// Registers the per-opcode histograms and replication gauges (Start
   /// path, before any frame can arrive).
   void RegisterMetrics();
 
   /// Records one dispatched frame's timing into the per-opcode histograms
-  /// and, past the slow-query threshold, into the ring buffer.
-  void RecordFrameTiming(const Frame& frame, uint64_t trace_id,
-                         uint64_t queue_us, uint64_t exec_us);
+  /// and, past the slow-query threshold, into the ring buffer (whose shard
+  /// lookup takes service_mu_ shared unless `service_locked` says the
+  /// caller already holds it).
+  void RecordFrameTiming(const FrameView& frame, uint64_t trace_id,
+                         uint64_t queue_us, uint64_t exec_us,
+                         bool service_locked);
 
   /// RenderMetricsText body; caller holds service_mu_ (the kMetrics
   /// dispatch case already does and must not re-lock).
@@ -324,8 +368,9 @@ class ProvenanceServer {
 
   // service_mu_ lets kLoadSnapshot swap the whole service object while no
   // request is mid-dispatch: every handler takes it shared, the load
-  // handler takes it unique. All other synchronization is inside the
-  // service itself.
+  // handler takes it unique. I/O threads only ever try it (AnswerInline),
+  // so a swap never blocks the reactor. All other synchronization is
+  // inside the service itself.
   std::shared_mutex service_mu_;
   ProvenanceService service_;
 

@@ -13,6 +13,7 @@
 #include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
+#include "src/common/varint.h"
 
 namespace skl {
 namespace {
@@ -285,6 +286,50 @@ TEST(BitCodecTest, RoundTripVarint) {
   EXPECT_EQ(v, 128u);
   ASSERT_TRUE(r.ReadVarint(&v).ok());
   EXPECT_EQ(v, UINT64_MAX);
+}
+
+TEST(VarintTest, DecodesWhatItAppendsAndRejectsBadInput) {
+  const uint64_t values[] = {0, 1, 127, 128, 16383, 16384, uint64_t{1} << 63,
+                             UINT64_MAX};
+  std::vector<uint8_t> bytes;
+  for (uint64_t value : values) AppendVarint(value, &bytes);
+  size_t pos = 0;
+  for (uint64_t value : values) {
+    uint64_t got = 0;
+    ASSERT_EQ(DecodeVarint(bytes, &pos, &got), VarintError::kNone);
+    EXPECT_EQ(got, value);
+  }
+  EXPECT_EQ(pos, bytes.size());
+  // After a split inside the last varint, the rest is truncated and nothing
+  // moves.
+  uint64_t got = 7;
+  pos = bytes.size() - 1;
+  EXPECT_EQ(DecodeVarint({bytes.data(), bytes.size() - 1}, &pos, &got),
+            VarintError::kTruncated);
+  EXPECT_EQ(pos, bytes.size() - 1);
+  EXPECT_EQ(got, 7u);
+  // Eleven continuation bytes cannot be a 64-bit value.
+  const std::vector<uint8_t> too_long(11, 0x80);
+  pos = 0;
+  EXPECT_EQ(DecodeVarint(too_long, &pos, &got), VarintError::kTooLong);
+  EXPECT_EQ(pos, 0u);
+  // BitWriter and BitReader keep the same bytes after unaligned fields.
+  BitWriter w;
+  w.Write(1, 3);
+  for (uint64_t value : values) w.WriteVarint(value);
+  std::vector<uint8_t> expected;
+  expected.push_back(0x20);  // the 3-bit field, padded
+  for (uint64_t value : values) AppendVarint(value, &expected);
+  const std::vector<uint8_t> written = w.Finish();
+  EXPECT_EQ(written, expected);
+  BitReader r(written);
+  uint64_t head = 0;
+  ASSERT_TRUE(r.Read(3, &head).ok());
+  for (uint64_t value : values) {
+    ASSERT_TRUE(r.ReadVarint(&got).ok());
+    EXPECT_EQ(got, value);
+  }
+  EXPECT_FALSE(r.ReadVarint(&got).ok());
 }
 
 TEST(BitCodecTest, ReadPastEndFails) {

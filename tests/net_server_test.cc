@@ -7,13 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -784,6 +792,290 @@ TEST(NetServerTest, ShutdownFrameDrainsTheServer) {
   EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
   // Idempotent from the owner's side too.
   server->Shutdown();
+}
+
+// ------------------------------------------------------- run to completion --
+// Bounded reads are answered on the connection's I/O thread; everything
+// else goes through the worker pool. These pin the ordering and isolation
+// that split must keep.
+
+/// The next whole frame from `fd`, or nullopt when none arrives within
+/// `timeout_ms` (or the peer closed).
+std::optional<Frame> ReadFrameWithin(int fd, FrameDecoder& decoder,
+                                     int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    auto next = decoder.Next();
+    SKL_CHECK_MSG(next.ok(), next.status().ToString().c_str());
+    if (next->has_value()) return std::move(*next);
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return std::nullopt;
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, static_cast<int>(left.count())) <= 0) continue;
+    uint8_t buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return std::nullopt;
+    decoder.Feed({buf, static_cast<size_t>(n)});
+  }
+}
+
+/// A request frame whose payload is `fields` as varints.
+Frame RequestFrame(MsgType type, uint64_t request_id,
+                   std::initializer_list<uint64_t> fields) {
+  PayloadWriter payload;
+  for (uint64_t field : fields) payload.U64(field);
+  return Frame{kProtocolVersion, type, request_id,
+               std::move(payload).Finish()};
+}
+
+/// kLoadSnapshot {path, trace id}.
+Frame LoadSnapshotFrame(uint64_t request_id, const std::string& path) {
+  PayloadWriter payload;
+  payload.Str(path);
+  payload.U64(0);
+  return Frame{kProtocolVersion, MsgType::kLoadSnapshot, request_id,
+               std::move(payload).Finish()};
+}
+
+TEST(NetServerTest, SlowAddRunDoesNotDelayPointReadsOnAnotherConnection) {
+  // One I/O thread and one worker. Were point reads pooled, B's next read
+  // would wait behind A's AddRun on the only worker.
+  auto server = StartServer(SpecSchemeKind::kTcm, /*server_threads=*/1);
+  const RunId run = server->service().ListRuns().front();
+  const std::string big_run = WriteRunXml(GenerateRun(
+      testing_util::MakeSpecFor(SpecSchemeKind::kTcm), 40000, 21));
+  ProvenanceClient writer = NewClient(*server);
+  ProvenanceClient reader = NewClient(*server);
+
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> added{false};
+  Clock::duration add_time{};
+  std::thread add([&] {
+    const auto start = Clock::now();
+    auto id = writer.AddRunXml(big_run);
+    add_time = Clock::now() - start;
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    added.store(true);
+  });
+  size_t reads = 0;
+  Clock::duration slowest{};
+  while (!added.load()) {
+    const auto start = Clock::now();
+    auto got = reader.Reaches(run, 0, 1);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    slowest = std::max(slowest, Clock::now() - start);
+    ++reads;
+  }
+  add.join();
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  EXPECT_LT(slowest, add_time / 2)
+      << "slowest read " << ms(slowest) << " ms during an AddRun of "
+      << ms(add_time) << " ms";
+  EXPECT_GE(reads, 10u) << "AddRun took " << ms(add_time) << " ms";
+  server->Shutdown();
+}
+
+TEST(NetServerTest, SearchSchemeBatchDoesNotDelayPointReadsOnAnotherConnection) {
+  // Under BFS a memo miss is a graph search. On a chain spec, the pair
+  // (u, v) with v before u searches the whole chain below u and fails, so
+  // a batch of distinct such pairs is slow however few its pairs are. One
+  // I/O thread: had it answered the batch, B's reads would wait for it.
+  constexpr uint32_t kModules = 10000;
+  SpecificationBuilder builder;
+  for (uint32_t i = 0; i < kModules; ++i) {
+    builder.AddModule("m" + std::to_string(i));
+  }
+  for (uint32_t i = 1; i < kModules; ++i) builder.AddEdge(i - 1, i);
+  auto spec = std::move(builder).Build();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  RunBuilder run_builder(spec->shared_modules());
+  for (uint32_t i = 0; i < kModules; ++i) {
+    run_builder.AddVertexById(static_cast<ModuleId>(i));
+    if (i > 0) run_builder.AddEdge(i - 1, i);
+  }
+  auto chain_run = std::move(run_builder).Build();
+  ASSERT_TRUE(chain_run.ok()) << chain_run.status().ToString();
+  auto service = ProvenanceService::Create(std::move(spec).value(),
+                                           SpecSchemeKind::kBfs);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto run = service->AddRun(*chain_run);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ProvenanceServer::Options options;
+  options.num_threads = 2;
+  auto server =
+      ProvenanceServer::Start(std::move(service).value(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ProvenanceClient batcher = NewClient(**server);
+  ProvenanceClient reader = NewClient(**server);
+
+  // Small enough that an indexed scheme's batch would run inline.
+  std::vector<VertexPair> batch;
+  for (VertexId k = 0; k < ProvenanceServer::kMaxInlineBatchPairs; ++k) {
+    batch.push_back({k + 1024, k});
+  }
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> answered{false};
+  Clock::duration batch_time{};
+  std::thread search([&] {
+    const auto start = Clock::now();
+    auto got = batcher.ReachesBatch(*run, batch);
+    batch_time = Clock::now() - start;
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (got.ok()) EXPECT_EQ(std::count(got->begin(), got->end(), true), 0);
+    answered.store(true);
+  });
+  size_t reads = 0;
+  Clock::duration slowest{};
+  while (!answered.load()) {
+    const auto start = Clock::now();
+    auto got = reader.Reaches(*run, 0, 1);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(*got);
+    slowest = std::max(slowest, Clock::now() - start);
+    ++reads;
+  }
+  search.join();
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  EXPECT_LT(slowest, batch_time / 2)
+      << "slowest read " << ms(slowest) << " ms during a batch of "
+      << ms(batch_time) << " ms";
+  EXPECT_GE(reads, 10u) << "the batch took " << ms(batch_time) << " ms";
+  (*server)->Shutdown();
+}
+
+TEST(NetServerTest, ReadPipelinedBehindRemoveRunAnswersNotFound) {
+  auto server = StartServer(SpecSchemeKind::kTcm);
+  ProvenanceClient client = NewClient(*server);
+  const std::string run_xml =
+      WriteRunXml(testing_util::MakeRunningExample().run);
+  std::vector<RunId> ids;
+  for (int i = 0; i < 16; ++i) {
+    auto id = client.AddRunXml(run_xml);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  // One burst: RemoveRun(id) then Reaches(id) for every run. Each read is
+  // decoded while its RemoveRun is still queued or running in the pool, and
+  // must wait for it rather than answer from the registry as it was.
+  std::vector<uint8_t> wire;
+  uint64_t request_id = 0;
+  for (RunId id : ids) {
+    EncodeFrame(RequestFrame(MsgType::kRemoveRun, ++request_id,
+                             {id.value(), 0}),
+                &wire);
+    EncodeFrame(RequestFrame(MsgType::kReaches, ++request_id,
+                             {id.value(), 0, 0, 0, 0}),
+                &wire);
+  }
+  RawConn conn(server->port());
+  conn.Send(wire);
+  conn.FinishWrites();
+  FrameDecoder decoder;
+  decoder.Feed(conn.ReadUntilEof());
+  for (uint64_t expected = 1; expected <= request_id; ++expected) {
+    SCOPED_TRACE("request " + std::to_string(expected));
+    auto next = decoder.Next();
+    ASSERT_TRUE(next.ok() && next->has_value());
+    ASSERT_EQ((*next)->request_id, expected) << "replies out of order";
+    if (expected % 2 == 1) {
+      EXPECT_EQ((*next)->type, MsgType::kReply);
+    } else {
+      ASSERT_EQ((*next)->type, MsgType::kError);
+      EXPECT_EQ(DecodeErrorPayload((*next)->payload).code(),
+                StatusCode::kNotFound);
+    }
+  }
+  server->Shutdown();
+}
+
+TEST(NetServerTest, ReadDuringSnapshotSwapWaitsForTheNewService) {
+  auto server = StartServer(SpecSchemeKind::kTcm, /*server_threads=*/1);
+  ProvenanceClient client = NewClient(*server);
+  const RunId run = server->service().ListRuns().front();
+  const std::string snapshot =
+      PidQualifiedTempPath("skl_net_server_test_swap", ".skls");
+  const std::string fifo =
+      PidQualifiedTempPath("skl_net_server_test_swap", ".fifo");
+  ASSERT_TRUE(client.SaveSnapshot(snapshot).ok());
+  // The live service forgets `run`; the snapshot still holds it.
+  ASSERT_TRUE(client.RemoveRun(run).ok());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+  // Connection A: a LoadSnapshot of a FIFO holds service_mu_ exclusively
+  // for as long as the FIFO has no writer; then, on the same connection and
+  // so in the same pool task, a real LoadSnapshot brings `run` back.
+  RawConn a(server->port());
+  std::vector<uint8_t> loads;
+  EncodeFrame(LoadSnapshotFrame(1, fifo), &loads);
+  EncodeFrame(LoadSnapshotFrame(2, snapshot), &loads);
+  a.Send(loads);
+
+  // Connection B: Reaches(run, 0, 0). Until the swap holds the lock it is
+  // answered at once, from the old service (NotFound). Once one stays
+  // unanswered, it found the lock taken and was handed to the pool.
+  RawConn b(server->port());
+  FrameDecoder b_decoder;
+  uint64_t b_id = 0;
+  for (;;) {
+    ASSERT_LT(b_id, 200u) << "the swap never took the service lock";
+    b.Send(EncodeOne(RequestFrame(MsgType::kReaches, ++b_id,
+                                  {run.value(), 0, 0, 0, 0})));
+    std::optional<Frame> early = ReadFrameWithin(b.fd(), b_decoder, 200);
+    if (!early.has_value()) break;
+    ASSERT_EQ(early->type, MsgType::kError);
+    ASSERT_EQ(DecodeErrorPayload(early->payload).code(),
+              StatusCode::kNotFound);
+  }
+
+  // The reactor is not blocked behind the swap: it still accepts.
+  const uint64_t accepted = server->reactor_stats().connections_accepted;
+  RawConn c(server->port());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server->reactor_stats().connections_accepted == accepted &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(server->reactor_stats().connections_accepted, accepted);
+
+  // Release the FIFO load: opening the write end succeeds only while the
+  // server has the read end open, i.e. inside the swap.
+  int writer = -1;
+  while ((writer = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0) {
+    ASSERT_EQ(errno, ENXIO) << std::strerror(errno);
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::close(writer);
+
+  FrameDecoder a_decoder;
+  std::optional<Frame> fifo_load = ReadFrameWithin(a.fd(), a_decoder, 10000);
+  ASSERT_TRUE(fifo_load.has_value());
+  EXPECT_EQ(fifo_load->type, MsgType::kError);
+  std::optional<Frame> real_load = ReadFrameWithin(a.fd(), a_decoder, 10000);
+  ASSERT_TRUE(real_load.has_value());
+  EXPECT_EQ(real_load->type, MsgType::kReply);
+  // B's read was answered after the swap, from the new service.
+  std::optional<Frame> late = ReadFrameWithin(b.fd(), b_decoder, 10000);
+  ASSERT_TRUE(late.has_value());
+  EXPECT_EQ(late->request_id, b_id);
+  ASSERT_EQ(late->type, MsgType::kReply)
+      << DecodeErrorPayload(late->payload).ToString();
+  PayloadReader answer(late->payload);
+  auto reaches = answer.Boolean();
+  ASSERT_TRUE(reaches.ok());
+  EXPECT_TRUE(*reaches);  // reflexive
+
+  server->Shutdown();
+  std::error_code ec;
+  std::filesystem::remove(snapshot, ec);
+  std::filesystem::remove(fifo, ec);
 }
 
 std::unique_ptr<ProvenanceServer> StartServerWithIdleTimeout(

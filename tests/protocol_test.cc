@@ -10,8 +10,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -266,15 +269,191 @@ TEST(ProtocolTest, OpcodeTableHasOneNamedRowPerOpcode) {
     EXPECT_STREQ(MsgTypeName(row.type), row.name);
     EXPECT_STRNE(row.name, "Unknown");
     EXPECT_TRUE(names.insert(row.name).second) << "duplicate name";
-    // Only requests mutate or name a run.
+    // Only requests mutate or name a run; only run-naming reads run on an
+    // I/O thread.
     if (!row.is_request) EXPECT_FALSE(row.mutates || row.names_run);
+    if (row.runs_inline) EXPECT_TRUE(row.names_run && !row.mutates);
   }
+  // Every byte value finds the row of that opcode, or none.
   size_t found = 0;
   for (int op = 0; op < 256; ++op) {
-    if (FindOpcode(static_cast<uint8_t>(op)) != nullptr) ++found;
+    SCOPED_TRACE(op);
+    const OpcodeInfo* row = FindOpcode(static_cast<uint8_t>(op));
+    const auto it = std::find_if(
+        OpcodeTable().begin(), OpcodeTable().end(), [&](const OpcodeInfo& r) {
+          return static_cast<uint8_t>(r.type) == op;
+        });
+    if (it == OpcodeTable().end()) {
+      EXPECT_EQ(row, nullptr);
+      EXPECT_STREQ(MsgTypeName(static_cast<MsgType>(op)), "Unknown");
+    } else {
+      EXPECT_EQ(row, &*it);
+      ++found;
+    }
   }
   EXPECT_EQ(found, OpcodeTable().size());
-  EXPECT_STREQ(MsgTypeName(static_cast<MsgType>(200)), "Unknown");
+  // The reads costing one label compare a pair, and nothing else, are
+  // answered inline.
+  std::set<std::string> inline_rows;
+  for (const OpcodeInfo& row : OpcodeTable()) {
+    if (row.runs_inline) inline_rows.insert(row.name);
+  }
+  EXPECT_EQ(inline_rows,
+            (std::set<std::string>{"Reaches", "ReachesBatch",
+                                   "DataDependsOnModule"}));
+}
+
+// ----------------------------------------------------------- golden bytes --
+// The exact wire bytes of representative frames. A codec rewrite must leave
+// every one of them unchanged; a change here is a protocol change and needs
+// a kProtocolVersion bump.
+
+std::string Hex(std::span<const uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+Frame FieldsFrame(MsgType type, uint64_t request_id,
+                  std::initializer_list<uint64_t> fields) {
+  PayloadWriter payload;
+  for (uint64_t field : fields) payload.U64(field);
+  return Frame{kProtocolVersion, type, request_id,
+               std::move(payload).Finish()};
+}
+
+/// A kReply to a ReachesBatch: the answer count, then one boolean each.
+Frame BatchReplyFrame(uint64_t request_id, const std::vector<bool>& answers) {
+  PayloadWriter payload;
+  payload.U64(answers.size());
+  for (bool answer : answers) payload.Boolean(answer);
+  return Frame{kProtocolVersion, MsgType::kReply, request_id,
+               std::move(payload).Finish()};
+}
+
+TEST(ProtocolTest, GoldenWireBytes) {
+  // Reaches {run 7, v 3, w 12, min-LSN 0, trace 0}.
+  EXPECT_EQ(Hex(Encode(FieldsFrame(MsgType::kReaches, 1, {7, 3, 12, 0, 0}))),
+            "534e0000000856019ef806020107030c0000");
+  // The same request with multi-byte varints in every field.
+  EXPECT_EQ(Hex(Encode(FieldsFrame(
+                MsgType::kReaches, 70000,
+                {20000, 16384, (1u << 21) + 5, uint64_t{1} << 35,
+                 0xDEADBEEF}))),
+            "534e0000001ae880da0b0602f0a204a09c01808001858080018080808080"
+            "01effdb6f50d");
+  // ReachesBatch {run 1, 3 pairs, min-LSN 0, trace 9} and its reply.
+  EXPECT_EQ(Hex(Encode(FieldsFrame(MsgType::kReachesBatch, 2,
+                                   {1, 3, 0, 1, 2, 300, 1, 0, 0, 9}))),
+            "534e0000000edc7ae8600603020103000102ac0201000009");
+  EXPECT_EQ(Hex(Encode(BatchReplyFrame(2, {true, false, true}))),
+            "534e00000007ef54460706400203010001");
+  // kError {NotFound, message, trace 42} and kRetryAt {applied LSN 17}.
+  EXPECT_EQ(Hex(Encode(Frame{kProtocolVersion, MsgType::kError, 3,
+                             EncodeErrorPayload(
+                                 Status::NotFound("Reaches: no run 999"),
+                                 42)})),
+            "534e00000019a5b295330641030413526561636865733a206e6f2072756e"
+            "203939392a");
+  EXPECT_EQ(Hex(Encode(FieldsFrame(MsgType::kRetryAt, 4, {17}))),
+            "534e00000004782f56af06430411");
+  // The longest request id: a ten-byte varint.
+  EXPECT_EQ(Hex(Encode(FieldsFrame(MsgType::kRetryAt, UINT64_MAX, {0}))),
+            "534e0000000db90497610643ffffffffffffffffff0100");
+}
+
+TEST(ProtocolTest, LiveServerRepliesWithTheEncodersBytes) {
+  // The server builds its replies in place rather than through
+  // EncodeFrame; the bytes it sends must be exactly EncodeFrame's.
+  testing_util::RunningExample ex = testing_util::MakeRunningExample();
+  auto service = ProvenanceService::Create(ex.spec, SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto id = service->AddRun(ex.run);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  const std::vector<VertexPair> pairs = {
+      {ex.rv("a1"), ex.rv("d1")}, {ex.rv("d1"), ex.rv("a1")},
+      {ex.rv("b1"), ex.rv("g1")}};
+  auto direct = service->ReachesBatch(*id, pairs);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  auto server = ProvenanceServer::Start(std::move(service).value(), {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  std::vector<uint64_t> batch = {id->value(), pairs.size()};
+  for (const VertexPair& p : pairs) {
+    batch.push_back(p.first);
+    batch.push_back(p.second);
+  }
+  batch.push_back(0);  // min-LSN
+  batch.push_back(5);  // trace id
+  PayloadWriter batch_payload;
+  for (uint64_t field : batch) batch_payload.U64(field);
+  std::vector<uint8_t> wire;
+  EncodeFrame(Frame{kProtocolVersion, MsgType::kReachesBatch, 1,
+                    std::move(batch_payload).Finish()},
+              &wire);
+  // A server without an op-log has applied LSN 0, so a min-LSN token of 1
+  // bounces as kRetryAt {0}.
+  EncodeFrame(FieldsFrame(MsgType::kReaches, 2, {id->value(), 0, 0, 1, 0}),
+              &wire);
+  // An unknown run: kError.
+  EncodeFrame(FieldsFrame(MsgType::kReaches, 3, {999, 0, 0, 0, 6}), &wire);
+  // A mutation, answered by the worker pool rather than the I/O thread.
+  EncodeFrame(FieldsFrame(MsgType::kRemoveRun, 4, {999, 7}), &wire);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons((*server)->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  ::shutdown(fd, SHUT_WR);
+  std::vector<uint8_t> received;
+  uint8_t buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    received.insert(received.end(), buf, buf + n);
+  }
+  ::close(fd);
+  (*server)->Shutdown();
+
+  // Split the stream at frame boundaries; re-encoding each decoded frame
+  // must give back exactly the bytes the server sent.
+  std::vector<std::vector<uint8_t>> replies;
+  FrameDecoder decoder;
+  decoder.Feed(received);
+  size_t offset = 0;
+  for (;;) {
+    auto next = decoder.Next();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    if (!next->has_value()) break;
+    const std::vector<uint8_t> bytes = Encode(**next);
+    ASSERT_LE(offset + bytes.size(), received.size());
+    EXPECT_EQ(Hex(bytes), Hex(std::span<const uint8_t>(received).subspan(
+                              offset, bytes.size())));
+    offset += bytes.size();
+    replies.push_back(bytes);
+  }
+  EXPECT_EQ(offset, received.size());
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_EQ(Hex(replies[0]), Hex(Encode(BatchReplyFrame(1, *direct))));
+  EXPECT_EQ(Hex(replies[1]),
+            Hex(Encode(FieldsFrame(MsgType::kRetryAt, 2, {0}))));
+  uint64_t trace = 0;
+  FrameDecoder one;
+  one.Feed(replies[2]);
+  auto error = one.Next();
+  ASSERT_TRUE(error.ok() && error->has_value());
+  EXPECT_EQ((*error)->type, MsgType::kError);
+  EXPECT_EQ(DecodeErrorPayload((*error)->payload, &trace).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(trace, 6u);
 }
 
 TEST(ProtocolTest, LiveServerDispatchesEveryRequestRow) {
