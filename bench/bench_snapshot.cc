@@ -12,7 +12,7 @@
 // SKL_BENCH_JSON=<path> writes the metrics machine-readably (CI archives
 // them on every push). crc32_mb_per_s is the CRC-32 speed over the
 // snapshot's own bytes, which every save and load checksums once; it is
-// informational, printed next to the gated snapshot_load_* keys.
+// gated, and the crc32 row names the kernel that ran (clmul or table).
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -154,8 +154,9 @@ int main() {
               num_runs / mmap_secs, mb / mmap_secs);
   std::printf("%14s %10.2f %10.0f %10s\n", "relabel (xml)",
               relabel_secs * 1e3, num_runs / relabel_secs, "-");
-  std::printf("%14s %10s %10s %10.1f  (file CRC-32 %08x)\n", "crc32", "-",
-              "-", crc_mb_per_s, crc);
+  std::printf("%14s %10s %10s %10.1f  (%s kernel, file CRC-32 %08x)\n",
+              "crc32", "-", "-", crc_mb_per_s,
+              crc32_internal::HostHasClmul() ? "clmul" : "table", crc);
   std::printf("\nsnapshot: %.3f MB for %zu runs (%llu vertices); "
               "warm restart is %.1fx faster than relabeling\n",
               mb, num_runs, static_cast<unsigned long long>(total_vertices),

@@ -22,6 +22,10 @@ constexpr uint32_t kMagic = 0x534b4c4f;  // "SKLO"
 /// Bytes of the len + CRC prefix in front of every entry payload.
 constexpr size_t kEntryFrameBytes = 8;
 
+/// Upper bound on an entry payload's bytes besides its blob: the op kind
+/// byte and at most eleven varints of at most ten bytes each.
+constexpr size_t kMaxEntryFieldBytes = 1 + 11 * 10;
+
 #if defined(__unix__) || defined(__APPLE__)
 Status FsyncPath(const char* path, int flags, const std::string& what) {
   int fd = ::open(path, flags);
@@ -85,8 +89,11 @@ std::vector<uint8_t> EncodeFilePrefix(const std::string& spec_xml,
 
 // ------------------------------------------------------- entry payloads --
 
-std::vector<uint8_t> SerializeLogOp(const LogOp& op) {
-  BitWriter writer;
+namespace {
+
+/// Appends SerializeLogOp's bytes for `op` to `writer`, after whatever it
+/// already holds.
+void WriteLogOp(const LogOp& op, BitWriter& writer) {
   writer.WriteVarint(op.lsn);
   writer.Write(static_cast<uint8_t>(op.kind), 8);
   switch (op.kind) {
@@ -120,6 +127,20 @@ std::vector<uint8_t> SerializeLogOp(const LogOp& op) {
       writer.WriteBytes(op.blob);
       break;
   }
+}
+
+void StoreBigEndian32(uint32_t value, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(value >> 24);
+  out[1] = static_cast<uint8_t>(value >> 16);
+  out[2] = static_cast<uint8_t>(value >> 8);
+  out[3] = static_cast<uint8_t>(value);
+}
+
+}  // namespace
+
+std::vector<uint8_t> SerializeLogOp(const LogOp& op) {
+  BitWriter writer;
+  WriteLogOp(op, writer);
   return writer.Finish();
 }
 
@@ -467,12 +488,17 @@ Result<uint64_t> OpLog::Append(LogOp op) {
   if (!poisoned_.ok()) return poisoned_;
   const uint64_t lsn = last_lsn_.load(std::memory_order_relaxed) + 1;
   op.lsn = lsn;
-  const std::vector<uint8_t> payload = SerializeLogOp(op);
+  // One buffer per entry: the payload is serialized after an 8-byte slot,
+  // which then takes its big-endian length and CRC in place.
   BitWriter framed;
-  framed.Write(static_cast<uint32_t>(payload.size()), 32);
-  framed.Write(Crc32(payload), 32);
-  framed.WriteBytes(payload);
-  const std::vector<uint8_t> bytes = framed.Finish();
+  framed.Reserve(kEntryFrameBytes + kMaxEntryFieldBytes + op.blob.size());
+  framed.Write(0, 64);
+  WriteLogOp(op, framed);
+  std::vector<uint8_t> bytes = framed.Finish();
+  const std::span<const uint8_t> payload =
+      std::span<const uint8_t>(bytes).subspan(kEntryFrameBytes);
+  StoreBigEndian32(static_cast<uint32_t>(payload.size()), bytes.data());
+  StoreBigEndian32(Crc32(payload), bytes.data() + 4);
   if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size() ||
       std::fflush(file_) != 0) {
     poisoned_ = Status::Internal(

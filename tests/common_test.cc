@@ -364,17 +364,24 @@ TEST(Crc32Test, StreamingMatchesOneShot) {
   EXPECT_NE(Crc32(view.subspan(1)), one_shot);
 }
 
-/// Bit-at-a-time CRC-32 straight from the reflected polynomial: no tables,
-/// so it shares nothing with the slice-by-8 code under test.
-uint32_t ReferenceCrc32(std::span<const uint8_t> bytes) {
+/// Bit-at-a-time CRC-32 straight from the reflected polynomial: no tables
+/// and no carry-less multiply, so it shares nothing with either kernel
+/// under test. Element i is the CRC-32 of bytes.first(i), for i = 0..size.
+std::vector<uint32_t> ReferencePrefixCrc32s(std::span<const uint8_t> bytes) {
+  std::vector<uint32_t> out{0};
   uint32_t c = 0xFFFFFFFFu;
   for (uint8_t b : bytes) {
     c ^= b;
     for (int k = 0; k < 8; ++k) {
       c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
     }
+    out.push_back(c ^ 0xFFFFFFFFu);
   }
-  return c ^ 0xFFFFFFFFu;
+  return out;
+}
+
+uint32_t ReferenceCrc32(std::span<const uint8_t> bytes) {
+  return ReferencePrefixCrc32s(bytes).back();
 }
 
 std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
@@ -408,6 +415,80 @@ TEST(Crc32Test, StreamingMatchesReferenceAtEverySplit) {
         << "split at " << split;
   }
 }
+
+/// One CRC kernel under test: its name and its streaming entry point.
+struct Crc32Kernel {
+  const char* name;
+  uint32_t (*update)(uint32_t, std::span<const uint8_t>);
+  friend void PrintTo(const Crc32Kernel& kernel, std::ostream* os) {
+    *os << kernel.name;
+  }
+};
+
+/// The table kernel always; the carry-less-multiply kernel only on a host
+/// that has PCLMULQDQ (and the test says so when it is skipped).
+class Crc32KernelTest : public ::testing::TestWithParam<Crc32Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam().update == crc32_internal::ClmulCrc32Update &&
+        !crc32_internal::HostHasClmul()) {
+      GTEST_SKIP() << "host CPU lacks PCLMULQDQ; the carry-less-multiply "
+                      "kernel cannot run here";
+    }
+  }
+};
+
+TEST_P(Crc32KernelTest, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-4096 at start offsets 0-15 cover every mix of 64-byte folds,
+  // 16-byte folds and a 0-15 byte tail, at every load alignment.
+  const auto update = GetParam().update;
+  const std::vector<uint8_t> bytes = RandomBytes(4096 + 16, 0xC1C1);
+  const std::span<const uint8_t> view(bytes);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const std::vector<uint32_t> expected =
+        ReferencePrefixCrc32s(view.subspan(offset, 4096));
+    for (size_t length = 0; length <= 4096; ++length) {
+      ASSERT_EQ(update(0, view.subspan(offset, length)), expected[length])
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST_P(Crc32KernelTest, StreamingMatchesReferenceAtEverySplit) {
+  // The second piece starts from a non-zero seed, so the fold's first lane
+  // must take the running register, not a fresh one.
+  const auto update = GetParam().update;
+  const std::vector<uint8_t> bytes = RandomBytes(4096, 0x5EED5);
+  const std::span<const uint8_t> view(bytes);
+  const uint32_t expected = ReferenceCrc32(view);
+  for (size_t split = 0; split <= view.size(); ++split) {
+    const uint32_t head = update(0, view.first(split));
+    ASSERT_EQ(update(head, view.subspan(split)), expected)
+        << "split at " << split;
+  }
+}
+
+TEST_P(Crc32KernelTest, MatchesZlibOnAMebibyte) {
+  // Pinned to zlib.crc32 of the same bytes, so a kernel that agrees with
+  // the reference only by sharing its mistake still fails.
+  const auto update = GetParam().update;
+  std::vector<uint8_t> bytes(size_t{1} << 20);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>((i * 131 + 7) % 251);
+  }
+  const std::span<const uint8_t> view(bytes);
+  EXPECT_EQ(update(0, view), 0x5dcba3c7u);
+  EXPECT_EQ(update(0, view.subspan(3, view.size() - 8)), 0xbf9d254bu);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32KernelTest,
+    ::testing::Values(
+        Crc32Kernel{"Table", crc32_internal::TableCrc32Update},
+        Crc32Kernel{"Clmul", crc32_internal::ClmulCrc32Update}),
+    [](const ::testing::TestParamInfo<Crc32Kernel>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(BitCodecTest, RoundTripRawBytes) {
   std::vector<uint8_t> blob = {0x00, 0xFF, 0x42, 0x13};
