@@ -68,6 +68,7 @@
 // part of the snapshot. The remote stats subcommand also prints the
 // server's spec-memo hit rate (search schemes only).
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -549,21 +550,14 @@ void PrintRunStatsLine(uint64_t id, const RunStats& stats) {
               stats.imported ? " (imported)" : "");
 }
 
-/// Remote `sklctl stats`: with a run-id argument, that run's stats; without,
-/// the service-wide cumulative counters (the new ServiceStats RPC). With
-/// `json`, the counters as one JSON object whose keys are exactly the
-/// ServiceStats field names — the stable machine contract the CI smoke leg
-/// parses.
-int RemoteStats(ProvenanceClient& client, const std::vector<const char*>& args,
+/// Remote `sklctl stats`: with a run id, that run's stats; without, the
+/// service-wide cumulative counters (the ServiceStats RPC). With `json`, the
+/// counters as one JSON object whose keys are exactly the ServiceStats field
+/// names — the stable machine contract the CI smoke leg parses.
+int RemoteStats(ProvenanceClient& client, const std::vector<uint64_t>& run_ids,
                 bool json) {
-  if (args.size() == 1) {
-    if (json) {
-      std::fprintf(stderr,
-                   "error: --json prints the service-wide counters; a "
-                   "run-id argument is not accepted\n");
-      return Usage();
-    }
-    const uint64_t run = std::strtoull(args[0], nullptr, 10);
+  if (run_ids.size() == 1) {
+    const uint64_t run = run_ids[0];
     auto stats = client.Stats(RunId::FromValue(run));
     if (!stats.ok()) return Fail(stats.status());
     PrintRunStatsLine(run, *stats);
@@ -652,6 +646,18 @@ std::vector<std::string> SplitModuleList(const char* csv) {
     start = comma + 1;
   }
   return out;
+}
+
+/// A strictly parsed decimal id in [0, max]: no sign, no trailing text.
+std::optional<uint64_t> ParseId(const char* text, uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
+      *end != '\0' || errno != 0 || parsed > max) {
+    return std::nullopt;
+  }
+  return parsed;
 }
 
 /// `sklctl apply-delta` argument grammar -> SpecDelta; arity/kind misuse
@@ -949,11 +955,46 @@ int main(int argc, char** argv) {
                    cmd.c_str());
       return Usage();
     }
-    // Arity before dialing: misuse must exit 2 even when nothing listens.
-    if ((cmd == "metrics" || cmd == "slow-queries") && !args.empty()) {
-      std::fprintf(stderr, "error: %s takes no positional arguments\n",
-                   cmd.c_str());
+    // Arity and ids before dialing: misuse must exit 2 even when nothing
+    // listens. apply-delta's grammar is checked below.
+    size_t min_args = 0;
+    size_t max_args = 0;
+    if (cmd == "reaches") {
+      min_args = max_args = 3;
+    } else if (cmd == "stats") {
+      max_args = 1;
+    } else if (cmd == "add-run" || cmd == "save" || cmd == "load-snapshot") {
+      min_args = max_args = 1;
+    }
+    if (cmd != "apply-delta" &&
+        (args.size() < min_args || args.size() > max_args)) {
+      std::fprintf(stderr, "error: %s takes %s%zu positional argument(s)\n",
+                   cmd.c_str(), min_args < max_args ? "at most " : "",
+                   max_args);
       return Usage();
+    }
+    if (cmd == "stats" && json_output && !args.empty()) {
+      std::fprintf(stderr,
+                   "error: --json prints the service-wide counters; a "
+                   "run-id argument is not accepted\n");
+      return Usage();
+    }
+    // reaches: run, from, to; stats: an optional run.
+    std::vector<uint64_t> ids;
+    if (cmd == "reaches" || cmd == "stats") {
+      for (size_t i = 0; i < args.size(); ++i) {
+        const uint64_t max = i == 0 ? UINT64_MAX : UINT32_MAX;
+        std::optional<uint64_t> id = ParseId(args[i], max);
+        if (!id.has_value()) {
+          std::fprintf(stderr,
+                       "error: %s id must be an integer in [0, %llu], got "
+                       "'%s'\n",
+                       i == 0 ? "run" : "vertex",
+                       static_cast<unsigned long long>(max), args[i]);
+          return Usage();
+        }
+        ids.push_back(*id);
+      }
     }
     std::optional<SpecDelta> delta;
     if (cmd == "apply-delta") {
@@ -1002,12 +1043,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "reaches") {
-      if (args.size() != 3) return Usage();
-      const uint64_t run = std::strtoull(args[0], nullptr, 10);
-      const VertexId u =
-          static_cast<VertexId>(std::strtoul(args[1], nullptr, 10));
-      const VertexId v =
-          static_cast<VertexId>(std::strtoul(args[2], nullptr, 10));
+      const uint64_t run = ids[0];
+      const VertexId u = static_cast<VertexId>(ids[1]);
+      const VertexId v = static_cast<VertexId>(ids[2]);
       auto reach = client->Reaches(RunId::FromValue(run), u, v);
       if (!reach.ok()) return Fail(reach.status());
       std::printf("run %llu: %u -> %u : %s\n",
@@ -1015,12 +1053,8 @@ int main(int argc, char** argv) {
                   *reach ? "reachable" : "unreachable");
       return 0;
     }
-    if (cmd == "stats") {
-      if (args.size() > 1) return Usage();
-      return RemoteStats(*client, args, json_output);
-    }
+    if (cmd == "stats") return RemoteStats(*client, ids, json_output);
     if (cmd == "add-run") {
-      if (args.size() != 1) return Usage();
       auto xml = ReadFile(args[0]);
       if (!xml.ok()) return Fail(xml.status());
       auto id = client->AddRunXml(*xml);
@@ -1031,7 +1065,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "list-runs") {
-      if (!args.empty()) return Usage();
       auto ids = client->ListRuns();
       if (!ids.ok()) return Fail(ids.status());
       for (RunId id : *ids) {
@@ -1043,7 +1076,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "save") {
-      if (args.size() != 1) return Usage();
       Status saved = client->SaveSnapshot(args[0]);
       if (!saved.ok()) return Fail(saved);
       std::printf("server saved snapshot to %s\n", args[0]);
@@ -1053,14 +1085,12 @@ int main(int argc, char** argv) {
       // Server-side swap: the path names a snapshot on the *server's*
       // filesystem; whether it restores via mmap is the server's
       // --mmap/mmap_snapshots setting, not a client choice.
-      if (args.size() != 1) return Usage();
       Status swapped = client->LoadSnapshot(args[0]);
       if (!swapped.ok()) return Fail(swapped);
       std::printf("server loaded snapshot %s\n", args[0]);
       return 0;
     }
     // shutdown
-    if (!args.empty()) return Usage();
     Status down = client->Shutdown();
     if (!down.ok()) return Fail(down);
     std::printf("server acknowledged shutdown\n");

@@ -64,6 +64,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <tuple>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -164,6 +165,18 @@ struct ServiceStats {
   /// +1 per successful ApplySpecDelta. Unlike the cumulative counters this
   /// IS part of a snapshot — a restored service resumes at the saved epoch.
   uint64_t spec_epoch = 1;
+
+  /// Every field, in declaration order: the kServiceStats reply's layout.
+  auto Fields() {
+    return std::tie(num_runs, reaches_queries, depends_on_queries,
+                    module_data_queries, data_module_queries, batch_calls,
+                    runs_ingested, runs_imported, runs_removed, bulk_batches,
+                    snapshot_saves, cache_hits, cache_misses, replication_lsn,
+                    replication_target_lsn, connections_open,
+                    connections_accepted, connections_timed_out,
+                    connections_backpressured, epoll_wakeups,
+                    accept_backoffs, spec_epoch);
+  }
 };
 
 class RunSession;

@@ -41,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <shared_mutex>
+#include <tuple>
 #include <vector>
 
 #include "src/core/provenance_store.h"
@@ -63,6 +64,12 @@ struct RunStats {
   /// frozen to their epoch: queries answer against that epoch's scheme
   /// forever, so later spec deltas never change an existing answer.
   uint64_t epoch = 1;
+
+  /// The fields of a kRunStats reply, in wire order; the epoch stays home.
+  auto Fields() {
+    return std::tie(num_vertices, num_items, label_bits, context_bits,
+                    origin_bits, num_nonempty_plus, imported);
+  }
 };
 
 /// What a shard stores per run: the immutable bit-packed labels (+ catalog)

@@ -37,45 +37,16 @@ bool SendAll(int fd, std::span<const uint8_t> bytes) {
   return true;
 }
 
-Result<uint32_t> ReadU32(PayloadReader& reader, const char* what) {
-  SKL_ASSIGN_OR_RETURN(uint64_t raw, reader.U64());
-  if (raw > UINT32_MAX) {
-    return Status::ParseError(std::string(what) +
-                              " in response does not fit 32 bits");
-  }
-  return static_cast<uint32_t>(raw);
-}
-
-/// Decodes the N-boolean reply shape shared by the batch queries.
-Result<std::vector<bool>> DecodeBoolVector(std::span<const uint8_t> payload,
-                                           size_t expected) {
-  PayloadReader reader(payload);
-  SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-  if (count != expected) {
-    return Status::ParseError("batch reply answers " + std::to_string(count) +
+/// A batch reply must answer every query of its batch.
+Result<std::vector<bool>> ExpectAnswers(Result<std::vector<bool>> answers,
+                                        size_t expected) {
+  if (answers.ok() && answers->size() != expected) {
+    return Status::ParseError("batch reply answers " +
+                              std::to_string(answers->size()) +
                               " queries, expected " +
                               std::to_string(expected));
   }
-  std::vector<bool> answers;
-  answers.reserve(expected);
-  for (uint64_t i = 0; i < count; ++i) {
-    SKL_ASSIGN_OR_RETURN(bool answer, reader.Boolean());
-    answers.push_back(answer);
-  }
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
   return answers;
-}
-
-Result<bool> DecodeBool(std::span<const uint8_t> payload) {
-  PayloadReader reader(payload);
-  SKL_ASSIGN_OR_RETURN(bool answer, reader.Boolean());
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  return answer;
-}
-
-Status ExpectEmpty(std::span<const uint8_t> payload) {
-  PayloadReader reader(payload);
-  return reader.ExpectEnd();
 }
 
 /// Dials host:port; returns the connected fd with TCP_NODELAY set.
@@ -114,47 +85,17 @@ Result<int> Dial(const std::string& host, uint16_t port) {
 
 }  // namespace
 
+ProvenanceClient::Socket::~Socket() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 ProvenanceClient::ProvenanceClient(int fd, Options options, std::string host,
                                    uint16_t port)
-    : fd_(fd),
+    : socket_(fd),
       decoder_(options.max_frame_bytes),
       options_(options),
       host_(std::move(host)),
       port_(port) {}
-
-ProvenanceClient::~ProvenanceClient() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-ProvenanceClient::ProvenanceClient(ProvenanceClient&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      next_request_id_(other.next_request_id_),
-      decoder_(std::move(other.decoder_)),
-      broken_(std::move(other.broken_)),
-      options_(other.options_),
-      host_(std::move(other.host_)),
-      port_(other.port_),
-      read_lsn_(other.read_lsn_),
-      last_write_lsn_(other.last_write_lsn_),
-      trace_id_(other.trace_id_) {}
-
-ProvenanceClient& ProvenanceClient::operator=(
-    ProvenanceClient&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = std::exchange(other.fd_, -1);
-    next_request_id_ = other.next_request_id_;
-    decoder_ = std::move(other.decoder_);
-    broken_ = std::move(other.broken_);
-    options_ = other.options_;
-    host_ = std::move(other.host_);
-    port_ = other.port_;
-    read_lsn_ = other.read_lsn_;
-    last_write_lsn_ = other.last_write_lsn_;
-    trace_id_ = other.trace_id_;
-  }
-  return *this;
-}
 
 Result<ProvenanceClient> ProvenanceClient::Connect(const std::string& host,
                                                    uint16_t port,
@@ -208,42 +149,45 @@ Status ProvenanceClient::Reconnect() {
   }
   Result<int> fd = Dial(host_, port_);
   if (!fd.ok()) return Poison(fd.status());
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = *fd;
+  socket_ = Socket(*fd);
   decoder_ = FrameDecoder(options_.max_frame_bytes);
   next_request_id_ = 1;
   broken_ = Status::OK();
   return Status::OK();
 }
 
-Result<uint64_t> ProvenanceClient::Send(MsgType type,
-                                        std::vector<uint8_t> payload) {
-  if (!broken_.ok()) return broken_;
-  if (fd_ < 0) return Status::Unavailable("client is not connected");
-  Frame frame;
-  frame.type = type;
-  frame.request_id = next_request_id_++;
-  frame.payload = std::move(payload);
-  std::vector<uint8_t> bytes;
-  EncodeFrame(frame, &bytes);
-  if (!SendAll(fd_, bytes)) {
-    return Poison(Status::Unavailable(Errno("send()")));
-  }
-  return frame.request_id;
+
+template <class Rpc>
+uint64_t ProvenanceClient::EncodeRequest(const typename Rpc::Request& request) {
+  constexpr const OpcodeInfo& row = RowOf<Rpc>();
+  const uint64_t request_id = next_request_id_++;
+  FrameWriter frame(&send_buf_, Rpc::kType, request_id);
+  PutField(frame.payload(), request);
+  if constexpr (row.read_token) frame.payload().U64(read_lsn_);
+  frame.payload().U64(trace_id_);
+  frame.Finish();
+  return request_id;
 }
 
-Result<std::vector<uint8_t>> ProvenanceClient::Receive(uint64_t request_id,
-                                                       MsgType expected) {
+Status ProvenanceClient::Flush() {
+  const bool sent = SendAll(socket_.fd(), send_buf_);
+  send_buf_.clear();
+  if (!sent) return Poison(Status::Unavailable(Errno("send()")));
+  return Status::OK();
+}
+
+Result<std::span<const uint8_t>> ProvenanceClient::Receive(
+    uint64_t request_id, MsgType expected) {
   if (!broken_.ok()) return broken_;
   uint8_t buf[65536];
   for (;;) {
-    Result<std::optional<Frame>> next = decoder_.Next();
+    Result<std::optional<FrameView>> next = decoder_.NextView();
     if (!next.ok()) {
       // Framing corruption: the socket's remaining bytes are untrustworthy.
       return Poison(next.status());
     }
     if (next->has_value()) {
-      Frame frame = std::move(**next);
+      const FrameView& frame = **next;
       if (frame.version != kProtocolVersion) {
         return Poison(Status::InvalidArgument(
             "server replied in protocol version " +
@@ -270,9 +214,9 @@ Result<std::vector<uint8_t>> ProvenanceClient::Receive(uint64_t request_id,
       if (frame.type == MsgType::kRetryAt) {
         // The replica is behind the read token; the connection stays
         // usable — retry here later or read elsewhere (FleetClient does).
-        PayloadReader reader(frame.payload);
-        SKL_ASSIGN_OR_RETURN(uint64_t applied, reader.U64());
-        SKL_RETURN_NOT_OK(reader.ExpectEnd());
+        uint64_t applied = 0;
+        SKL_RETURN_NOT_OK(
+            DecodeMessage(frame.payload, StatusCode::kParseError, applied));
         return Status::RetryAt(
             "replica has applied LSN " + std::to_string(applied) +
             ", behind the requested read LSN " + std::to_string(read_lsn_));
@@ -283,9 +227,9 @@ Result<std::vector<uint8_t>> ProvenanceClient::Receive(uint64_t request_id,
             " frame where a " + MsgTypeName(expected) +
             " response was expected"));
       }
-      return std::move(frame.payload);
+      return frame.payload;
     }
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    ssize_t n = ::recv(socket_.fd(), buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) return Poison(Status::Unavailable(Errno("recv()")));
     if (n == 0) {
@@ -296,17 +240,36 @@ Result<std::vector<uint8_t>> ProvenanceClient::Receive(uint64_t request_id,
   }
 }
 
-Result<std::vector<uint8_t>> ProvenanceClient::Call(
-    MsgType type, std::vector<uint8_t> payload) {
-  SKL_ASSIGN_OR_RETURN(uint64_t id, Send(type, std::move(payload)));
-  return Receive(id);
+template <class Rpc>
+Result<typename Rpc::Reply> ProvenanceClient::DecodeReply(
+    std::span<const uint8_t> payload) {
+  FieldReader in{PayloadReader(payload), StatusCode::kParseError};
+  typename Rpc::Reply reply{};
+  SKL_RETURN_NOT_OK(GetField(in, reply));
+  uint64_t ack_lsn = 0;
+  if constexpr (RowOf<Rpc>().acks_lsn) {
+    SKL_RETURN_NOT_OK(GetField(in, ack_lsn));
+  }
+  SKL_RETURN_NOT_OK(in.payload.ExpectEnd());
+  if (ack_lsn > last_write_lsn_) last_write_lsn_ = ack_lsn;
+  return reply;
 }
 
-Result<std::vector<uint8_t>> ProvenanceClient::CallRead(
-    MsgType type, const std::vector<uint8_t>& payload) {
+template <class Rpc>
+Result<typename Rpc::Reply> ProvenanceClient::Invoke(
+    const typename Rpc::Request& request) {
+  auto call = [&]() -> Result<typename Rpc::Reply> {
+    if (!broken_.ok()) return broken_;
+    if (socket_.fd() < 0) return Status::Unavailable("client is not connected");
+    const uint64_t request_id = EncodeRequest<Rpc>(request);
+    SKL_RETURN_NOT_OK(Flush());
+    SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> payload,
+                         Receive(request_id, RowOf<Rpc>().reply));
+    return DecodeReply<Rpc>(payload);
+  };
   for (int attempt = 0;; ++attempt) {
-    Result<std::vector<uint8_t>> reply = Call(type, payload);
-    if (reply.ok() ||
+    Result<typename Rpc::Reply> reply = call();
+    if (!RowOf<Rpc>().retried || reply.ok() ||
         reply.status().code() != StatusCode::kUnavailable ||
         attempt >= options_.max_read_retries || host_.empty()) {
       return reply;
@@ -327,118 +290,47 @@ Result<std::vector<uint8_t>> ProvenanceClient::CallRead(
                      (0x9e3779b97f4a7c15ULL * (attempt + 1))) %
                    span;
     std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-    // A failed reconnect leaves the client poisoned; the next Call then
+    // A failed reconnect leaves the client poisoned; the next attempt then
     // fails kUnavailable and the loop either retries or gives up.
     (void)Reconnect();
   }
 }
 
 Result<bool> ProvenanceClient::Reaches(RunId id, VertexId v, VertexId w) {
-  PayloadWriter req;
-  req.U64(id.value());
-  req.U64(v);
-  req.U64(w);
-  req.U64(read_lsn_);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                       CallRead(MsgType::kReaches, std::move(req).Finish()));
-  return DecodeBool(reply);
+  return Invoke<rpc::Reaches>({id, v, w});
 }
 
 Result<std::vector<bool>> ProvenanceClient::ReachesBatch(
     RunId id, std::span<const VertexPair> pairs) {
-  PayloadWriter req;
-  req.U64(id.value());
-  req.U64(pairs.size());
-  for (const auto& [v, w] : pairs) {
-    req.U64(v);
-    req.U64(w);
-  }
-  req.U64(read_lsn_);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kReachesBatch, std::move(req).Finish()));
-  return DecodeBoolVector(reply, pairs.size());
+  return ExpectAnswers(
+      Invoke<rpc::ReachesBatch>({id, {pairs.begin(), pairs.end()}}),
+      pairs.size());
 }
 
 Result<bool> ProvenanceClient::DependsOn(RunId id, DataItemId x,
                                          DataItemId x_from) {
-  PayloadWriter req;
-  req.U64(id.value());
-  req.U64(x);
-  req.U64(x_from);
-  req.U64(read_lsn_);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kDependsOn, std::move(req).Finish()));
-  return DecodeBool(reply);
+  return Invoke<rpc::DependsOn>({id, x, x_from});
 }
 
 Result<std::vector<bool>> ProvenanceClient::DependsOnBatch(
     RunId id, std::span<const ItemPair> pairs) {
-  PayloadWriter req;
-  req.U64(id.value());
-  req.U64(pairs.size());
-  for (const auto& [x, x_from] : pairs) {
-    req.U64(x);
-    req.U64(x_from);
-  }
-  req.U64(read_lsn_);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kDependsOnBatch, std::move(req).Finish()));
-  return DecodeBoolVector(reply, pairs.size());
+  return ExpectAnswers(
+      Invoke<rpc::DependsOnBatch>({id, {pairs.begin(), pairs.end()}}),
+      pairs.size());
 }
 
 Result<bool> ProvenanceClient::ModuleDependsOnData(RunId id, VertexId v,
                                                    DataItemId x) {
-  PayloadWriter req;
-  req.U64(id.value());
-  req.U64(v);
-  req.U64(x);
-  req.U64(read_lsn_);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kModuleDependsOnData, std::move(req).Finish()));
-  return DecodeBool(reply);
+  return Invoke<rpc::ModuleDependsOnData>({id, v, x});
 }
 
 Result<bool> ProvenanceClient::DataDependsOnModule(RunId id, DataItemId x,
                                                    VertexId v) {
-  PayloadWriter req;
-  req.U64(id.value());
-  req.U64(x);
-  req.U64(v);
-  req.U64(read_lsn_);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kDataDependsOnModule, std::move(req).Finish()));
-  return DecodeBool(reply);
-}
-
-/// Decodes a mutating reply: the run id, then the primary's ack LSN.
-Result<RunId> ProvenanceClient::DecodeMutationReply(
-    std::span<const uint8_t> payload) {
-  PayloadReader reader(payload);
-  SKL_ASSIGN_OR_RETURN(uint64_t value, reader.U64());
-  SKL_ASSIGN_OR_RETURN(uint64_t lsn, reader.U64());
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  if (lsn > last_write_lsn_) last_write_lsn_ = lsn;
-  return RunId::FromValue(value);
+  return Invoke<rpc::DataDependsOnModule>({id, x, v});
 }
 
 Result<RunId> ProvenanceClient::AddRunXml(std::string_view run_xml) {
-  PayloadWriter req;
-  req.Str(run_xml);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                       Call(MsgType::kAddRun, std::move(req).Finish()));
-  return DecodeMutationReply(reply);
+  return Invoke<rpc::AddRun>({std::string(run_xml)});
 }
 
 Result<RunId> ProvenanceClient::AddRun(const Run& run) {
@@ -446,258 +338,82 @@ Result<RunId> ProvenanceClient::AddRun(const Run& run) {
 }
 
 Result<RunId> ProvenanceClient::ImportRun(const std::vector<uint8_t>& blob) {
-  PayloadWriter req;
-  req.Bytes(blob);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                       Call(MsgType::kImportRun, std::move(req).Finish()));
-  return DecodeMutationReply(reply);
+  return Invoke<rpc::ImportRun>({blob});
 }
 
 Result<std::vector<uint8_t>> ProvenanceClient::ExportRun(RunId id) {
-  PayloadWriter req;
-  req.U64(id.value());
-  req.U64(read_lsn_);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kExportRun, std::move(req).Finish()));
-  PayloadReader reader(reply);
-  SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> blob, reader.Bytes());
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  return std::vector<uint8_t>(blob.begin(), blob.end());
+  return Invoke<rpc::ExportRun>({id});
 }
 
 Status ProvenanceClient::RemoveRun(RunId id) {
-  PayloadWriter req;
-  req.U64(id.value());
-  req.U64(trace_id_);
-  auto reply = Call(MsgType::kRemoveRun, std::move(req).Finish());
-  if (!reply.ok()) return reply.status();
-  PayloadReader reader(*reply);
-  SKL_ASSIGN_OR_RETURN(uint64_t lsn, reader.U64());
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  if (lsn > last_write_lsn_) last_write_lsn_ = lsn;
-  return Status::OK();
+  return Invoke<rpc::RemoveRun>({id}).status();
 }
 
 Result<std::vector<RunId>> ProvenanceClient::ListRuns() {
-  PayloadWriter req;
-  req.U64(read_lsn_);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kListRuns, std::move(req).Finish()));
-  PayloadReader reader(reply);
-  SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-  std::vector<RunId> ids;
-  for (uint64_t i = 0; i < count; ++i) {
-    SKL_ASSIGN_OR_RETURN(uint64_t value, reader.U64());
-    ids.push_back(RunId::FromValue(value));
-  }
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  return ids;
+  return Invoke<rpc::ListRuns>({});
 }
 
 Result<RunStats> ProvenanceClient::Stats(RunId id) {
-  PayloadWriter req;
-  req.U64(id.value());
-  req.U64(read_lsn_);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kRunStats, std::move(req).Finish()));
-  PayloadReader reader(reply);
-  RunStats stats;
-  SKL_ASSIGN_OR_RETURN(stats.num_vertices,
-                       ReadU32(reader, "num_vertices"));
-  SKL_ASSIGN_OR_RETURN(uint64_t num_items, reader.U64());
-  stats.num_items = static_cast<size_t>(num_items);
-  SKL_ASSIGN_OR_RETURN(stats.label_bits, ReadU32(reader, "label_bits"));
-  SKL_ASSIGN_OR_RETURN(stats.context_bits, ReadU32(reader, "context_bits"));
-  SKL_ASSIGN_OR_RETURN(stats.origin_bits, ReadU32(reader, "origin_bits"));
-  SKL_ASSIGN_OR_RETURN(stats.num_nonempty_plus,
-                       ReadU32(reader, "num_nonempty_plus"));
-  SKL_ASSIGN_OR_RETURN(stats.imported, reader.Boolean());
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  return stats;
+  return Invoke<rpc::RunStats>({id});
 }
 
 Result<ServiceStats> ProvenanceClient::GetServiceStats() {
-  PayloadWriter req;
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kServiceStats, std::move(req).Finish()));
-  PayloadReader reader(reply);
-  ServiceStats stats;
-  SKL_ASSIGN_OR_RETURN(stats.num_runs, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.reaches_queries, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.depends_on_queries, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.module_data_queries, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.data_module_queries, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.batch_calls, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.runs_ingested, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.runs_imported, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.runs_removed, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.bulk_batches, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.snapshot_saves, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.cache_hits, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.cache_misses, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.replication_lsn, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.replication_target_lsn, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.connections_open, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.connections_accepted, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.connections_timed_out, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.connections_backpressured, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.epoll_wakeups, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.accept_backoffs, reader.U64());
-  SKL_ASSIGN_OR_RETURN(stats.spec_epoch, reader.U64());
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  return stats;
+  return Invoke<rpc::ServiceStats>({});
 }
 
 Result<uint64_t> ProvenanceClient::ApplySpecDelta(const SpecDelta& delta) {
-  PayloadWriter req;
-  req.Bytes(SerializeSpecDelta(delta));
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      Call(MsgType::kApplySpecDelta, std::move(req).Finish()));
-  // Same shape as every mutating reply: the value, then the ack LSN.
-  SKL_ASSIGN_OR_RETURN(RunId epoch_as_id, DecodeMutationReply(reply));
-  return epoch_as_id.value();
+  return Invoke<rpc::ApplySpecDelta>({SerializeSpecDelta(delta)});
 }
 
 Status ProvenanceClient::SaveSnapshot(const std::string& path) {
-  PayloadWriter req;
-  req.Str(path);
-  req.U64(trace_id_);
-  auto reply = Call(MsgType::kSaveSnapshot, std::move(req).Finish());
-  if (!reply.ok()) return reply.status();
-  return ExpectEmpty(*reply);
+  return Invoke<rpc::SaveSnapshot>({path}).status();
 }
 
 Status ProvenanceClient::LoadSnapshot(const std::string& path) {
-  PayloadWriter req;
-  req.Str(path);
-  req.U64(trace_id_);
-  auto reply = Call(MsgType::kLoadSnapshot, std::move(req).Finish());
-  if (!reply.ok()) return reply.status();
-  return ExpectEmpty(*reply);
+  return Invoke<rpc::LoadSnapshot>({path}).status();
 }
 
-Status ProvenanceClient::Ping() {
-  PayloadWriter req;
-  req.U64(trace_id_);
-  auto reply = Call(MsgType::kPing, std::move(req).Finish());
-  if (!reply.ok()) return reply.status();
-  return ExpectEmpty(*reply);
-}
+Status ProvenanceClient::Ping() { return Invoke<rpc::Ping>({}).status(); }
 
 Status ProvenanceClient::Shutdown() {
-  PayloadWriter req;
-  req.U64(trace_id_);
-  auto reply = Call(MsgType::kShutdown, std::move(req).Finish());
-  if (!reply.ok()) return reply.status();
-  return ExpectEmpty(*reply);
+  return Invoke<rpc::Shutdown>({}).status();
 }
 
 Result<SnapshotFetchResult> ProvenanceClient::SnapshotFetch() {
-  PayloadWriter req;
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      Call(MsgType::kSnapshotFetch, std::move(req).Finish()));
-  PayloadReader reader(reply);
-  SnapshotFetchResult result;
-  SKL_ASSIGN_OR_RETURN(result.lsn, reader.U64());
-  SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes, reader.Bytes());
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  result.bytes.assign(bytes.begin(), bytes.end());
-  return result;
+  return Invoke<rpc::SnapshotFetch>({});
 }
 
 Result<LogBatch> ProvenanceClient::Subscribe(uint64_t after_lsn,
                                              uint64_t max_entries) {
-  PayloadWriter req;
-  req.U64(after_lsn);
-  req.U64(max_entries);
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(uint64_t id,
-                       Send(MsgType::kSubscribe, std::move(req).Finish()));
-  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                       Receive(id, MsgType::kLogEntries));
-  PayloadReader reader(reply);
-  SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-  LogBatch batch;
-  batch.ops.reserve(count);
-  uint64_t expected_lsn = after_lsn;
-  for (uint64_t i = 0; i < count; ++i) {
-    SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> entry, reader.Bytes());
-    SKL_ASSIGN_OR_RETURN(LogOp op, DeserializeLogOp(entry));
-    // The batch must be a contiguous LSN run starting just past
-    // after_lsn — anything else means the primary's log disagrees with
-    // what this replica already applied.
-    ++expected_lsn;
-    if (op.lsn != expected_lsn) {
+  SKL_ASSIGN_OR_RETURN(LogBatch batch,
+                       Invoke<rpc::Subscribe>({after_lsn, max_entries}));
+  // The batch must be a contiguous LSN run starting just past after_lsn —
+  // anything else means the primary's log disagrees with what this
+  // replica already applied.
+  for (size_t i = 0; i < batch.ops.size(); ++i) {
+    if (batch.ops[i].lsn != after_lsn + i + 1) {
       return Status::ParseError(
           "subscribe batch entry " + std::to_string(i) + " carries LSN " +
-          std::to_string(op.lsn) + ", expected " +
-          std::to_string(expected_lsn));
+          std::to_string(batch.ops[i].lsn) + ", expected " +
+          std::to_string(after_lsn + i + 1));
     }
-    batch.ops.push_back(std::move(op));
   }
-  SKL_ASSIGN_OR_RETURN(batch.primary_last_lsn, reader.U64());
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
   return batch;
 }
 
 Result<std::string> ProvenanceClient::GetMetrics() {
-  PayloadWriter req;
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kMetrics, std::move(req).Finish()));
-  PayloadReader reader(reply);
-  SKL_ASSIGN_OR_RETURN(std::string text, reader.Str());
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  return text;
+  return Invoke<rpc::Metrics>({});
 }
 
 Result<std::vector<SlowQueryEntry>> ProvenanceClient::SlowQueries() {
-  PayloadWriter req;
-  req.U64(trace_id_);
-  SKL_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> reply,
-      CallRead(MsgType::kSlowQueries, std::move(req).Finish()));
-  PayloadReader reader(reply);
-  SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-  std::vector<SlowQueryEntry> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    SlowQueryEntry e;
-    SKL_ASSIGN_OR_RETURN(e.trace_id, reader.U64());
-    SKL_ASSIGN_OR_RETURN(uint64_t opcode, reader.U64());
-    if (opcode > UINT8_MAX) {
-      return Status::ParseError("slow-query entry opcode does not fit 8 bits");
-    }
-    e.opcode = static_cast<uint8_t>(opcode);
-    SKL_ASSIGN_OR_RETURN(e.run_id, reader.U64());
-    SKL_ASSIGN_OR_RETURN(e.shard, reader.U64());
-    SKL_ASSIGN_OR_RETURN(e.queue_us, reader.U64());
-    SKL_ASSIGN_OR_RETURN(e.exec_us, reader.U64());
-    entries.push_back(e);
-  }
-  SKL_RETURN_NOT_OK(reader.ExpectEnd());
-  return entries;
+  return Invoke<rpc::SlowQueries>({});
 }
 
-Result<std::vector<bool>> ProvenanceClient::PipelinedBools(
-    MsgType type, uint64_t run,
-    std::span<const std::pair<uint32_t, uint32_t>> pairs) {
+template <class Rpc>
+Result<std::vector<bool>> ProvenanceClient::Pipelined(
+    RunId id, std::span<const std::pair<uint32_t, uint32_t>> pairs) {
   if (!broken_.ok()) return broken_;
-  if (fd_ < 0) return Status::Unavailable("client is not connected");
+  if (socket_.fd() < 0) return Status::Unavailable("client is not connected");
   // The in-flight window is bounded: with both peers single-threaded per
   // connection, writing an unbounded batch before reading any response
   // can fill the socket buffers in both directions and deadlock (the
@@ -708,39 +424,26 @@ Result<std::vector<bool>> ProvenanceClient::PipelinedBools(
   std::vector<bool> answers;
   answers.reserve(pairs.size());
   Status first_error = Status::OK();
-  std::vector<uint8_t> wire;
   for (size_t off = 0; off < pairs.size(); off += kWindow) {
     const size_t len = std::min(kWindow, pairs.size() - off);
     const uint64_t first_id = next_request_id_;
-    wire.clear();
     for (size_t i = 0; i < len; ++i) {
-      Frame frame;
-      frame.type = type;
-      frame.request_id = next_request_id_++;
-      PayloadWriter req;
-      req.U64(run);
-      req.U64(pairs[off + i].first);
-      req.U64(pairs[off + i].second);
-      req.U64(read_lsn_);
-      req.U64(trace_id_);
-      frame.payload = std::move(req).Finish();
-      EncodeFrame(frame, &wire);
+      EncodeRequest<Rpc>({id, pairs[off + i].first, pairs[off + i].second});
     }
-    if (!SendAll(fd_, wire)) {
-      return Poison(Status::Unavailable(Errno("send()")));
-    }
+    SKL_RETURN_NOT_OK(Flush());
     // Responses come back strictly in order. On a per-query error, keep
     // draining the window so the connection stays usable, then report the
     // first error after all windows flushed.
     for (size_t i = 0; i < len; ++i) {
-      auto reply = Receive(first_id + i);
+      Result<std::span<const uint8_t>> reply =
+          Receive(first_id + i, MsgType::kReply);
       if (!reply.ok()) {
         if (!broken_.ok()) return reply.status();  // transport: stop now
         if (first_error.ok()) first_error = reply.status();
         continue;
       }
       if (first_error.ok()) {
-        auto answer = DecodeBool(*reply);
+        Result<bool> answer = DecodeReply<Rpc>(*reply);
         if (!answer.ok()) {
           first_error = answer.status();
           continue;
@@ -755,12 +458,12 @@ Result<std::vector<bool>> ProvenanceClient::PipelinedBools(
 
 Result<std::vector<bool>> ProvenanceClient::ReachesPipelined(
     RunId id, std::span<const VertexPair> pairs) {
-  return PipelinedBools(MsgType::kReaches, id.value(), pairs);
+  return Pipelined<rpc::Reaches>(id, pairs);
 }
 
 Result<std::vector<bool>> ProvenanceClient::DependsOnPipelined(
     RunId id, std::span<const ItemPair> pairs) {
-  return PipelinedBools(MsgType::kDependsOn, id.value(), pairs);
+  return Pipelined<rpc::DependsOn>(id, pairs);
 }
 
 }  // namespace skl

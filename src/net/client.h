@@ -47,12 +47,13 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/core/provenance_service.h"
+#include "src/net/messages.h"
 #include "src/net/protocol.h"
-#include "src/replication/oplog.h"
 
 namespace skl {
 
@@ -78,20 +79,6 @@ struct ProvenanceClientOptions {
   uint64_t backoff_seed = 0;
 };
 
-/// kSnapshotFetch result: a snapshot byte-stream that contains every op
-/// with LSN <= lsn (tail the log from `lsn` to catch up).
-struct SnapshotFetchResult {
-  uint64_t lsn = 0;
-  std::vector<uint8_t> bytes;
-};
-
-/// kSubscribe result: ops with LSN > the requested after_lsn, in order,
-/// plus the primary's log head (the catch-up target).
-struct LogBatch {
-  std::vector<LogOp> ops;
-  uint64_t primary_last_lsn = 0;
-};
-
 class ProvenanceClient {
  public:
   using Options = ProvenanceClientOptions;
@@ -112,9 +99,8 @@ class ProvenanceClient {
   static Result<ProvenanceClient> ConnectHostPort(
       const std::string& host_port, const Options& options);
 
-  ~ProvenanceClient();
-  ProvenanceClient(ProvenanceClient&& other) noexcept;
-  ProvenanceClient& operator=(ProvenanceClient&& other) noexcept;
+  ProvenanceClient(ProvenanceClient&& other) noexcept = default;
+  ProvenanceClient& operator=(ProvenanceClient&& other) noexcept = default;
   ProvenanceClient(const ProvenanceClient&) = delete;
   ProvenanceClient& operator=(const ProvenanceClient&) = delete;
 
@@ -210,41 +196,63 @@ class ProvenanceClient {
  private:
   ProvenanceClient(int fd, Options options, std::string host, uint16_t port);
 
-  /// Sends one request frame; returns its request id.
-  Result<uint64_t> Send(MsgType type, std::vector<uint8_t> payload);
-  /// Blocks for the next response frame and checks it answers `request_id`.
-  /// kError responses decode back into their carried Status; kRetryAt
-  /// decodes into StatusCode::kRetryAt — both leave the connection usable.
-  /// A frame of another protocol version, or a kError with request id 0
-  /// (the server's reason for closing the connection), poisons it.
-  /// `expected` is the success frame type (kLogEntries for Subscribe).
-  Result<std::vector<uint8_t>> Receive(uint64_t request_id,
-                                       MsgType expected = MsgType::kReply);
-  /// Send + Receive.
-  Result<std::vector<uint8_t>> Call(MsgType type,
-                                    std::vector<uint8_t> payload);
-  /// Call with the read retry policy: on kUnavailable, sleeps the jittered
-  /// backoff, reconnects and retries, up to Options::max_read_retries.
-  /// Only for idempotent requests.
-  Result<std::vector<uint8_t>> CallRead(MsgType type,
-                                        const std::vector<uint8_t>& payload);
+  /// Sends `request` (an rpc:: shape, src/net/messages.h) and decodes its
+  /// success reply as its kOpcodes row says: the read token and trace id
+  /// after its fields, the reply type, the ack LSN (recorded in
+  /// last_write_lsn_) and whether a transport failure is retried.
+  template <class Rpc>
+  Result<typename Rpc::Reply> Invoke(const typename Rpc::Request& request);
+  /// Appends `request`'s frame, trailers included, to send_buf_ under the
+  /// next request id; returns that id.
+  template <class Rpc>
+  uint64_t EncodeRequest(const typename Rpc::Request& request);
+  /// Decodes the success reply to an Rpc: its fields, then the ack LSN when
+  /// the row has one.
+  template <class Rpc>
+  Result<typename Rpc::Reply> DecodeReply(std::span<const uint8_t> payload);
+  /// Writes send_buf_ to the socket and empties it.
+  Status Flush();
+  /// Blocks for the next response frame and checks it answers `request_id`
+  /// as an `expected` frame; returns its payload, valid until the next
+  /// Receive. kError responses decode back into their carried Status;
+  /// kRetryAt decodes into StatusCode::kRetryAt — both leave the connection
+  /// usable. A frame of another protocol version, or a kError with request
+  /// id 0 (the server's reason for closing the connection), poisons it.
+  Result<std::span<const uint8_t>> Receive(uint64_t request_id,
+                                           MsgType expected);
   /// Tears down the socket and dials host_:port_ again with fresh framing
   /// state. On failure the client stays poisoned with the dial error.
   Status Reconnect();
-  /// Decodes a mutating reply ({run id, ack LSN}), recording the LSN.
-  Result<RunId> DecodeMutationReply(std::span<const uint8_t> payload);
 
-  /// Sends N single-query frames, then collects N boolean replies.
-  Result<std::vector<bool>> PipelinedBools(
-      MsgType type, uint64_t run,
-      std::span<const std::pair<uint32_t, uint32_t>> pairs);
+  /// Sends one Rpc frame per pair in windows, then collects the boolean
+  /// replies.
+  template <class Rpc>
+  Result<std::vector<bool>> Pipelined(
+      RunId id, std::span<const std::pair<uint32_t, uint32_t>> pairs);
 
   /// Marks the connection unusable and returns `status` (transport and
   /// framing failures are not recoverable on this socket).
   Status Poison(Status status);
 
-  int fd_ = -1;
+  /// A socket descriptor, closed on destruction and handed over on move.
+  class Socket {
+   public:
+    explicit Socket(int fd = -1) : fd_(fd) {}
+    Socket(Socket&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+    Socket& operator=(Socket&& other) noexcept {
+      std::swap(fd_, other.fd_);
+      return *this;
+    }
+    ~Socket();
+    int fd() const { return fd_; }
+
+   private:
+    int fd_;
+  };
+
+  Socket socket_;
   uint64_t next_request_id_ = 1;
+  std::vector<uint8_t> send_buf_;  ///< request frames not yet sent
   FrameDecoder decoder_;
   Status broken_ = Status::OK();  ///< non-OK once the connection is poisoned
 

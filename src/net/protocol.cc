@@ -1,54 +1,10 @@
 #include "src/net/protocol.h"
 
-#include <array>
-
 #include "src/common/crc32.h"
 
 namespace skl {
 
 namespace {
-
-// One row per opcode. Columns: type, name, is_request, mutates, names_run,
-// runs_inline. DependsOn and ModuleDependsOnData make one label compare per
-// reader of a data item, so they are not runs_inline: their cost grows with
-// the reader count.
-constexpr OpcodeInfo kOpcodes[] = {
-    {MsgType::kPing,                "Ping",                true,  false, false, false},
-    {MsgType::kReaches,             "Reaches",             true,  false, true,  true},
-    {MsgType::kReachesBatch,        "ReachesBatch",        true,  false, true,  true},
-    {MsgType::kDependsOn,           "DependsOn",           true,  false, true,  false},
-    {MsgType::kDependsOnBatch,      "DependsOnBatch",      true,  false, true,  false},
-    {MsgType::kModuleDependsOnData, "ModuleDependsOnData", true,  false, true,  false},
-    {MsgType::kDataDependsOnModule, "DataDependsOnModule", true,  false, true,  true},
-    {MsgType::kAddRun,              "AddRun",              true,  true,  false, false},
-    {MsgType::kImportRun,           "ImportRun",           true,  true,  false, false},
-    {MsgType::kExportRun,           "ExportRun",           true,  false, true,  false},
-    {MsgType::kRemoveRun,           "RemoveRun",           true,  true,  true,  false},
-    {MsgType::kListRuns,            "ListRuns",            true,  false, false, false},
-    {MsgType::kRunStats,            "RunStats",            true,  false, true,  false},
-    {MsgType::kServiceStats,        "ServiceStats",        true,  false, false, false},
-    {MsgType::kSaveSnapshot,        "SaveSnapshot",        true,  false, false, false},
-    {MsgType::kLoadSnapshot,        "LoadSnapshot",        true,  true,  false, false},
-    {MsgType::kShutdown,            "Shutdown",            true,  false, false, false},
-    {MsgType::kSnapshotFetch,       "SnapshotFetch",       true,  false, false, false},
-    {MsgType::kSubscribe,           "Subscribe",           true,  false, false, false},
-    {MsgType::kMetrics,             "Metrics",             true,  false, false, false},
-    {MsgType::kSlowQueries,         "SlowQueries",         true,  false, false, false},
-    {MsgType::kApplySpecDelta,      "ApplySpecDelta",      true,  true,  false, false},
-    {MsgType::kReply,               "Reply",               false, false, false, false},
-    {MsgType::kError,               "Error",               false, false, false, false},
-    {MsgType::kLogEntries,          "LogEntries",          false, false, false, false},
-    {MsgType::kRetryAt,             "RetryAt",             false, false, false, false},
-};
-
-// kOpcodes indexed by opcode byte, derived from the table itself.
-constexpr std::array<const OpcodeInfo*, 256> kOpcodeByByte = [] {
-  std::array<const OpcodeInfo*, 256> index{};
-  for (const OpcodeInfo& row : kOpcodes) {
-    index[static_cast<uint8_t>(row.type)] = &row;
-  }
-  return index;
-}();
 
 /// Offsets of the patched header fields and of the type byte in a frame.
 constexpr size_t kBodyLenOffset = 2;
@@ -69,10 +25,6 @@ uint32_t LoadBigEndian32(const uint8_t* in) {
 }
 
 }  // namespace
-
-std::span<const OpcodeInfo> OpcodeTable() { return kOpcodes; }
-
-const OpcodeInfo* FindOpcode(uint8_t type) { return kOpcodeByByte[type]; }
 
 const char* MsgTypeName(MsgType type) {
   const OpcodeInfo* row = FindOpcode(static_cast<uint8_t>(type));
@@ -253,29 +205,16 @@ std::vector<uint8_t> EncodeErrorPayload(const Status& status,
 Status DecodeErrorPayload(std::span<const uint8_t> payload,
                           uint64_t* trace_id) {
   if (trace_id != nullptr) *trace_id = 0;
-  PayloadReader reader(payload);
-  Result<uint64_t> code_result = reader.U64();
-  if (!code_result.ok()) {
-    return Status::ParseError("malformed error payload: " +
-                              code_result.status().message());
+  uint64_t code = 0;
+  std::string message;
+  uint64_t trace = 0;
+  auto fields = std::tie(code, message, trace);
+  const Status parsed =
+      DecodeMessage(payload, StatusCode::kParseError, fields);
+  if (!parsed.ok()) {
+    return Status::ParseError("malformed error payload: " + parsed.message());
   }
-  const uint64_t code = *code_result;
-  Result<std::string> message_result = reader.Str();
-  if (!message_result.ok()) {
-    return Status::ParseError("malformed error payload: " +
-                              message_result.status().message());
-  }
-  std::string message = std::move(message_result).value();
-  Result<uint64_t> trace_result = reader.U64();
-  if (!trace_result.ok()) {
-    return Status::ParseError("malformed error payload: " +
-                              trace_result.status().message());
-  }
-  Status end = reader.ExpectEnd();
-  if (!end.ok()) {
-    return Status::ParseError("malformed error payload: " + end.message());
-  }
-  if (trace_id != nullptr) *trace_id = *trace_result;
+  if (trace_id != nullptr) *trace_id = trace;
   if (code == static_cast<uint64_t>(StatusCode::kOk) ||
       code > static_cast<uint64_t>(StatusCode::kEpochMismatch)) {
     // An error frame must carry an error; map codes from a future peer to

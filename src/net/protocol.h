@@ -33,11 +33,17 @@
 #ifndef SKL_NET_PROTOCOL_H_
 #define SKL_NET_PROTOCOL_H_
 
+#include <algorithm>
+#include <array>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -96,10 +102,11 @@ enum class MsgType : uint8_t {
   kRetryAt = 67,       ///< replica behind the request's min-LSN token
 };
 
-/// Static facts about one opcode. OpcodeTable() has one row per MsgType
-/// and is the only place these facts are kept: opcode names, the request
-/// set, the read-only replica's refusals, the slow-query log's run-id peek
-/// and the server's choice of thread all read it.
+/// Static facts about one opcode. kOpcodes has one row per MsgType and is
+/// the only place these facts are kept: opcode names, the request set, the
+/// read-only replica's refusals, the slow-query log's run-id peek, the
+/// server's choice of thread and lock, each request's trailers and the
+/// client's retry policy all read it.
 struct OpcodeInfo {
   MsgType type;
   const char* name;  ///< for logs, errors and metric labels ("Reaches")
@@ -111,14 +118,107 @@ struct OpcodeInfo {
   /// an indexed scheme only, and batches only up to
   /// ProvenanceServer::kMaxInlineBatchPairs pairs).
   bool runs_inline;
+  /// The request carries a min-LSN read token before its trace id; a server
+  /// that has not applied that LSN answers kRetryAt instead.
+  bool read_token;
+  /// Idempotent: the client retries it across reconnects after a transport
+  /// failure (ProvenanceClientOptions::max_read_retries).
+  bool retried;
+  /// Replaces the served service: dispatched under the exclusive service
+  /// lock, every other request excluded for its duration.
+  bool exclusive;
+  /// The success reply ends with the primary's ack LSN.
+  bool acks_lsn;
+  /// The success reply's type (requests only).
+  MsgType reply;
 };
 
+/// The facts a kOpcodes row can have, combined into one mask per row.
+namespace opcode_fact {
+inline constexpr unsigned kRequest = 1u << 0;
+inline constexpr unsigned kMutates = 1u << 1;
+inline constexpr unsigned kNamesRun = 1u << 2;
+inline constexpr unsigned kRunsInline = 1u << 3;
+inline constexpr unsigned kReadToken = 1u << 4;
+inline constexpr unsigned kRetried = 1u << 5;
+inline constexpr unsigned kExclusive = 1u << 6;
+inline constexpr unsigned kAcksLsn = 1u << 7;
+/// A read of the registry: token-checked and retried.
+inline constexpr unsigned kRead = kRequest | kReadToken | kRetried;
+/// A logged mutation: refused by replicas, acked with an LSN.
+inline constexpr unsigned kWrite = kRequest | kMutates | kAcksLsn;
+
+constexpr OpcodeInfo Row(MsgType type, const char* name, unsigned facts,
+                         MsgType reply = MsgType::kReply) {
+  return {type,
+          name,
+          (facts & kRequest) != 0,
+          (facts & kMutates) != 0,
+          (facts & kNamesRun) != 0,
+          (facts & kRunsInline) != 0,
+          (facts & kReadToken) != 0,
+          (facts & kRetried) != 0,
+          (facts & kExclusive) != 0,
+          (facts & kAcksLsn) != 0,
+          (facts & kRequest) != 0 ? reply : MsgType{}};
+}
+}  // namespace opcode_fact
+
+/// Every opcode, in MsgType value order. DependsOn and ModuleDependsOnData
+/// make one label compare per reader of a data item, so they do not run
+/// inline: their cost grows with the reader count.
+inline constexpr auto kOpcodes = [] {
+  using namespace opcode_fact;
+  return std::array{
+      Row(MsgType::kPing, "Ping", kRequest),
+      Row(MsgType::kReaches, "Reaches", kRead | kNamesRun | kRunsInline),
+      Row(MsgType::kReachesBatch, "ReachesBatch",
+          kRead | kNamesRun | kRunsInline),
+      Row(MsgType::kDependsOn, "DependsOn", kRead | kNamesRun),
+      Row(MsgType::kDependsOnBatch, "DependsOnBatch", kRead | kNamesRun),
+      Row(MsgType::kModuleDependsOnData, "ModuleDependsOnData",
+          kRead | kNamesRun),
+      Row(MsgType::kDataDependsOnModule, "DataDependsOnModule",
+          kRead | kNamesRun | kRunsInline),
+      Row(MsgType::kAddRun, "AddRun", kWrite),
+      Row(MsgType::kImportRun, "ImportRun", kWrite),
+      Row(MsgType::kExportRun, "ExportRun", kRead | kNamesRun),
+      Row(MsgType::kRemoveRun, "RemoveRun", kWrite | kNamesRun),
+      Row(MsgType::kListRuns, "ListRuns", kRead),
+      Row(MsgType::kRunStats, "RunStats", kRead | kNamesRun),
+      Row(MsgType::kServiceStats, "ServiceStats", kRequest | kRetried),
+      Row(MsgType::kSaveSnapshot, "SaveSnapshot", kRequest),
+      Row(MsgType::kLoadSnapshot, "LoadSnapshot",
+          kRequest | kMutates | kExclusive),
+      Row(MsgType::kShutdown, "Shutdown", kRequest),
+      Row(MsgType::kSnapshotFetch, "SnapshotFetch", kRequest),
+      Row(MsgType::kSubscribe, "Subscribe", kRequest, MsgType::kLogEntries),
+      Row(MsgType::kMetrics, "Metrics", kRequest | kRetried),
+      Row(MsgType::kSlowQueries, "SlowQueries", kRequest | kRetried),
+      Row(MsgType::kApplySpecDelta, "ApplySpecDelta", kWrite),
+      Row(MsgType::kReply, "Reply", 0),
+      Row(MsgType::kError, "Error", 0),
+      Row(MsgType::kLogEntries, "LogEntries", 0),
+      Row(MsgType::kRetryAt, "RetryAt", 0),
+  };
+}();
+
+/// kOpcodes indexed by opcode byte, derived from the table itself.
+inline constexpr std::array<const OpcodeInfo*, 256> kOpcodeByByte = [] {
+  std::array<const OpcodeInfo*, 256> index{};
+  for (const OpcodeInfo& row : kOpcodes) {
+    index[static_cast<uint8_t>(row.type)] = &row;
+  }
+  return index;
+}();
+
 /// Every opcode, in MsgType value order.
-std::span<const OpcodeInfo> OpcodeTable();
+inline std::span<const OpcodeInfo> OpcodeTable() { return kOpcodes; }
 
 /// The row for a raw opcode byte; nullptr for a byte no MsgType names.
-/// One array index: a table built from OpcodeTable() at compile time.
-const OpcodeInfo* FindOpcode(uint8_t type);
+constexpr const OpcodeInfo* FindOpcode(uint8_t type) {
+  return kOpcodeByByte[type];
+}
 
 /// Opcode name for logs and error messages ("Reaches", "Error", ...);
 /// "Unknown" for a byte no MsgType names.
@@ -262,6 +362,8 @@ class PayloadReader {
   /// Length-prefixed blob; the span aliases the payload buffer.
   Result<std::span<const uint8_t>> Bytes();
   Result<std::string> Str();
+  /// Payload bytes not yet read.
+  size_t remaining() const { return payload_.size() - pos_; }
   /// Fails with ParseError if payload bytes remain unconsumed — a shape
   /// mismatch (e.g. a request with extra arguments) must not pass silently.
   Status ExpectEnd();
@@ -270,6 +372,131 @@ class PayloadReader {
   std::span<const uint8_t> payload_;
   size_t pos_ = 0;  ///< bytes consumed
 };
+
+// ------------------------------------------------------- field codec --
+// PutField/GetField encode one typed field: unsigned integers as varints
+// (a narrower one range-checked on decode), booleans as one byte, strings
+// and byte vectors length-prefixed, other vectors as a count varint and
+// then each element, pairs and tuples as their elements in order, and a
+// struct with a Fields() member as the fields that ties, in order. The
+// message shapes are in src/net/messages.h.
+
+/// A PayloadReader that knows which side is decoding. An id that does not
+/// fit its field is the caller's fault in a request (kInvalidArgument) and
+/// corruption in a reply (kParseError); every other malformation is a
+/// kParseError on both sides.
+struct FieldReader {
+  PayloadReader payload;
+  StatusCode out_of_range;
+};
+
+template <class T>
+concept TupleLike = requires { std::tuple_size<T>::value; };
+/// A struct whose fields travel in the order Fields() ties them.
+template <class T>
+concept WireStruct = requires(T& msg) { msg.Fields(); };
+
+template <std::unsigned_integral T>
+void PutField(PayloadWriter& out, T value) {
+  out.U64(value);
+}
+inline void PutField(PayloadWriter& out, bool value) { out.Boolean(value); }
+inline void PutField(PayloadWriter& out, const std::string& text) {
+  out.Str(text);
+}
+inline void PutField(PayloadWriter& out, const std::vector<uint8_t>& bytes) {
+  out.Bytes(bytes);
+}
+template <class T>
+void PutField(PayloadWriter& out, const std::vector<T>& list) {
+  out.U64(list.size());
+  for (const T& item : list) PutField(out, item);
+}
+template <TupleLike T>
+void PutField(PayloadWriter& out, const T& fields) {
+  std::apply([&](const auto&... field) { (PutField(out, field), ...); },
+             fields);
+}
+template <WireStruct T>
+void PutField(PayloadWriter& out, const T& msg) {
+  // Fields() ties references; encoding only reads through them.
+  PutField(out, const_cast<T&>(msg).Fields());
+}
+
+/// Moves a successful read into `out`.
+template <class T>
+Status Take(Result<T> read, T& out) {
+  if (!read.ok()) return read.status();
+  out = std::move(read).value();
+  return Status::OK();
+}
+
+inline Status GetField(FieldReader& in, uint64_t& value) {
+  return Take(in.payload.U64(), value);
+}
+/// A narrower integer: the varint must fit it.
+template <std::unsigned_integral T>
+  requires(!std::same_as<T, bool> && !std::same_as<T, uint64_t>)
+Status GetField(FieldReader& in, T& value) {
+  SKL_ASSIGN_OR_RETURN(uint64_t raw, in.payload.U64());
+  if (raw > std::numeric_limits<T>::max()) {
+    return Status(in.out_of_range,
+                  "field value " + std::to_string(raw) + " does not fit " +
+                      std::to_string(std::numeric_limits<T>::digits) +
+                      " bits");
+  }
+  value = static_cast<T>(raw);
+  return Status::OK();
+}
+inline Status GetField(FieldReader& in, bool& value) {
+  return Take(in.payload.Boolean(), value);
+}
+inline Status GetField(FieldReader& in, std::string& text) {
+  return Take(in.payload.Str(), text);
+}
+inline Status GetField(FieldReader& in, std::vector<uint8_t>& bytes) {
+  SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> view, in.payload.Bytes());
+  bytes.assign(view.begin(), view.end());
+  return Status::OK();
+}
+template <class T>
+Status GetField(FieldReader& in, std::vector<T>& list) {
+  SKL_ASSIGN_OR_RETURN(uint64_t count, in.payload.U64());
+  // Every element takes at least one byte: the payload bounds the count.
+  list.clear();
+  list.reserve(std::min<uint64_t>(count, in.payload.remaining()));
+  for (uint64_t i = 0; i < count; ++i) {
+    T item{};
+    SKL_RETURN_NOT_OK(GetField(in, item));
+    list.push_back(std::move(item));
+  }
+  return Status::OK();
+}
+template <TupleLike T>
+Status GetField(FieldReader& in, T& fields) {
+  return std::apply(
+      [&](auto&... field) {
+        Status status;  // stops at the first field that fails
+        (void)((status = GetField(in, field), status.ok()) && ...);
+        return status;
+      },
+      fields);
+}
+template <WireStruct T>
+Status GetField(FieldReader& in, T& msg) {
+  auto fields = msg.Fields();
+  return GetField(in, fields);
+}
+
+/// Decodes a whole message of type T from `payload`: its fields and
+/// nothing after them.
+template <class T>
+Status DecodeMessage(std::span<const uint8_t> payload, StatusCode out_of_range,
+                     T& msg) {
+  FieldReader in{PayloadReader(payload), out_of_range};
+  SKL_RETURN_NOT_OK(GetField(in, msg));
+  return in.payload.ExpectEnd();
+}
 
 /// Encodes a non-OK status as a kError payload: code + message + a
 /// trace-id varint echoing the trace id the failing request carried (0 when
@@ -304,6 +531,10 @@ struct SlowQueryEntry {
   uint64_t shard = 0;     ///< registry shard owning run_id (0 when run-less)
   uint64_t queue_us = 0;  ///< decoded-to-dequeued wait in the frame queue
   uint64_t exec_us = 0;   ///< dispatch + reply encode
+
+  auto Fields() {
+    return std::tie(trace_id, opcode, run_id, shard, queue_us, exec_us);
+  }
 };
 
 }  // namespace skl

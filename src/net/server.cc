@@ -16,10 +16,13 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
 #include "src/io/workflow_xml.h"
+#include "src/net/messages.h"
 #include "src/replication/oplog.h"
 
 namespace skl {
@@ -30,16 +33,6 @@ using Clock = std::chrono::steady_clock;
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
-}
-
-/// Varint argument that must fit a 32-bit id (VertexId / DataItemId).
-Result<uint32_t> ReadU32(PayloadReader& reader, const char* what) {
-  SKL_ASSIGN_OR_RETURN(uint64_t raw, reader.U64());
-  if (raw > UINT32_MAX) {
-    return Status::InvalidArgument(std::string(what) +
-                                   " does not fit 32 bits");
-  }
-  return static_cast<uint32_t>(raw);
 }
 
 /// epoll user-data tags for the two non-connection fds each reactor thread
@@ -112,6 +105,14 @@ void FinishReply(const FrameView& frame, const Status& status,
                        trace_id, reply.payload());
   }
   reply.Finish();
+}
+
+/// Whether handler set `H` answers `Rpc` when called with its request
+/// fields (ServeFrame's compile-time check).
+template <class H, class Rpc, class... Fields>
+constexpr bool Answers(std::tuple<Fields...>*) {
+  return std::is_invocable_r_v<Result<typename Rpc::Reply>, H, Rpc,
+                               const Fields&...>;
 }
 
 }  // namespace
@@ -610,15 +611,11 @@ bool ProvenanceServer::AnswerInline(Conn& c, const FrameView& frame) {
   if (service_.scheme().SearchesGraph()) return false;
   const auto exec_start = Clock::now();
   FrameWriter reply(&c.wbuf, MsgType::kReply, frame.request_id);
-  MsgType reply_type = MsgType::kReply;
-  bool shutdown_after_reply = false;  // never set by a read
-  uint64_t trace_id = 0;
-  const Status status = Dispatch(frame, reply.payload(),
-                                 &shutdown_after_reply, &reply_type,
-                                 &trace_id);
-  FinishReply(frame, status, reply_type, trace_id, reply);
+  Served served;
+  const Status status = Serve(frame, reply.payload(), &served);
+  FinishReply(frame, status, served.reply_type, served.trace_id, reply);
   conn_lock.unlock();
-  RecordFrameTiming(frame, trace_id, /*queue_us=*/0,
+  RecordFrameTiming(frame, served.trace_id, /*queue_us=*/0,
                     UsBetween(exec_start, Clock::now()),
                     /*service_locked=*/true);
   return true;
@@ -684,11 +681,10 @@ void ProvenanceServer::DispatchLoop(std::shared_ptr<Conn> c) {
     if (resume_read) NudgeOwner(c);
     const Frame& frame = pending.frame;
     out.clear();
-    bool shutdown_after_reply = false;
-    uint64_t trace_id = 0;
+    Served served;
     const auto exec_start = Clock::now();
-    HandleFrame(frame, &out, &shutdown_after_reply, &trace_id);
-    RecordFrameTiming(frame, trace_id,
+    HandleFrame(frame, &out, &served);
+    RecordFrameTiming(frame, served.trace_id,
                       UsBetween(pending.enqueued, exec_start),
                       UsBetween(exec_start, Clock::now()),
                       /*service_locked=*/false);
@@ -700,7 +696,7 @@ void ProvenanceServer::DispatchLoop(std::shared_ptr<Conn> c) {
       } else {
         c->wbuf.insert(c->wbuf.end(), out.begin(), out.end());
       }
-      if (shutdown_after_reply) c->shutdown_after_flush = true;
+      if (served.shutdown_after_reply) c->shutdown_after_flush = true;
       // Batch small pipelined replies into large sends; flush eagerly once
       // a chunk has built up (or a shutdown reply must get out).
       flush_now = c->wbuf.size() - c->woff >= kFlushChunkBytes ||
@@ -858,19 +854,19 @@ void ProvenanceServer::UnregisterConnection() {
   if (--open_connections_ == 0) drained_cv_.notify_all();
 }
 
-ReactorStats ProvenanceServer::reactor_stats() const {
-  ReactorStats s;
+ServiceStats ProvenanceServer::reactor_stats(ServiceStats stats) const {
   {
     std::lock_guard lock(state_mu_);
-    s.connections_open = open_connections_;
+    stats.connections_open = open_connections_;
   }
-  s.connections_accepted = accepted_total_.load(std::memory_order_relaxed);
-  s.connections_timed_out = timed_out_total_.load(std::memory_order_relaxed);
-  s.connections_backpressured =
+  stats.connections_accepted = accepted_total_.load(std::memory_order_relaxed);
+  stats.connections_timed_out =
+      timed_out_total_.load(std::memory_order_relaxed);
+  stats.connections_backpressured =
       backpressured_total_.load(std::memory_order_relaxed);
-  s.epoll_wakeups = epoll_wakeups_.load(std::memory_order_relaxed);
-  s.accept_backoffs = accept_backoffs_.load(std::memory_order_relaxed);
-  return s;
+  stats.epoll_wakeups = epoll_wakeups_.load(std::memory_order_relaxed);
+  stats.accept_backoffs = accept_backoffs_.load(std::memory_order_relaxed);
+  return stats;
 }
 
 void ProvenanceServer::RegisterMetrics() {
@@ -895,25 +891,18 @@ void ProvenanceServer::RegisterMetrics() {
     }
   }
   // Replication lag at scrape time: on a primary applied == target (the
-  // op-log head); on a replica the tailer-reported pair, clamped so a
-  // freshly updated applied LSN never reads as ahead of a stale target.
-  auto target = [this] {
-    const uint64_t applied = CurrentAppliedLsn();
-    const uint64_t t = options_.oplog != nullptr
-                           ? options_.oplog->last_lsn()
-                           : target_lsn_.load(std::memory_order_acquire);
-    return std::max(t, applied);
-  };
+  // op-log head); on a replica the tailer-reported pair.
   metrics_.AddCallbackGauge("skl_replication_applied_lsn",
                             "Last op-log LSN applied by this server", "",
                             [this] { return CurrentAppliedLsn(); });
   metrics_.AddCallbackGauge(
       "skl_replication_target_lsn",
-      "Primary's last known op-log LSN (apply-lag denominator)", "", target);
+      "Primary's last known op-log LSN (apply-lag denominator)", "",
+      [this] { return CurrentTargetLsn(); });
   metrics_.AddCallbackGauge(
       "skl_replication_apply_lag",
       "Ops the primary has logged that this server has not yet applied", "",
-      [this, target] { return target() - CurrentAppliedLsn(); });
+      [this] { return CurrentTargetLsn() - CurrentAppliedLsn(); });
 }
 
 const LatencyHistogram* ProvenanceServer::queue_wait_histogram(
@@ -987,13 +976,224 @@ std::string ProvenanceServer::RenderMetricsText() {
   return RenderMetricsLocked();
 }
 
+/// One handler per request opcode: the service call and whatever logic is
+/// the request's own. Decoding, trailers, the read-token bounce and the
+/// reply encoding are ServeFrame's, driven by the opcode's row. Called with
+/// service_mu_ held as the row asks: exclusive for kLoadSnapshot, shared
+/// for everything else.
+struct ProvenanceServer::Handlers {
+  ProvenanceServer& server;
+  Served& served;
+
+  ProvenanceService& service() { return server.service_; }
+
+  /// The log that replicas bootstrap and tail from, if any.
+  Result<OpLog*> ReplicationLog() {
+    if (server.options_.oplog == nullptr) {
+      return Status::InvalidArgument(
+          "server has no replication log attached; start it with an "
+          "op-log (e.g. sklctl serve --oplog=...) to serve replicas");
+    }
+    return server.options_.oplog;
+  }
+
+  Result<NoFields> operator()(rpc::Ping) { return NoFields{}; }
+  Result<NoFields> operator()(rpc::Shutdown) {
+    served.shutdown_after_reply = true;  // reply first, then drain
+    return NoFields{};
+  }
+  Result<bool> operator()(rpc::Reaches, RunId run, VertexId v, VertexId w) {
+    return service().Reaches(run, v, w);
+  }
+  Result<std::vector<bool>> operator()(rpc::ReachesBatch, RunId run,
+                                       const std::vector<VertexPair>& pairs) {
+    return service().ReachesBatch(run, pairs);
+  }
+  Result<bool> operator()(rpc::DependsOn, RunId run, DataItemId x,
+                          DataItemId x_from) {
+    return service().DependsOn(run, x, x_from);
+  }
+  Result<std::vector<bool>> operator()(rpc::DependsOnBatch, RunId run,
+                                       const std::vector<ItemPair>& pairs) {
+    return service().DependsOnBatch(run, pairs);
+  }
+  Result<bool> operator()(rpc::ModuleDependsOnData, RunId run, VertexId v,
+                          DataItemId x) {
+    return service().ModuleDependsOnData(run, v, x);
+  }
+  Result<bool> operator()(rpc::DataDependsOnModule, RunId run, DataItemId x,
+                          VertexId v) {
+    return service().DataDependsOnModule(run, x, v);
+  }
+  Result<RunId> operator()(rpc::AddRun, const std::string& run_xml) {
+    SKL_ASSIGN_OR_RETURN(::skl::Run run, ReadRunXml(run_xml));
+    return service().AddRun(run);
+  }
+  Result<RunId> operator()(rpc::ImportRun, const std::vector<uint8_t>& blob) {
+    return service().ImportRun(blob);
+  }
+  Result<std::vector<uint8_t>> operator()(rpc::ExportRun, RunId run) {
+    return service().ExportRun(run);
+  }
+  Result<NoFields> operator()(rpc::RemoveRun, RunId run) {
+    SKL_RETURN_NOT_OK(service().RemoveRun(run));
+    return NoFields{};
+  }
+  Result<std::vector<RunId>> operator()(rpc::ListRuns) {
+    return service().ListRuns();
+  }
+  Result<RunStats> operator()(rpc::RunStats, RunId run) {
+    return service().Stats(run);
+  }
+  Result<ServiceStats> operator()(rpc::ServiceStats) {
+    // Reactor counters (docs/NETWORK.md) describe the server process, not
+    // the registry: they do NOT reset on kLoadSnapshot.
+    ServiceStats stats = server.reactor_stats(service().service_stats());
+    // Applied/target LSN pair: equal on a primary, the lag
+    // numerator/denominator on a replica.
+    stats.replication_lsn = server.CurrentAppliedLsn();
+    stats.replication_target_lsn = server.CurrentTargetLsn();
+    return stats;
+  }
+  Result<SnapshotFetchResult> operator()(rpc::SnapshotFetch) {
+    SKL_ASSIGN_OR_RETURN(OpLog * log, ReplicationLog());
+    // Read the LSN *before* composing the snapshot: the bytes then contain
+    // every op <= lsn (append-before-ack), and ops > lsn may appear in both
+    // snapshot and stream — which is why replica apply is idempotent.
+    SnapshotFetchResult result;
+    result.lsn = log->last_lsn();
+    SKL_ASSIGN_OR_RETURN(result.bytes, service().SnapshotBytes());
+    return result;
+  }
+  Result<LogBatch> operator()(rpc::Subscribe, uint64_t after_lsn,
+                              uint64_t max_entries) {
+    SKL_ASSIGN_OR_RETURN(OpLog * log, ReplicationLog());
+    // Cap the batch so one subscribe cannot ask for an unbounded reply
+    // frame; the tailer just comes back for the rest.
+    LogBatch batch;
+    batch.ops = log->ReadFrom(
+        after_lsn, static_cast<size_t>(std::min<uint64_t>(max_entries, 4096)));
+    batch.primary_last_lsn = log->last_lsn();
+    return batch;
+  }
+  Result<NoFields> operator()(rpc::SaveSnapshot, const std::string& path) {
+    SKL_RETURN_NOT_OK(service().SaveSnapshot(path));
+    return NoFields{};
+  }
+  Result<NoFields> operator()(rpc::LoadSnapshot, const std::string& path) {
+    // The swap replaces the whole service — sharded registry, spec memos
+    // and ServiceStats counters included. Counters RESET on load by
+    // contract: they describe the served lifetime of a registry, not the
+    // process (asserted by net_server_test, documented in
+    // docs/NETWORK.md). Runtime knobs (threads, shards) are not part of
+    // the snapshot and carry over from the old service.
+    SKL_ASSIGN_OR_RETURN(
+        ProvenanceService loaded,
+        ProvenanceService::LoadSnapshot(
+            path, service().options(),
+            {.use_mmap = server.options_.mmap_snapshots}));
+    service() = std::move(loaded);
+    OpLog* log = server.options_.oplog;
+    if (log != nullptr) {
+      // The swap dropped the old service's attachment; re-attach and
+      // append a barrier so recovery and replicas know the registry was
+      // replaced wholesale at this LSN (they chain through the snapshot
+      // rather than replaying across it).
+      service().AttachOpLog(log);
+      LogOp barrier;
+      barrier.kind = LogOp::Kind::kSnapshotBarrier;
+      barrier.blob.assign(path.begin(), path.end());
+      Result<uint64_t> appended = log->Append(std::move(barrier));
+      if (!appended.ok()) {
+        return Status::Internal(
+            "snapshot loaded but the op-log barrier append failed (" +
+            appended.status().message() +
+            "); the service is ahead of its replication log");
+      }
+    }
+    return NoFields{};
+  }
+  Result<std::string> operator()(rpc::Metrics) {
+    // service_mu_ is already held, so render through the lock-free body,
+    // not the public re-locking wrapper.
+    return server.RenderMetricsLocked();
+  }
+  Result<std::vector<SlowQueryEntry>> operator()(rpc::SlowQueries) {
+    return server.slow_queries();
+  }
+  Result<uint64_t> operator()(rpc::ApplySpecDelta,
+                              const std::vector<uint8_t>& blob) {
+    SKL_ASSIGN_OR_RETURN(SpecDelta delta, DeserializeSpecDelta(blob));
+    // Internally synchronized (the service's epoch mutex): the shared
+    // service_mu_ is enough, exactly as for AddRun.
+    return service().ApplySpecDelta(delta);
+  }
+};
+
+template <class Rpc>
+Status ProvenanceServer::ServeFrame(const FrameView& frame, PayloadWriter& out,
+                                    Served* served) {
+  constexpr const OpcodeInfo& row = RowOf<Rpc>();
+  FieldReader in{PayloadReader(frame.payload), StatusCode::kInvalidArgument};
+  typename Rpc::Request request;
+  SKL_RETURN_NOT_OK(GetField(in, request));
+  // A read carries a min-LSN token before the trace id (read-your-writes,
+  // docs/REPLICATION.md); every request ends with the client's trace id
+  // (docs/OBSERVABILITY.md).
+  uint64_t min_lsn = 0;
+  if constexpr (row.read_token) SKL_RETURN_NOT_OK(GetField(in, min_lsn));
+  SKL_RETURN_NOT_OK(GetField(in, served->trace_id));
+  SKL_RETURN_NOT_OK(in.payload.ExpectEnd());
+  if constexpr (row.read_token) {
+    // A server that has not applied the token's LSN bounces the read as
+    // kRetryAt carrying its applied LSN, instead of answering from a stale
+    // registry. A primary never bounces: appends ack only after the log
+    // holds the op, so its applied LSN covers every token a client can
+    // legitimately hold.
+    const uint64_t applied = CurrentAppliedLsn();
+    if (min_lsn > applied) {
+      served->reply_type = MsgType::kRetryAt;
+      out.U64(applied);
+      return Status::OK();
+    }
+  }
+  static_assert(Answers<Handlers, Rpc>(
+                    static_cast<typename Rpc::Request*>(nullptr)),
+                "every request opcode needs a handler");
+  auto handle = [&](const auto&... fields) {
+    return Handlers{*this, *served}(Rpc{}, fields...);
+  };
+  SKL_ASSIGN_OR_RETURN(typename Rpc::Reply reply, std::apply(handle, request));
+  PutField(out, reply);
+  // A mutation's reply carries an ack LSN >= the op's own: the token a
+  // client pins later replica reads with.
+  if constexpr (row.acks_lsn) out.U64(service_.replication_lsn());
+  served->reply_type = row.reply;
+  return Status::OK();
+}
+
+Status ProvenanceServer::Serve(const FrameView& frame, PayloadWriter& out,
+                               Served* served) {
+  using ServeFn =
+      Status (ProvenanceServer::*)(const FrameView&, PayloadWriter&, Served*);
+  // ServeFrame per request opcode byte, alongside kOpcodeByByte; every
+  // request row has an entry (MatchesRequestRows).
+  static constexpr std::array<ServeFn, 256> kServeByByte =
+      []<class... Rpcs>(TypeList<Rpcs...>) {
+        std::array<ServeFn, 256> table{};
+        ((table[static_cast<uint8_t>(Rpcs::kType)] =
+              &ProvenanceServer::ServeFrame<Rpcs>),
+         ...);
+        return table;
+      }(rpc::All{});
+  return (this->*kServeByByte[static_cast<uint8_t>(frame.type)])(frame, out,
+                                                                 served);
+}
+
 void ProvenanceServer::HandleFrame(const FrameView& frame,
                                    std::vector<uint8_t>* out,
-                                   bool* shutdown_after_reply,
-                                   uint64_t* trace_id) {
-  *trace_id = 0;
+                                   Served* served) {
   FrameWriter reply(out, MsgType::kReply, frame.request_id);
-  MsgType reply_type = MsgType::kReply;
   const OpcodeInfo* op = FindOpcode(static_cast<uint8_t>(frame.type));
   Status status;
   if (frame.version != kProtocolVersion) {
@@ -1010,372 +1210,30 @@ void ProvenanceServer::HandleFrame(const FrameView& frame,
   } else if (options_.read_only && op->mutates) {
     status = Status::InvalidArgument(
         "read-only replica; writes must go to the primary");
-  } else if (frame.type == MsgType::kLoadSnapshot) {
-    // The one request that replaces the service object outright: exclude
-    // every other in-flight dispatch for its duration.
+  } else if (op->exclusive) {
+    // Replaces the service object outright: exclude every other in-flight
+    // request for its duration.
     std::unique_lock lock(service_mu_);
-    status = Dispatch(frame, reply.payload(), shutdown_after_reply,
-                      &reply_type, trace_id);
+    status = Serve(frame, reply.payload(), served);
   } else {
     std::shared_lock lock(service_mu_);
-    status = Dispatch(frame, reply.payload(), shutdown_after_reply,
-                      &reply_type, trace_id);
+    status = Serve(frame, reply.payload(), served);
   }
-  FinishReply(frame, status, reply_type, *trace_id, reply);
-}
-
-Status ProvenanceServer::Dispatch(const FrameView& frame, PayloadWriter& out,
-                                  bool* shutdown_after_reply,
-                                  MsgType* reply_type, uint64_t* trace_id) {
-  PayloadReader reader(frame.payload);
-  // Every request payload ends with a client-generated trace-id varint
-  // (docs/OBSERVABILITY.md), after the read token on reads. Every case ends
-  // its payload through here.
-  auto end_request = [&](PayloadReader& r) -> Status {
-    Result<uint64_t> trace = r.U64();
-    if (!trace.ok()) return trace.status();
-    *trace_id = *trace;
-    return r.ExpectEnd();
-  };
-  // Read payloads additionally carry a min-LSN token before the trace id
-  // (read-your-writes, docs/REPLICATION.md): if this server has not applied
-  // that far yet, the request bounces as kRetryAt carrying the applied LSN
-  // instead of answering from a stale registry. A primary never bounces —
-  // appends ack only after the log holds the op, so its applied LSN covers
-  // every token a client can legitimately hold.
-  bool bounce = false;
-  uint64_t bounce_applied = 0;
-  auto end_read = [&](PayloadReader& r) -> Status {
-    Result<uint64_t> min_lsn = r.U64();
-    if (!min_lsn.ok()) return min_lsn.status();
-    SKL_RETURN_NOT_OK(end_request(r));
-    const uint64_t applied = CurrentAppliedLsn();
-    if (*min_lsn > applied) {
-      bounce = true;
-      bounce_applied = applied;
-    }
-    return Status::OK();
-  };
-  switch (frame.type) {
-    case MsgType::kPing: {
-      SKL_RETURN_NOT_OK(end_request(reader));
-      break;
-    }
-    case MsgType::kShutdown: {
-      SKL_RETURN_NOT_OK(end_request(reader));
-      *shutdown_after_reply = true;  // reply first, then drain
-      break;
-    }
-    case MsgType::kReaches: {
-      SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
-      SKL_ASSIGN_OR_RETURN(VertexId v, ReadU32(reader, "vertex id"));
-      SKL_ASSIGN_OR_RETURN(VertexId w, ReadU32(reader, "vertex id"));
-      SKL_RETURN_NOT_OK(end_read(reader));
-      if (bounce) break;
-      SKL_ASSIGN_OR_RETURN(bool answer,
-                           service_.Reaches(RunId::FromValue(run), v, w));
-      out.Boolean(answer);
-      break;
-    }
-    case MsgType::kReachesBatch: {
-      SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
-      SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-      std::vector<VertexPair> pairs;
-      for (uint64_t i = 0; i < count; ++i) {  // reads bound the allocation
-        SKL_ASSIGN_OR_RETURN(VertexId v, ReadU32(reader, "vertex id"));
-        SKL_ASSIGN_OR_RETURN(VertexId w, ReadU32(reader, "vertex id"));
-        pairs.push_back({v, w});
-      }
-      SKL_RETURN_NOT_OK(end_read(reader));
-      if (bounce) break;
-      SKL_ASSIGN_OR_RETURN(
-          std::vector<bool> answers,
-          service_.ReachesBatch(RunId::FromValue(run), pairs));
-      out.U64(answers.size());
-      for (bool answer : answers) out.Boolean(answer);
-      break;
-    }
-    case MsgType::kDependsOn: {
-      SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
-      SKL_ASSIGN_OR_RETURN(DataItemId x, ReadU32(reader, "item id"));
-      SKL_ASSIGN_OR_RETURN(DataItemId x_from, ReadU32(reader, "item id"));
-      SKL_RETURN_NOT_OK(end_read(reader));
-      if (bounce) break;
-      SKL_ASSIGN_OR_RETURN(
-          bool answer, service_.DependsOn(RunId::FromValue(run), x, x_from));
-      out.Boolean(answer);
-      break;
-    }
-    case MsgType::kDependsOnBatch: {
-      SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
-      SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-      std::vector<ItemPair> pairs;
-      for (uint64_t i = 0; i < count; ++i) {
-        SKL_ASSIGN_OR_RETURN(DataItemId x, ReadU32(reader, "item id"));
-        SKL_ASSIGN_OR_RETURN(DataItemId x_from, ReadU32(reader, "item id"));
-        pairs.push_back({x, x_from});
-      }
-      SKL_RETURN_NOT_OK(end_read(reader));
-      if (bounce) break;
-      SKL_ASSIGN_OR_RETURN(
-          std::vector<bool> answers,
-          service_.DependsOnBatch(RunId::FromValue(run), pairs));
-      out.U64(answers.size());
-      for (bool answer : answers) out.Boolean(answer);
-      break;
-    }
-    case MsgType::kModuleDependsOnData: {
-      SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
-      SKL_ASSIGN_OR_RETURN(VertexId v, ReadU32(reader, "vertex id"));
-      SKL_ASSIGN_OR_RETURN(DataItemId x, ReadU32(reader, "item id"));
-      SKL_RETURN_NOT_OK(end_read(reader));
-      if (bounce) break;
-      SKL_ASSIGN_OR_RETURN(
-          bool answer,
-          service_.ModuleDependsOnData(RunId::FromValue(run), v, x));
-      out.Boolean(answer);
-      break;
-    }
-    case MsgType::kDataDependsOnModule: {
-      SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
-      SKL_ASSIGN_OR_RETURN(DataItemId x, ReadU32(reader, "item id"));
-      SKL_ASSIGN_OR_RETURN(VertexId v, ReadU32(reader, "vertex id"));
-      SKL_RETURN_NOT_OK(end_read(reader));
-      if (bounce) break;
-      SKL_ASSIGN_OR_RETURN(
-          bool answer,
-          service_.DataDependsOnModule(RunId::FromValue(run), x, v));
-      out.Boolean(answer);
-      break;
-    }
-    case MsgType::kAddRun: {
-      SKL_ASSIGN_OR_RETURN(std::string xml, reader.Str());
-      SKL_RETURN_NOT_OK(end_request(reader));
-      SKL_ASSIGN_OR_RETURN(::skl::Run run, ReadRunXml(xml));
-      SKL_ASSIGN_OR_RETURN(RunId id, service_.AddRun(run));
-      out.U64(id.value());
-      // Mutating replies carry an ack LSN >= the op's own: the token a
-      // client pins later replica reads with (read-your-writes).
-      out.U64(service_.replication_lsn());
-      break;
-    }
-    case MsgType::kImportRun: {
-      SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> blob, reader.Bytes());
-      SKL_RETURN_NOT_OK(end_request(reader));
-      SKL_ASSIGN_OR_RETURN(
-          RunId id,
-          service_.ImportRun(std::vector<uint8_t>(blob.begin(), blob.end())));
-      out.U64(id.value());
-      out.U64(service_.replication_lsn());
-      break;
-    }
-    case MsgType::kExportRun: {
-      SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
-      SKL_RETURN_NOT_OK(end_read(reader));
-      if (bounce) break;
-      SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
-                           service_.ExportRun(RunId::FromValue(run)));
-      out.Bytes(blob);
-      break;
-    }
-    case MsgType::kRemoveRun: {
-      SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
-      SKL_RETURN_NOT_OK(end_request(reader));
-      SKL_RETURN_NOT_OK(service_.RemoveRun(RunId::FromValue(run)));
-      out.U64(service_.replication_lsn());
-      break;
-    }
-    case MsgType::kListRuns: {
-      SKL_RETURN_NOT_OK(end_read(reader));
-      if (bounce) break;
-      const std::vector<RunId> ids = service_.ListRuns();
-      out.U64(ids.size());
-      for (RunId id : ids) out.U64(id.value());
-      break;
-    }
-    case MsgType::kRunStats: {
-      SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
-      SKL_RETURN_NOT_OK(end_read(reader));
-      if (bounce) break;
-      SKL_ASSIGN_OR_RETURN(RunStats stats,
-                           service_.Stats(RunId::FromValue(run)));
-      out.U64(stats.num_vertices);
-      out.U64(stats.num_items);
-      out.U64(stats.label_bits);
-      out.U64(stats.context_bits);
-      out.U64(stats.origin_bits);
-      out.U64(stats.num_nonempty_plus);
-      out.Boolean(stats.imported);
-      break;
-    }
-    case MsgType::kServiceStats: {
-      SKL_RETURN_NOT_OK(end_request(reader));
-      const ServiceStats stats = service_.service_stats();
-      out.U64(stats.num_runs);
-      out.U64(stats.reaches_queries);
-      out.U64(stats.depends_on_queries);
-      out.U64(stats.module_data_queries);
-      out.U64(stats.data_module_queries);
-      out.U64(stats.batch_calls);
-      out.U64(stats.runs_ingested);
-      out.U64(stats.runs_imported);
-      out.U64(stats.runs_removed);
-      out.U64(stats.bulk_batches);
-      out.U64(stats.snapshot_saves);
-      out.U64(stats.cache_hits);
-      out.U64(stats.cache_misses);
-      // Applied/target LSN pair: equal on a primary, the lag
-      // numerator/denominator on a replica. Clamped so a freshly updated
-      // applied LSN never reads as ahead of a stale target.
-      const uint64_t applied = CurrentAppliedLsn();
-      uint64_t target = options_.oplog != nullptr
-                            ? options_.oplog->last_lsn()
-                            : target_lsn_.load(std::memory_order_acquire);
-      target = std::max(target, applied);
-      out.U64(applied);
-      out.U64(target);
-      // Reactor counters (docs/NETWORK.md): these describe the server
-      // process, not the registry — they do NOT reset on kLoadSnapshot.
-      const ReactorStats rs = reactor_stats();
-      out.U64(rs.connections_open);
-      out.U64(rs.connections_accepted);
-      out.U64(rs.connections_timed_out);
-      out.U64(rs.connections_backpressured);
-      out.U64(rs.epoll_wakeups);
-      out.U64(rs.accept_backoffs);
-      out.U64(stats.spec_epoch);
-      break;
-    }
-    case MsgType::kSnapshotFetch: {
-      SKL_RETURN_NOT_OK(end_request(reader));
-      if (options_.oplog == nullptr) {
-        return Status::InvalidArgument(
-            "server has no replication log attached; start it with an "
-            "op-log (e.g. sklctl serve --oplog=...) to serve replicas");
-      }
-      // Read the LSN *before* composing the snapshot: the bytes then
-      // contain every op <= lsn (append-before-ack), and ops > lsn may
-      // appear in both snapshot and stream — which is why replica apply is
-      // idempotent.
-      const uint64_t lsn = options_.oplog->last_lsn();
-      SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                           service_.SnapshotBytes());
-      out.U64(lsn);
-      out.Bytes(bytes);
-      break;
-    }
-    case MsgType::kSubscribe: {
-      SKL_ASSIGN_OR_RETURN(uint64_t after_lsn, reader.U64());
-      SKL_ASSIGN_OR_RETURN(uint64_t max_ops, reader.U64());
-      SKL_RETURN_NOT_OK(end_request(reader));
-      if (options_.oplog == nullptr) {
-        return Status::InvalidArgument(
-            "server has no replication log attached; start it with an "
-            "op-log (e.g. sklctl serve --oplog=...) to serve replicas");
-      }
-      // Cap the batch so one subscribe cannot ask for an unbounded reply
-      // frame; the tailer just comes back for the rest.
-      const size_t capped =
-          static_cast<size_t>(std::min<uint64_t>(max_ops, 4096));
-      const std::vector<LogOp> ops =
-          options_.oplog->ReadFrom(after_lsn, capped);
-      *reply_type = MsgType::kLogEntries;
-      out.U64(ops.size());
-      for (const LogOp& op : ops) out.Bytes(SerializeLogOp(op));
-      out.U64(options_.oplog->last_lsn());
-      break;
-    }
-    case MsgType::kSaveSnapshot: {
-      SKL_ASSIGN_OR_RETURN(std::string path, reader.Str());
-      SKL_RETURN_NOT_OK(end_request(reader));
-      SKL_RETURN_NOT_OK(service_.SaveSnapshot(path));
-      break;
-    }
-    case MsgType::kLoadSnapshot: {
-      // Caller holds service_mu_ exclusively (see HandleFrame). The swap
-      // replaces the whole service — sharded registry, spec memos and
-      // ServiceStats counters included. Counters RESET on load by
-      // contract: they describe the served lifetime of a registry, not the
-      // process (asserted by net_server_test, documented in
-      // docs/NETWORK.md). Runtime knobs (threads, shards) are not part of
-      // the snapshot and carry over from the old service.
-      SKL_ASSIGN_OR_RETURN(std::string path, reader.Str());
-      SKL_RETURN_NOT_OK(end_request(reader));
-      SKL_ASSIGN_OR_RETURN(
-          ProvenanceService loaded,
-          ProvenanceService::LoadSnapshot(
-              path, service_.options(),
-              {.use_mmap = options_.mmap_snapshots}));
-      service_ = std::move(loaded);
-      if (options_.oplog != nullptr) {
-        // The swap dropped the old service's attachment; re-attach and
-        // append a barrier so recovery and replicas know the registry was
-        // replaced wholesale at this LSN (they chain through the snapshot
-        // rather than replaying across it).
-        service_.AttachOpLog(options_.oplog);
-        LogOp barrier;
-        barrier.kind = LogOp::Kind::kSnapshotBarrier;
-        barrier.blob.assign(path.begin(), path.end());
-        Result<uint64_t> appended =
-            options_.oplog->Append(std::move(barrier));
-        if (!appended.ok()) {
-          return Status::Internal(
-              "snapshot loaded but the op-log barrier append failed (" +
-              appended.status().message() +
-              "); the service is ahead of its replication log");
-        }
-      }
-      break;
-    }
-    case MsgType::kMetrics: {
-      SKL_RETURN_NOT_OK(end_request(reader));
-      // service_mu_ is already held (shared) by HandleFrame, so render
-      // through the lock-free body, not the public re-locking wrapper.
-      out.Str(RenderMetricsLocked());
-      break;
-    }
-    case MsgType::kSlowQueries: {
-      SKL_RETURN_NOT_OK(end_request(reader));
-      const std::vector<SlowQueryEntry> entries = slow_queries();
-      out.U64(entries.size());
-      for (const SlowQueryEntry& e : entries) {
-        out.U64(e.trace_id);
-        out.U64(e.opcode);
-        out.U64(e.run_id);
-        out.U64(e.shard);
-        out.U64(e.queue_us);
-        out.U64(e.exec_us);
-      }
-      break;
-    }
-    case MsgType::kApplySpecDelta: {
-      SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> blob, reader.Bytes());
-      SKL_RETURN_NOT_OK(end_request(reader));
-      SKL_ASSIGN_OR_RETURN(SpecDelta delta, DeserializeSpecDelta(blob));
-      // Internally synchronized (the service's epoch mutex): the shared
-      // service_mu_ held by HandleFrame is enough, exactly as for AddRun.
-      SKL_ASSIGN_OR_RETURN(uint64_t epoch, service_.ApplySpecDelta(delta));
-      out.U64(epoch);
-      out.U64(service_.replication_lsn());
-      break;
-    }
-    default:
-      return Status::InvalidArgument(
-          "opcode " + std::to_string(static_cast<uint8_t>(frame.type)) +
-          " is not dispatchable");
-  }
-  if (bounce) {
-    // Every case bounces before writing its answer: the payload is empty.
-    *reply_type = MsgType::kRetryAt;
-    out.U64(bounce_applied);
-  }
-  return Status::OK();
+  FinishReply(frame, status, served->reply_type, served->trace_id, reply);
 }
 
 uint64_t ProvenanceServer::CurrentAppliedLsn() const {
   return options_.oplog != nullptr
              ? options_.oplog->last_lsn()
              : applied_lsn_.load(std::memory_order_acquire);
+}
+
+uint64_t ProvenanceServer::CurrentTargetLsn() const {
+  const uint64_t applied = CurrentAppliedLsn();
+  return std::max(options_.oplog != nullptr
+                      ? options_.oplog->last_lsn()
+                      : target_lsn_.load(std::memory_order_acquire),
+                  applied);
 }
 
 void ProvenanceServer::SetReplicationLsns(uint64_t applied_lsn,

@@ -142,17 +142,6 @@ struct ProvenanceServerOptions {
   uint32_t slow_query_threshold_us = 0;
 };
 
-/// Point-in-time reactor counters (also appended to the kServiceStats reply;
-/// see ServiceStats and docs/NETWORK.md).
-struct ReactorStats {
-  uint64_t connections_open = 0;           ///< currently registered
-  uint64_t connections_accepted = 0;       ///< cumulative accepts
-  uint64_t connections_timed_out = 0;      ///< closed by the idle reaper
-  uint64_t connections_backpressured = 0;  ///< write-buffer cap trips
-  uint64_t epoll_wakeups = 0;              ///< epoll_wait returns, all threads
-  uint64_t accept_backoffs = 0;            ///< fd-exhaustion accept retries
-};
-
 // SlowQueryEntry — the record Options::slow_query_threshold_us populates —
 // lives in protocol.h: it doubles as the kSlowQueries reply wire shape.
 
@@ -195,8 +184,10 @@ class ProvenanceServer {
   /// compare remote answers against direct ones.
   const ProvenanceService& service() const { return service_; }
 
-  /// Snapshot of the reactor counters (tests and kServiceStats use this).
-  ReactorStats reactor_stats() const;
+  /// `stats` with the reactor counters (connections_*, epoll_wakeups,
+  /// accept_backoffs) filled in from this server; kServiceStats and tests
+  /// read them here.
+  ServiceStats reactor_stats(ServiceStats stats = {}) const;
 
   /// The server-side metrics registry: per-opcode queue-wait / execute
   /// histograms and the replication-lag gauges. Registered once at Start;
@@ -319,23 +310,35 @@ class ProvenanceServer {
   /// through the thread's eventfd. Any thread.
   void NudgeOwner(const std::shared_ptr<Conn>& conn);
 
-  /// Dispatches one decoded request frame under service_mu_ (the pool
-  /// path), appending the encoded response frame to *out; sets
-  /// *shutdown_after_reply for kShutdown and *trace_id to the request's
-  /// trace token (0 when the payload failed before the trace field).
-  void HandleFrame(const FrameView& frame, std::vector<uint8_t>* out,
-                   bool* shutdown_after_reply, uint64_t* trace_id);
+  /// What serving one request settled besides its reply payload.
+  struct Served {
+    MsgType reply_type = MsgType::kReply;
+    uint64_t trace_id = 0;  ///< 0 when the payload failed before it
+    bool shutdown_after_reply = false;  ///< kShutdown: reply, then drain
+  };
 
-  /// Request-type switch: decodes the payload, calls the service, writes
-  /// the reply payload through `out`. Caller holds service_mu_ (unique for
-  /// LoadSnapshot, shared otherwise) and maps an error onto a kError reply,
-  /// dropping any payload written before it. The reply is kReply unless the
-  /// case overrides *reply_type (kLogEntries for kSubscribe, kRetryAt for a
-  /// read whose min-LSN token is ahead of the applied LSN). Every request
-  /// payload ends with a trace-id varint, written to *trace_id.
-  Status Dispatch(const FrameView& frame, PayloadWriter& out,
-                  bool* shutdown_after_reply, MsgType* reply_type,
-                  uint64_t* trace_id);
+  /// One handler per request opcode (server.cc).
+  struct Handlers;
+
+  /// Dispatches one decoded request frame under service_mu_ (the pool
+  /// path, shared or exclusive as its row says), appending the encoded
+  /// response frame to *out.
+  void HandleFrame(const FrameView& frame, std::vector<uint8_t>* out,
+                   Served* served);
+
+  /// Serves a current-version request frame through the handler of its
+  /// opcode (one array index), writing the reply payload through `out`.
+  /// Caller holds service_mu_ as the opcode's row asks and maps an error
+  /// onto a kError reply, dropping any payload written before it.
+  Status Serve(const FrameView& frame, PayloadWriter& out, Served* served);
+
+  /// Serve for one request opcode (an rpc:: shape, src/net/messages.h):
+  /// decodes its fields and trailers, bounces a read whose min-LSN token is
+  /// ahead of the applied LSN as kRetryAt, calls its handler and encodes
+  /// the reply (and ack LSN).
+  template <class Rpc>
+  Status ServeFrame(const FrameView& frame, PayloadWriter& out,
+                    Served* served);
 
   /// Registers the per-opcode histograms and replication gauges (Start
   /// path, before any frame can arrive).
@@ -350,13 +353,17 @@ class ProvenanceServer {
                          bool service_locked);
 
   /// RenderMetricsText body; caller holds service_mu_ (the kMetrics
-  /// dispatch case already does and must not re-lock).
+  /// handler already does and must not re-lock).
   std::string RenderMetricsLocked();
 
   /// The LSN reads are served at: the op-log head on a primary (appends
   /// ack only after the log has the op, so it is never behind a handed-out
   /// token), the tailer-reported applied LSN on a replica.
   uint64_t CurrentAppliedLsn() const;
+  /// The primary's last known LSN: the op-log head on a primary, the
+  /// tailer-reported target on a replica; never below the applied LSN, so
+  /// a freshly updated applied LSN never reads as ahead of a stale target.
+  uint64_t CurrentTargetLsn() const;
 
   /// Registers a fresh connection with the drain bookkeeping.
   bool RegisterConnection();  ///< false once shutdown began
@@ -385,7 +392,7 @@ class ProvenanceServer {
 
   std::mutex join_mu_;  ///< serializes the io-thread join (Wait vs dtor)
 
-  // Reactor counters (ReactorStats); connections_open is derived from
+  // Reactor counters (reactor_stats); connections_open is derived from
   // open_connections_.
   std::atomic<uint64_t> accepted_total_{0};
   std::atomic<uint64_t> timed_out_total_{0};

@@ -281,6 +281,18 @@ TEST(ProtocolTest, OpcodeTableHasOneNamedRowPerOpcode) {
     // I/O thread.
     if (!row.is_request) EXPECT_FALSE(row.mutates || row.names_run);
     if (row.runs_inline) EXPECT_TRUE(row.names_run && !row.mutates);
+    // Only requests have trailers, a lock mode or a reply; a token-checked
+    // read is retried and never mutates; only mutations ack an LSN.
+    if (!row.is_request) {
+      EXPECT_FALSE(row.read_token || row.retried || row.exclusive ||
+                   row.acks_lsn);
+    } else {
+      EXPECT_TRUE(row.reply == MsgType::kReply ||
+                  row.reply == MsgType::kLogEntries);
+    }
+    if (row.read_token) EXPECT_TRUE(row.retried && !row.mutates);
+    if (row.acks_lsn || row.exclusive) EXPECT_TRUE(row.mutates);
+    if (row.retried) EXPECT_FALSE(row.mutates);
   }
   // Every byte value finds the row of that opcode, or none.
   size_t found = 0;
@@ -309,6 +321,10 @@ TEST(ProtocolTest, OpcodeTableHasOneNamedRowPerOpcode) {
   EXPECT_EQ(inline_rows,
             (std::set<std::string>{"Reaches", "ReachesBatch",
                                    "DataDependsOnModule"}));
+  // Only a snapshot load replaces the service under the exclusive lock.
+  for (const OpcodeInfo& row : OpcodeTable()) {
+    EXPECT_EQ(row.exclusive, row.type == MsgType::kLoadSnapshot) << row.name;
+  }
 }
 
 // ----------------------------------------------------------- golden bytes --

@@ -177,7 +177,7 @@ TEST(ReactorStressTest, ThousandIdleConnsPlusActivePipelinedClients) {
   ASSERT_TRUE(shutdown_client.ok());
   ASSERT_TRUE(shutdown_client->Shutdown().ok());
   (*server)->Wait();
-  const ReactorStats stats = (*server)->reactor_stats();
+  const ServiceStats stats = (*server)->reactor_stats();
   EXPECT_EQ(stats.connections_open, 0u);
   EXPECT_GE(stats.connections_accepted, idle_target + kActiveClients);
   for (int fd : idle_fds) ::close(fd);
