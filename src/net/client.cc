@@ -243,12 +243,13 @@ Result<std::span<const uint8_t>> ProvenanceClient::Receive(
 template <class Rpc>
 Result<typename Rpc::Reply> ProvenanceClient::DecodeReply(
     std::span<const uint8_t> payload) {
-  FieldReader in{PayloadReader(payload), StatusCode::kParseError};
+  FieldReader in{PayloadReader(payload), StatusCode::kParseError,
+                 Status::OK()};
   typename Rpc::Reply reply{};
-  SKL_RETURN_NOT_OK(GetField(in, reply));
   uint64_t ack_lsn = 0;
-  if constexpr (RowOf<Rpc>().acks_lsn) {
-    SKL_RETURN_NOT_OK(GetField(in, ack_lsn));
+  if (!GetField(in, reply) ||
+      (RowOf<Rpc>().acks_lsn && !GetField(in, ack_lsn))) {
+    return in.error;
   }
   SKL_RETURN_NOT_OK(in.payload.ExpectEnd());
   if (ack_lsn > last_write_lsn_) last_write_lsn_ = ack_lsn;

@@ -22,20 +22,21 @@ namespace skl {
 
 /// A run id travels as its value.
 inline void PutField(PayloadWriter& out, RunId id) { out.U64(id.value()); }
-inline Status GetField(FieldReader& in, RunId& id) {
+inline bool GetField(FieldReader& in, RunId& id) {
   uint64_t value = 0;
-  SKL_RETURN_NOT_OK(GetField(in, value));
+  if (!GetField(in, value)) return false;
   id = RunId::FromValue(value);
-  return Status::OK();
+  return true;
 }
 
 /// An op-log entry travels as a blob of its op-log encoding.
 inline void PutField(PayloadWriter& out, const LogOp& op) {
   out.Bytes(SerializeLogOp(op));
 }
-inline Status GetField(FieldReader& in, LogOp& op) {
-  SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> entry, in.payload.Bytes());
-  return Take(DeserializeLogOp(entry), op);
+inline bool GetField(FieldReader& in, LogOp& op) {
+  std::span<const uint8_t> entry;
+  return in.Take(in.payload.Bytes(), entry) &&
+         in.Take(DeserializeLogOp(entry), op);
 }
 
 // ------------------------------------------------------------ messages --

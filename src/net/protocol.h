@@ -381,13 +381,26 @@ class PayloadReader {
 // struct with a Fields() member as the fields that ties, in order. The
 // message shapes are in src/net/messages.h.
 
-/// A PayloadReader that knows which side is decoding. An id that does not
-/// fit its field is the caller's fault in a request (kInvalidArgument) and
-/// corruption in a reply (kParseError); every other malformation is a
-/// kParseError on both sides.
+/// A PayloadReader that knows which side is decoding and keeps the first
+/// failure: GetField returns false and leaves it in `error`. An id that
+/// does not fit its field is the caller's fault in a request
+/// (kInvalidArgument) and corruption in a reply (kParseError); every other
+/// malformation is a kParseError on both sides.
 struct FieldReader {
   PayloadReader payload;
   StatusCode out_of_range;
+  Status error;
+
+  /// Moves a successful read into `out`; otherwise records its failure.
+  template <class T>
+  bool Take(Result<T> read, T& out) {
+    if (!read.ok()) {
+      error = read.status();
+      return false;
+    }
+    out = std::move(read).value();
+    return true;
+  }
 };
 
 template <class T>
@@ -423,67 +436,58 @@ void PutField(PayloadWriter& out, const T& msg) {
   PutField(out, const_cast<T&>(msg).Fields());
 }
 
-/// Moves a successful read into `out`.
-template <class T>
-Status Take(Result<T> read, T& out) {
-  if (!read.ok()) return read.status();
-  out = std::move(read).value();
-  return Status::OK();
-}
-
-inline Status GetField(FieldReader& in, uint64_t& value) {
-  return Take(in.payload.U64(), value);
+inline bool GetField(FieldReader& in, uint64_t& value) {
+  return in.Take(in.payload.U64(), value);
 }
 /// A narrower integer: the varint must fit it.
 template <std::unsigned_integral T>
   requires(!std::same_as<T, bool> && !std::same_as<T, uint64_t>)
-Status GetField(FieldReader& in, T& value) {
-  SKL_ASSIGN_OR_RETURN(uint64_t raw, in.payload.U64());
+bool GetField(FieldReader& in, T& value) {
+  uint64_t raw = 0;
+  if (!GetField(in, raw)) return false;
   if (raw > std::numeric_limits<T>::max()) {
-    return Status(in.out_of_range,
-                  "field value " + std::to_string(raw) + " does not fit " +
-                      std::to_string(std::numeric_limits<T>::digits) +
-                      " bits");
+    in.error = Status(in.out_of_range,
+                      "field value " + std::to_string(raw) + " does not fit " +
+                          std::to_string(std::numeric_limits<T>::digits) +
+                          " bits");
+    return false;
   }
   value = static_cast<T>(raw);
-  return Status::OK();
+  return true;
 }
-inline Status GetField(FieldReader& in, bool& value) {
-  return Take(in.payload.Boolean(), value);
+inline bool GetField(FieldReader& in, bool& value) {
+  return in.Take(in.payload.Boolean(), value);
 }
-inline Status GetField(FieldReader& in, std::string& text) {
-  return Take(in.payload.Str(), text);
+inline bool GetField(FieldReader& in, std::string& text) {
+  return in.Take(in.payload.Str(), text);
 }
-inline Status GetField(FieldReader& in, std::vector<uint8_t>& bytes) {
-  SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> view, in.payload.Bytes());
+inline bool GetField(FieldReader& in, std::vector<uint8_t>& bytes) {
+  std::span<const uint8_t> view;
+  if (!in.Take(in.payload.Bytes(), view)) return false;
   bytes.assign(view.begin(), view.end());
-  return Status::OK();
+  return true;
 }
 template <class T>
-Status GetField(FieldReader& in, std::vector<T>& list) {
-  SKL_ASSIGN_OR_RETURN(uint64_t count, in.payload.U64());
+bool GetField(FieldReader& in, std::vector<T>& list) {
+  uint64_t count = 0;
+  if (!GetField(in, count)) return false;
   // Every element takes at least one byte: the payload bounds the count.
   list.clear();
   list.reserve(std::min<uint64_t>(count, in.payload.remaining()));
   for (uint64_t i = 0; i < count; ++i) {
     T item{};
-    SKL_RETURN_NOT_OK(GetField(in, item));
+    if (!GetField(in, item)) return false;
     list.push_back(std::move(item));
   }
-  return Status::OK();
+  return true;
 }
 template <TupleLike T>
-Status GetField(FieldReader& in, T& fields) {
+bool GetField(FieldReader& in, T& fields) {
   return std::apply(
-      [&](auto&... field) {
-        Status status;  // stops at the first field that fails
-        (void)((status = GetField(in, field), status.ok()) && ...);
-        return status;
-      },
-      fields);
+      [&](auto&... field) { return (GetField(in, field) && ...); }, fields);
 }
 template <WireStruct T>
-Status GetField(FieldReader& in, T& msg) {
+bool GetField(FieldReader& in, T& msg) {
   auto fields = msg.Fields();
   return GetField(in, fields);
 }
@@ -493,8 +497,8 @@ Status GetField(FieldReader& in, T& msg) {
 template <class T>
 Status DecodeMessage(std::span<const uint8_t> payload, StatusCode out_of_range,
                      T& msg) {
-  FieldReader in{PayloadReader(payload), out_of_range};
-  SKL_RETURN_NOT_OK(GetField(in, msg));
+  FieldReader in{PayloadReader(payload), out_of_range, Status::OK()};
+  if (!GetField(in, msg)) return in.error;
   return in.payload.ExpectEnd();
 }
 

@@ -1134,15 +1134,18 @@ template <class Rpc>
 Status ProvenanceServer::ServeFrame(const FrameView& frame, PayloadWriter& out,
                                     Served* served) {
   constexpr const OpcodeInfo& row = RowOf<Rpc>();
-  FieldReader in{PayloadReader(frame.payload), StatusCode::kInvalidArgument};
+  FieldReader in{PayloadReader(frame.payload), StatusCode::kInvalidArgument,
+                 Status::OK()};
   typename Rpc::Request request;
-  SKL_RETURN_NOT_OK(GetField(in, request));
   // A read carries a min-LSN token before the trace id (read-your-writes,
   // docs/REPLICATION.md); every request ends with the client's trace id
   // (docs/OBSERVABILITY.md).
   uint64_t min_lsn = 0;
-  if constexpr (row.read_token) SKL_RETURN_NOT_OK(GetField(in, min_lsn));
-  SKL_RETURN_NOT_OK(GetField(in, served->trace_id));
+  if (!GetField(in, request) ||
+      (row.read_token && !GetField(in, min_lsn)) ||
+      !GetField(in, served->trace_id)) {
+    return in.error;
+  }
   SKL_RETURN_NOT_OK(in.payload.ExpectEnd());
   if constexpr (row.read_token) {
     // A server that has not applied the token's LSN bounces the read as
