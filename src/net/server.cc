@@ -902,7 +902,11 @@ void ProvenanceServer::RegisterMetrics() {
   metrics_.AddCallbackGauge(
       "skl_replication_apply_lag",
       "Ops the primary has logged that this server has not yet applied", "",
-      [this] { return CurrentTargetLsn() - CurrentAppliedLsn(); });
+      [this] {
+        // Applied first: a target read after it is never below it.
+        const uint64_t applied = CurrentAppliedLsn();
+        return CurrentTargetLsn() - applied;
+      });
 }
 
 const LatencyHistogram* ProvenanceServer::queue_wait_histogram(
