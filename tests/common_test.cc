@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/bit_codec.h"
@@ -554,6 +557,136 @@ TEST(BitCodecTest, ExhaustiveWidthRoundTrip) {
     EXPECT_EQ(v, 0u) << bits;
     ASSERT_TRUE(r.Read(bits, &v).ok());
     EXPECT_EQ(v, max_val & 0x5555555555555555ULL) << bits;
+  }
+}
+
+/// Bit-at-a-time model of BitWriter: MSB-first within each field, fields
+/// back to back, varints and raw bytes byte-aligned first.
+class ReferenceBitWriter {
+ public:
+  void Write(uint64_t value, int bits) {
+    for (int i = bits - 1; i >= 0; --i) PutBit((value >> i) & 1);
+  }
+  void WriteVarint(uint64_t value) {
+    std::vector<uint8_t> bytes;
+    AppendVarint(value, &bytes);
+    WriteBytes(bytes);
+  }
+  void WriteBytes(std::span<const uint8_t> bytes) {
+    AlignToByte();
+    for (uint8_t byte : bytes) Write(byte, 8);
+  }
+  void AlignToByte() {
+    while (bit_count_ % 8 != 0) PutBit(0);
+  }
+  size_t bit_count() const { return bit_count_; }
+  std::vector<uint8_t> Finish() {
+    AlignToByte();
+    return bytes_;
+  }
+
+ private:
+  void PutBit(uint64_t bit) {
+    if (bit_count_ % 8 == 0) bytes_.push_back(0);
+    bytes_.back() |= static_cast<uint8_t>(bit << (7 - bit_count_ % 8));
+    ++bit_count_;
+  }
+  std::vector<uint8_t> bytes_;
+  size_t bit_count_ = 0;
+};
+
+uint64_t RandomField(Rng& rng, int bits) {
+  const uint64_t value = rng.Next();
+  return bits == 64 ? value : value & ((uint64_t{1} << bits) - 1);
+}
+
+TEST(BitCodecTest, MatchesBitwiseReferenceAtEveryWidthAndOffset) {
+  Rng rng(20261019);
+  for (int bits = 1; bits <= 64; ++bits) {
+    for (int offset = 0; offset < 8; ++offset) {
+      SCOPED_TRACE("bits=" + std::to_string(bits) +
+                   " offset=" + std::to_string(offset));
+      BitWriter w;
+      ReferenceBitWriter ref;
+      // What was written, in order: a field (width > 0), a varint
+      // (width 0), raw bytes (width -n) or an alignment (width -100).
+      std::vector<std::pair<int, uint64_t>> script;
+      auto field = [&](uint64_t value, int width) {
+        w.Write(value, width);
+        ref.Write(value, width);
+        script.emplace_back(width, value);
+      };
+      if (offset > 0) field(RandomField(rng, offset), offset);
+      field(RandomField(rng, bits), bits);
+      const uint64_t max = bits == 64 ? UINT64_MAX
+                                      : (uint64_t{1} << bits) - 1;
+      field(max, bits);
+      const uint64_t varint = RandomField(rng, 1 + bits % 64);
+      w.WriteVarint(varint);
+      ref.WriteVarint(varint);
+      script.emplace_back(0, varint);
+      field(0, bits);
+      field(1, 1 + (bits + offset) % 7);
+      std::vector<uint8_t> raw(static_cast<size_t>(offset % 3));
+      for (uint8_t& byte : raw) byte = static_cast<uint8_t>(rng.Next());
+      w.WriteBytes(raw);
+      ref.WriteBytes(raw);
+      script.emplace_back(-static_cast<int>(raw.size()) - 1, 0);
+      field(RandomField(rng, bits), bits);
+      w.AlignToByte();
+      ref.AlignToByte();
+      script.emplace_back(-100, 0);
+      field(RandomField(rng, bits), bits);
+      ASSERT_EQ(w.bit_count(), ref.bit_count());
+      const std::vector<uint8_t> bytes = w.Finish();
+      ASSERT_EQ(bytes, ref.Finish());
+
+      BitReader r(bytes);
+      for (const auto& [width, value] : script) {
+        uint64_t got = 0;
+        if (width > 0) {
+          ASSERT_TRUE(r.Read(width, &got).ok());
+          EXPECT_EQ(got, value);
+        } else if (width == 0) {
+          ASSERT_TRUE(r.ReadVarint(&got).ok());
+          EXPECT_EQ(got, value);
+        } else if (width == -100) {
+          r.AlignToByte();
+        } else {
+          std::span<const uint8_t> out;
+          ASSERT_TRUE(r.ReadBytes(static_cast<size_t>(-width - 1), &out).ok());
+          EXPECT_TRUE(std::equal(out.begin(), out.end(), raw.begin(),
+                                 raw.end()));
+        }
+      }
+      EXPECT_EQ(r.bit_position(), bytes.size() * 8 - (8 - bits % 8) % 8);
+    }
+  }
+}
+
+TEST(BitCodecTest, TruncatedFieldFailsAtEveryWidthAndOffset) {
+  Rng rng(7);
+  for (int bits = 1; bits <= 64; ++bits) {
+    for (int offset = 0; offset < 8; ++offset) {
+      BitWriter w;
+      if (offset > 0) w.Write(RandomField(rng, offset), offset);
+      w.Write(RandomField(rng, bits), bits);
+      const std::vector<uint8_t> bytes = w.Finish();
+      // One byte short, held in an exact-size buffer so a sanitizer sees
+      // any read past its end.
+      const size_t kept = bytes.size() - 1;
+      auto data = std::make_unique<uint8_t[]>(kept);
+      std::copy(bytes.begin(), bytes.begin() + kept, data.get());
+      BitReader r(data.get(), kept);
+      // When the whole stream was one byte, the prefix is cut off too.
+      const bool prefix_kept = static_cast<size_t>(offset) <= kept * 8;
+      uint64_t got = 0;
+      if (offset > 0 && prefix_kept) ASSERT_TRUE(r.Read(offset, &got).ok());
+      const Status status = r.Read(prefix_kept ? bits : offset, &got);
+      ASSERT_FALSE(status.ok()) << bits << " " << offset;
+      EXPECT_EQ(status.message(), "bit stream exhausted");
+      EXPECT_EQ(r.bit_position(), prefix_kept ? static_cast<size_t>(offset) : size_t{0});
+    }
   }
 }
 

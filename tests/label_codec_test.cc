@@ -103,5 +103,19 @@ TEST(LabelCodecTest, LargeRunRoundTrip) {
   }
 }
 
+TEST(LabelCodecTest, EncodedBytesArePinned) {
+  // Label codec bytes of a seeded run, pinned by digest.
+  auto ex = testing_util::MakeRunningExample();
+  ::skl::Run run = testing_util::GenerateRun(ex.spec, 1500, 31);
+  SkeletonLabeler labeler(&ex.spec, SpecSchemeKind::kTcm);
+  ASSERT_TRUE(labeler.Init().ok());
+  auto labeling = labeler.LabelRun(run);
+  ASSERT_TRUE(labeling.ok()) << labeling.status().ToString();
+  EncodedLabels encoded = EncodeLabels(*labeling);
+  EXPECT_EQ(encoded.bytes.size(), 6287u);
+  EXPECT_EQ(testing_util::Fnv1a(encoded.bytes.data(), encoded.bytes.size()),
+            0x14b51e96752a4187ULL);
+}
+
 }  // namespace
 }  // namespace skl

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/core/plan_builder.h"
+#include "src/workload/spec_generator.h"
 #include "tests/test_util.h"
 
 namespace skl {
@@ -232,5 +236,77 @@ TEST(PlanBuilderConformance, RejectsBrokenSerialChain) {
   EXPECT_FALSE(ConstructPlan(ex.spec, *run).ok());
 }
 
+
+// Pinned digests of the recovered plan (printed tree with context counts),
+// the origin function and every vertex's context, for seeded runs of QBLAST
+// and of generated depth-4 specs. Plan recovery is deterministic, and the
+// plan's child order feeds the labels, so any change here moves labels too.
+uint64_t RecoveryDigest(const Specification& spec,
+                        std::initializer_list<uint32_t> sizes,
+                        uint64_t seed) {
+  uint64_t digest = testing_util::Fnv1a(nullptr, 0);
+  for (uint32_t size : sizes) {
+    ::skl::Run run = testing_util::GenerateRun(spec, size, seed++);
+    auto recovered = ConstructPlan(spec, run);
+    SKL_CHECK_MSG(recovered.ok(), recovered.status().ToString().c_str());
+    const std::string text = recovered->plan.ToString(&spec.hierarchy());
+    digest = testing_util::Fnv1a(text.data(), text.size(), digest);
+    std::vector<uint32_t> per_vertex;
+    for (VertexId v = 0; v < run.num_vertices(); ++v) {
+      per_vertex.push_back(recovered->origin[v]);
+      per_vertex.push_back(recovered->plan.ContextOf(v));
+    }
+    digest = testing_util::Fnv1a(per_vertex.data(),
+                                 per_vertex.size() * sizeof(uint32_t), digest);
+  }
+  return digest;
+}
+
+TEST(PlanBuilderPinned, QblastRunsRecoverPinnedPlans) {
+  auto spec = BuildRealWorkflow("QBLAST");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(RecoveryDigest(*spec, {100, 500, 2000}, 11),
+            0x72b1614fea663544ULL);
+}
+
+TEST(PlanBuilderPinned, GeneratedDepthFourRunsRecoverPinnedPlans) {
+  const uint64_t expected[] = {0x6e352d959b20ffb1ULL, 0xfee31b48484d2a4bULL,
+                               0xda71dbc7fbd1f120ULL};
+  for (uint64_t s = 0; s < 3; ++s) {
+    SpecGenOptions sopt;
+    sopt.num_vertices = 60;
+    sopt.num_edges = 100;
+    sopt.num_subgraphs = 8;
+    sopt.depth = 4;
+    sopt.seed = s + 1;
+    auto spec = GenerateSpecification(sopt);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    ASSERT_EQ(spec->hierarchy().depth(), 4);
+    EXPECT_EQ(RecoveryDigest(*spec, {100, 500, 2000}, 100 * s), expected[s])
+        << "spec seed " << sopt.seed;
+  }
+}
+
+TEST(PlanBuilderLargeSpec, RecoversARunOfATenThousandModuleSpec) {
+  // Per-spec tables must grow with m_G, not n_G^2: at 10 000 modules a
+  // quadratic table is 10^8 entries.
+  SpecGenOptions sopt;
+  sopt.num_vertices = 10000;
+  sopt.num_edges = 12000;
+  sopt.num_subgraphs = 40;
+  sopt.depth = 4;
+  sopt.seed = 5;
+  auto spec = GenerateSpecification(sopt);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ASSERT_EQ(spec->graph().num_vertices(), 10000u);
+  ::skl::Run run = testing_util::GenerateRun(*spec, 15000, 3);
+  ASSERT_GE(run.num_vertices(), 10000u);
+  auto recovered = ConstructPlan(*spec, run);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(recovered->plan.Validate(run.num_edges()).ok());
+  for (VertexId v = 0; v < run.num_vertices(); ++v) {
+    ASSERT_EQ(recovered->origin[v], run.ModuleOf(v)) << "vertex " << v;
+  }
+}
 }  // namespace
 }  // namespace skl

@@ -207,5 +207,27 @@ TEST(ProvenanceStoreLargeTest, GeneratedRunRoundTrip) {
   }
 }
 
+TEST(ProvenanceStoreLargeTest, SerializedBytesArePinned) {
+  // The SKLP blob of a seeded run, pinned by digest: the op-log, snapshots
+  // and ImportRun all carry these bytes, so the encoder may not move one.
+  auto ex = testing_util::MakeRunningExample();
+  ::skl::Run run = testing_util::GenerateRun(ex.spec, 1500, 21);
+  SkeletonLabeler labeler(&ex.spec, SpecSchemeKind::kTcm);
+  ASSERT_TRUE(labeler.Init().ok());
+  auto labeling = labeler.LabelRun(run);
+  ASSERT_TRUE(labeling.ok()) << labeling.status().ToString();
+  DataGenOptions dopt;
+  dopt.seed = 22;
+  DataCatalog catalog = GenerateDataCatalog(run, dopt);
+  const std::vector<uint8_t> blob =
+      ProvenanceStore::Capture(*labeling, &catalog).Serialize();
+  EXPECT_EQ(blob.size(), 13875u);
+  EXPECT_EQ(testing_util::Fnv1a(blob.data(), blob.size()),
+            0x8e31373603239e8bULL);
+  auto restored = ProvenanceStore::Deserialize(blob);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->Serialize(), blob);
+}
+
 }  // namespace
 }  // namespace skl

@@ -165,6 +165,18 @@ inline RunningExample MakeRunningExample() {
   return ex;
 }
 
+/// 64-bit FNV-1a over `size` bytes, continuing from `hash`: a pinned digest
+/// of encoder output or of a printed structure, so a test notices when one
+/// byte moves without spelling every byte out.
+inline uint64_t Fnv1a(const void* data, size_t size,
+                      uint64_t hash = 0xcbf29ce484222325ULL) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 /// A generated conforming run of `spec` with about `target` vertices.
 inline Run GenerateRun(const Specification& spec, uint32_t target,
                        uint64_t seed) {
