@@ -1,39 +1,73 @@
 #include "src/common/bit_codec.h"
 
 #include <bit>
+#include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/varint.h"
 
 namespace skl {
 
+namespace {
+
+/// Appends the first `n` (<= 8) bytes of `window`, most significant first.
+void AppendHighBytes(uint64_t window, size_t n, std::vector<uint8_t>* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    window = __builtin_bswap64(window);
+  }
+  const auto* bytes = reinterpret_cast<const uint8_t*>(&window);
+  out->insert(out->end(), bytes, bytes + n);
+}
+
+/// Up to 8 bytes from `data` as a big-endian word, zero-filled past `size`.
+uint64_t LoadHighBytes(const uint8_t* data, size_t size) {
+  uint64_t window = 0;
+  if (size >= 8) {
+    std::memcpy(&window, data, 8);
+    if constexpr (std::endian::native == std::endian::little) {
+      window = __builtin_bswap64(window);
+    }
+    return window;
+  }
+  for (size_t i = 0; i < size; ++i) {
+    window |= uint64_t{data[i]} << (56 - 8 * i);
+  }
+  return window;
+}
+
+}  // namespace
+
 void BitWriter::Write(uint64_t value, int bits) {
   SKL_DCHECK(bits > 0 && bits <= 64);
   SKL_DCHECK(bits == 64 || value < (uint64_t{1} << bits));
-  for (int i = bits - 1; i >= 0; --i) {
-    size_t byte = bit_count_ >> 3;
-    if (byte >= bytes_.size()) bytes_.push_back(0);
-    uint8_t bit = static_cast<uint8_t>((value >> i) & 1);
-    bytes_[byte] = static_cast<uint8_t>(bytes_[byte] |
-                                        (bit << (7 - (bit_count_ & 7))));
-    ++bit_count_;
+  const uint64_t field = value << (64 - bits);  // left-aligned
+  window_ |= field >> pending_;
+  const int filled = pending_ + bits;
+  if (filled < 64) {
+    pending_ = filled;
+    return;
   }
+  AppendHighBytes(window_, 8, &bytes_);
+  // What did not fit: the field's last `filled - 64` bits.
+  pending_ = filled - 64;
+  window_ = pending_ == 0 ? 0 : field << (bits - pending_);
 }
 
 void BitWriter::WriteVarint(uint64_t value) {
-  AlignToByte();  // now bytes_ holds exactly bit_count_ / 8 bytes
+  AlignToByte();
   AppendVarint(value, &bytes_);
-  bit_count_ = bytes_.size() * 8;
 }
 
 void BitWriter::WriteBytes(std::span<const uint8_t> bytes) {
   AlignToByte();
   bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
-  bit_count_ += bytes.size() * 8;
 }
 
 void BitWriter::AlignToByte() {
-  while (bit_count_ & 7) Write(0, 1);
+  // The window's bits past pending_ are zero: flush it, zero-padded.
+  AppendHighBytes(window_, static_cast<size_t>(pending_ + 7) / 8, &bytes_);
+  window_ = 0;
+  pending_ = 0;
 }
 
 std::vector<uint8_t> BitWriter::Finish() {
@@ -52,14 +86,16 @@ Status BitReader::Read(int bits, uint64_t* value) {
   if (bit_pos_ + static_cast<size_t>(bits) > size_bits_) {
     return Status::ParseError("bit stream exhausted");
   }
-  uint64_t out = 0;
-  for (int i = 0; i < bits; ++i) {
-    uint8_t byte = data_[bit_pos_ >> 3];
-    uint8_t bit = (byte >> (7 - (bit_pos_ & 7))) & 1;
-    out = (out << 1) | bit;
-    ++bit_pos_;
-  }
-  *value = out;
+  // A 64-bit window from the field's first byte holds at least 57 of its
+  // bits; a field that starts late in its byte and is wider takes the rest
+  // from the ninth byte.
+  const size_t byte = bit_pos_ >> 3;
+  const int skip = static_cast<int>(bit_pos_ & 7);
+  uint64_t window = LoadHighBytes(data_ + byte, (size_bits_ >> 3) - byte)
+                    << skip;
+  if (skip + bits > 64) window |= data_[byte + 8] >> (8 - skip);
+  *value = window >> (64 - bits);
+  bit_pos_ += static_cast<size_t>(bits);
   return Status::OK();
 }
 

@@ -1,7 +1,12 @@
 // Bit-granular writer/reader used by the label codec: SKL run labels are
 // `3*ceil(log2 n_T_plus)` bits of context encoding plus `ceil(log2 n_G)` bits
 // of origin id, and we serialize them at exactly that width to demonstrate the
-// paper's label-length bounds on real bytes.
+// paper's label-length bounds on real bytes. The same codec carries the
+// op-log and snapshot run blobs and spec deltas.
+//
+// Each Write or Read moves a whole field through a 64-bit window (the writer
+// spills eight bytes whenever its window fills; the reader loads eight bytes
+// big-endian at the field's first byte), never one bit at a time.
 #ifndef SKL_COMMON_BIT_CODEC_H_
 #define SKL_COMMON_BIT_CODEC_H_
 
@@ -37,14 +42,17 @@ class BitWriter {
   void AlignToByte();
 
   /// Total bits written so far.
-  size_t bit_count() const { return bit_count_; }
+  size_t bit_count() const {
+    return bytes_.size() * 8 + static_cast<size_t>(pending_);
+  }
 
   /// Finalizes (pads to byte) and returns the buffer.
   std::vector<uint8_t> Finish();
 
  private:
-  std::vector<uint8_t> bytes_;
-  size_t bit_count_ = 0;
+  std::vector<uint8_t> bytes_;  ///< whole bytes written out
+  uint64_t window_ = 0;  ///< the next bits, left-aligned; the rest are zero
+  int pending_ = 0;      ///< bits held in window_, 0..63
 };
 
 /// Reads back fields written by BitWriter in the same order.

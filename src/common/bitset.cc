@@ -19,11 +19,6 @@ void DynamicBitset::Clear(size_t i) {
   words_[i >> 6] &= ~(uint64_t{1} << (i & 63));
 }
 
-bool DynamicBitset::Test(size_t i) const {
-  SKL_DCHECK(i < size_);
-  return (words_[i >> 6] >> (i & 63)) & 1;
-}
-
 void DynamicBitset::UnionWith(const DynamicBitset& other) {
   SKL_DCHECK(size_ == other.size_);
   for (size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/check.h"
+
 namespace skl {
 
 class DynamicBitset {
@@ -20,7 +22,10 @@ class DynamicBitset {
 
   void Set(size_t i);
   void Clear(size_t i);
-  bool Test(size_t i) const;
+  bool Test(size_t i) const {
+    SKL_DCHECK(i < size_);
+    return (words_[i >> 6] >> (i & 63)) & 1;
+  }
 
   /// Sets every bit that is set in `other`. Sizes must match.
   void UnionWith(const DynamicBitset& other);

@@ -5,6 +5,7 @@
 #ifndef SKL_COMMON_VARINT_H_
 #define SKL_COMMON_VARINT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -18,6 +19,11 @@ inline void AppendVarint(uint64_t value, std::vector<uint8_t>* out) {
     out->push_back(static_cast<uint8_t>(value | 0x80));
   }
   out->push_back(static_cast<uint8_t>(value));
+}
+
+/// Bytes AppendVarint writes for `value`.
+inline size_t VarintSize(uint64_t value) {
+  return static_cast<size_t>(std::bit_width(value | 1) + 6) / 7;
 }
 
 enum class VarintError {

@@ -1,7 +1,7 @@
 #include "src/core/plan_builder.h"
 
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/check.h"
@@ -11,9 +11,33 @@ namespace skl {
 
 namespace {
 
-uint64_t PairKey(VertexId u, VertexId v) {
-  return (static_cast<uint64_t>(u) << 32) | v;
-}
+/// A map from run vertex to a small index, emptied in O(1) by bumping a
+/// stamp: the per-level fork/loop grouping tables.
+class StampedIndex {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// Empties the map, sizing it for `n` run vertices on first use.
+  void Clear(size_t n) {
+    if (stamp_.size() < n) {
+      stamp_.resize(n, 0);
+      value_.resize(n);
+    }
+    ++current_;
+  }
+  uint32_t Find(VertexId v) const {
+    return stamp_[v] == current_ ? value_[v] : kNone;
+  }
+  void Set(VertexId v, uint32_t value) {
+    stamp_[v] = current_;
+    value_[v] = value;
+  }
+
+ private:
+  std::vector<uint32_t> stamp_;
+  std::vector<uint32_t> value_;
+  uint32_t current_ = 0;
+};
 
 /// Working state of the recovery algorithm.
 class PlanRecovery {
@@ -28,8 +52,9 @@ class PlanRecovery {
         num_run_edges_(run.num_edges()) {}
 
   Result<RecoveredPlan> Build() {
-    SKL_RETURN_NOT_OK(SeedLeaves());
+    ResolveSpecEdges();
     vert_stamp_.assign(origin_.size(), 0);
+    child_tally_.assign(hg_.size(), 0);
     for (int32_t depth = hg_.depth(); depth >= 2; --depth) {
       SKL_RETURN_NOT_OK(ProcessLevel(depth));
     }
@@ -47,39 +72,43 @@ class PlanRecovery {
     EdgeId copy_edge = kInvalidEdge;
   };
 
-  Status SeedLeaves() {
+  /// Resolves each run edge's spec edge id once and seeds every leaf with
+  /// the run edges that copy its leader edge.
+  void ResolveSpecEdges() {
+    const Digraph& g = spec_.graph();
     seeds_.assign(hg_.size(), {});
-    // Per-subgraph multiset of "own" edges (those not inside any child):
-    // every conforming copy contains each exactly once.
-    own_edge_count_.assign(hg_.size(), {});
-    for (size_t i = 0; i < hg_.size(); ++i) {
-      for (const auto& [u, v] :
-           hg_.node(static_cast<HierNodeId>(i)).own_edges) {
-        ++own_edge_count_[i][PairKey(u, v)];
-      }
-    }
-    std::unordered_map<uint64_t, HierNodeId> leaf_leaders;
-    for (size_t i = 1; i < hg_.size(); ++i) {
-      const HierNode& node = hg_.node(static_cast<HierNodeId>(i));
-      if (!node.children.empty()) continue;
-      auto [u, v] = node.leader_edge;
-      leaf_leaders.emplace(PairKey(u, v), static_cast<HierNodeId>(i));
-    }
-    if (leaf_leaders.empty()) return Status::OK();
-    for (EdgeId e = 0; e < mg_.edge_capacity(); ++e) {
+    spec_edge_.resize(num_run_edges_);
+    spec_edge_stamp_.assign(g.num_edges(), 0);
+    for (EdgeId e = 0; e < num_run_edges_; ++e) {
       const MultiEdge& me = mg_.edge(e);
-      auto it = leaf_leaders.find(PairKey(origin_[me.from], origin_[me.to]));
-      if (it != leaf_leaders.end()) seeds_[it->second].push_back(e);
+      const size_t id = g.EdgeIndex(origin_[me.from], origin_[me.to]);
+      spec_edge_[e] = static_cast<uint32_t>(id);
+      if (id == g.num_edges()) continue;
+      const HierNodeId leaf = hg_.LeafLedBy(id);
+      if (leaf != kInvalidHierNode) seeds_[leaf].push_back(e);
     }
-    return Status::OK();
+  }
+
+  /// True if run edge `e` (tag -1) copies an own edge of `h` that no edge
+  /// stamped `stamp_` copied before; stamps it.
+  bool TakeOwnEdge(EdgeId e, HierNodeId h) {
+    const uint32_t id = spec_edge_[e];
+    if (id == spec_edge_stamp_.size() || hg_.EdgeOwner(id) != h ||
+        spec_edge_stamp_[id] == stamp_) {
+      return false;
+    }
+    spec_edge_stamp_[id] = stamp_;
+    return true;
   }
 
   Status ProcessLevel(int32_t depth) {
-    // Phase 1: discover all copies at this level.
-    std::vector<std::vector<CopyRec>> copies_of;  // parallel to level list
+    // Phase 1: discover all copies at this level; level[li]'s copies are
+    // copies_[copies_begin_[li], copies_begin_[li + 1]).
     const auto& level = hg_.Level(depth);
-    copies_of.resize(level.size());
+    copies_.clear();
+    copies_begin_.clear();
     for (size_t li = 0; li < level.size(); ++li) {
+      copies_begin_.push_back(copies_.size());
       HierNodeId h = level[li];
       const HierNode& node = hg_.node(h);
       if (seeds_[h].empty()) {
@@ -94,18 +123,21 @@ class PlanRecovery {
         }
         CopyRec rec;
         SKL_RETURN_NOT_OK(SearchCopy(h, node, seed, &rec));
-        copies_of[li].push_back(rec);
+        copies_.push_back(rec);
       }
       seeds_[h].clear();
     }
+    copies_begin_.push_back(copies_.size());
     // Phase 2: group copies into F-/L- execution nodes.
     for (size_t li = 0; li < level.size(); ++li) {
       HierNodeId h = level[li];
       const HierNode& node = hg_.node(h);
+      std::span<const CopyRec> copies(copies_.data() + copies_begin_[li],
+                                      copies_.data() + copies_begin_[li + 1]);
       if (node.kind == HierKind::kFork) {
-        SKL_RETURN_NOT_OK(GroupForkCopies(h, node, copies_of[li]));
+        GroupForkCopies(h, node, copies);
       } else {
-        SKL_RETURN_NOT_OK(GroupLoopCopies(h, node, copies_of[li]));
+        SKL_RETURN_NOT_OK(GroupLoopCopies(h, node, copies));
       }
     }
     return Status::OK();
@@ -123,7 +155,7 @@ class PlanRecovery {
 
     ++stamp_;
     if (edge_stamp_.size() < mg_.edge_capacity()) {
-      edge_stamp_.resize(mg_.edge_capacity(), 0);
+      edge_stamp_.resize(2 * mg_.edge_capacity(), 0);
     }
     copy_edges_.clear();
     copy_verts_.clear();
@@ -131,59 +163,70 @@ class PlanRecovery {
 
     VertexId copy_s = kInvalidVertex;
     VertexId copy_t = kInvalidVertex;
-    auto touch = [&](VertexId v) -> Status {
-      if (vert_stamp_[v] == stamp_) return Status::OK();
+    // The walk runs once per run edge, so its steps report a failure through
+    // `error` rather than build a Status each.
+    const char* error = nullptr;
+    auto touch = [&](VertexId v) -> bool {
+      if (vert_stamp_[v] == stamp_) return true;
       vert_stamp_[v] = stamp_;
       VertexId ov = origin_[v];
       if (!sub.vertex_set.Test(ov)) {
-        return Status::InvalidRun(
+        error =
             "copy search left the subgraph's module set (run does not "
-            "conform to the specification)");
+            "conform to the specification)";
+        return false;
       }
       if (ov == spec_s) {
         if (copy_s != kInvalidVertex) {
-          return Status::InvalidRun("copy has two source vertices");
+          error = "copy has two source vertices";
+          return false;
         }
         copy_s = v;
       } else if (ov == spec_t) {
         if (copy_t != kInvalidVertex) {
-          return Status::InvalidRun("copy has two sink vertices");
+          error = "copy has two sink vertices";
+          return false;
         }
         copy_t = v;
       }
       copy_verts_.push_back(v);
       dfs_stack_.push_back(v);
-      return Status::OK();
+      return true;
     };
 
-    auto take_edge = [&](EdgeId e) -> Status {
-      if (edge_stamp_[e] == stamp_) return Status::OK();
+    auto take_edge = [&](EdgeId e) -> bool {
+      if (edge_stamp_[e] == stamp_) return true;
       edge_stamp_[e] = stamp_;
       copy_edges_.push_back(e);
-      SKL_RETURN_NOT_OK(touch(mg_.edge(e).from));
-      SKL_RETURN_NOT_OK(touch(mg_.edge(e).to));
-      return Status::OK();
+      return touch(mg_.edge(e).from) && touch(mg_.edge(e).to);
+    };
+    auto take_all = [&](auto edges) -> bool {
+      for (EdgeId e : edges) {
+        if (!take_edge(e)) return false;
+      }
+      return true;
     };
 
-    SKL_RETURN_NOT_OK(take_edge(seed));
+    if (!take_edge(seed)) return Status::InvalidRun(error);
     while (!dfs_stack_.empty()) {
       VertexId v = dfs_stack_.back();
       dfs_stack_.pop_back();
       VertexId ov = origin_[v];
+      bool ok = true;
       if (ov == spec_s) {
         // Forks never expand through their terminals; loops own their source
         // and all of its outgoing edges (completeness).
         if (is_fork) continue;
-        for (EdgeId e : mg_.OutEdges(v)) SKL_RETURN_NOT_OK(take_edge(e));
+        ok = take_all(mg_.OutEdges(v));
       } else if (ov == spec_t) {
         if (is_fork) continue;
-        for (EdgeId e : mg_.InEdges(v)) SKL_RETURN_NOT_OK(take_edge(e));
+        ok = take_all(mg_.InEdges(v));
       } else {
         // Internal vertices are fully self-contained: every incident alive
         // edge belongs to this copy.
-        for (EdgeId e : mg_.OutEdges(v)) SKL_RETURN_NOT_OK(take_edge(e));
-        for (EdgeId e : mg_.InEdges(v)) SKL_RETURN_NOT_OK(take_edge(e));
+        ok = take_all(mg_.OutEdges(v)) && take_all(mg_.InEdges(v));
       }
+      if (!ok) return Status::InvalidRun(error);
     }
     if (copy_s == kInvalidVertex || copy_t == kInvalidVertex) {
       return Status::InvalidRun("copy search found no source or sink");
@@ -200,13 +243,16 @@ class PlanRecovery {
     // Wire child execution (-) nodes whose special edges lie in this copy.
     // A conforming copy contains exactly one execution per hierarchy child
     // and each of the subgraph's own edges exactly once.
-    child_tally_.assign(node.children.size(), 0);
-    edge_tally_.clear();
+    size_t own_edges_found = 0;
+    bool edges_match = true;
     for (EdgeId e : copy_edges_) {
       int32_t tag = mg_.edge(e).tag;
       if (tag == -1) {
-        ++edge_tally_[PairKey(origin_[mg_.edge(e).from],
-                              origin_[mg_.edge(e).to])];
+        if (TakeOwnEdge(e, h)) {
+          ++own_edges_found;
+        } else {
+          edges_match = false;
+        }
       } else if (tag == -2) {
         return Status::InvalidRun(
             "copy search crossed into a sibling copy (run does not conform "
@@ -218,39 +264,27 @@ class PlanRecovery {
         }
         plan_.SetParent(tag, x);
         HierNodeId child_hier = plan_.node(tag).hier;
-        size_t ci = 0;
-        while (ci < node.children.size() && node.children[ci] != child_hier) {
-          ++ci;
-        }
-        if (ci == node.children.size()) {
+        if (hg_.node(child_hier).parent != h) {
           return Status::InvalidRun(
               "execution of a subgraph surfaced inside a copy of an "
               "unrelated subgraph");
         }
-        ++child_tally_[ci];
+        ++child_tally_[child_hier];
       }
       mg_.RemoveEdge(e);
     }
-    for (size_t ci = 0; ci < node.children.size(); ++ci) {
-      if (child_tally_[ci] != 1) {
+    for (HierNodeId c : node.children) {
+      if (child_tally_[c] != 1) {
         return Status::InvalidRun(
             "copy does not contain exactly one execution of each nested "
             "fork/loop (run does not conform to the specification)");
       }
+      child_tally_[c] = 0;
     }
-    const auto& expected_edges = own_edge_count_[h];
-    if (edge_tally_.size() != expected_edges.size()) {
+    if (!edges_match || own_edges_found != node.own_edges.size()) {
       return Status::InvalidRun(
           "copy's edges do not match the subgraph (run does not conform to "
           "the specification)");
-    }
-    for (const auto& [key, count] : edge_tally_) {
-      auto it = expected_edges.find(key);
-      if (it == expected_edges.end() || it->second != count) {
-        return Status::InvalidRun(
-            "copy's edges do not match the subgraph (run does not conform "
-            "to the specification)");
-      }
     }
     out->node = x;
     out->source = copy_s;
@@ -259,53 +293,60 @@ class PlanRecovery {
     return Status::OK();
   }
 
-  Status GroupForkCopies(HierNodeId h, const HierNode& node,
-                         const std::vector<CopyRec>& copies) {
-    std::unordered_map<uint64_t, PlanNodeId> groups;
-    std::vector<std::pair<uint64_t, PlanNodeId>> group_order;
+  /// Parallel copies sharing a source/sink pair become one F- node; groups
+  /// are created, and their execution edges added, in first-copy order.
+  void GroupForkCopies(HierNodeId h, const HierNode& node,
+                       std::span<const CopyRec> copies) {
+    fork_groups_.clear();
+    group_by_source_.Clear(origin_.size());
     for (const CopyRec& rec : copies) {
-      uint64_t key = PairKey(rec.source, rec.sink);
-      auto [it, inserted] = groups.emplace(key, kInvalidPlanNode);
-      if (inserted) {
-        it->second = plan_.AddNode(PlanNodeType::kFMinus, h);
-        group_order.emplace_back(key, it->second);
+      uint32_t g = group_by_source_.Find(rec.source);
+      while (g != StampedIndex::kNone && fork_groups_[g].sink != rec.sink) {
+        g = fork_groups_[g].next_same_source;
       }
-      plan_.SetParent(rec.node, it->second);
+      if (g == StampedIndex::kNone) {
+        g = static_cast<uint32_t>(fork_groups_.size());
+        fork_groups_.push_back(ForkGroup{
+            rec.source, rec.sink, plan_.AddNode(PlanNodeType::kFMinus, h),
+            group_by_source_.Find(rec.source)});
+        group_by_source_.Set(rec.source, g);
+      }
+      plan_.SetParent(rec.node, fork_groups_[g].node);
       mg_.RemoveEdge(rec.copy_edge);
     }
-    for (auto [key, g] : group_order) {
-      VertexId s = static_cast<VertexId>(key >> 32);
-      VertexId t = static_cast<VertexId>(key & 0xffffffffu);
-      EdgeId ge = mg_.AddEdge(s, t, /*tag=*/g);
+    for (const ForkGroup& group : fork_groups_) {
+      EdgeId ge = mg_.AddEdge(group.source, group.sink, /*tag=*/group.node);
       PropagateSeed(node, ge);
     }
-    return Status::OK();
   }
 
   Status GroupLoopCopies(HierNodeId h, const HierNode& node,
-                         const std::vector<CopyRec>& copies) {
+                         std::span<const CopyRec> copies) {
     const VertexId spec_s = node.source;
     const VertexId spec_t = node.sink;
-    std::unordered_map<VertexId, size_t> by_source;
-    std::unordered_map<VertexId, size_t> by_sink;
-    by_source.reserve(copies.size() * 2);
-    by_sink.reserve(copies.size() * 2);
+    // The first copy with each source / sink vertex.
+    by_source_.Clear(origin_.size());
+    by_sink_.Clear(origin_.size());
     for (size_t i = 0; i < copies.size(); ++i) {
-      by_source.emplace(copies[i].source, i);
-      by_sink.emplace(copies[i].sink, i);
+      if (by_source_.Find(copies[i].source) == StampedIndex::kNone) {
+        by_source_.Set(copies[i].source, static_cast<uint32_t>(i));
+      }
+      if (by_sink_.Find(copies[i].sink) == StampedIndex::kNone) {
+        by_sink_.Set(copies[i].sink, static_cast<uint32_t>(i));
+      }
     }
-    std::vector<bool> grouped(copies.size(), false);
+    grouped_.assign(copies.size(), 0);
 
     // Returns the index of the serial predecessor/successor copy, or SIZE_MAX.
     auto serial_prev = [&](size_t i, EdgeId* edge) -> Result<size_t> {
       for (EdgeId e : mg_.InEdges(copies[i].source)) {
         if (origin_[mg_.edge(e).from] == spec_t) {
-          auto it = by_sink.find(mg_.edge(e).from);
-          if (it == by_sink.end()) {
+          const uint32_t prev = by_sink_.Find(mg_.edge(e).from);
+          if (prev == StampedIndex::kNone) {
             return Status::InvalidRun("dangling serial loop edge");
           }
           *edge = e;
-          return it->second;
+          return size_t{prev};
         }
       }
       return size_t{SIZE_MAX};
@@ -313,19 +354,19 @@ class PlanRecovery {
     auto serial_next = [&](size_t i, EdgeId* edge) -> Result<size_t> {
       for (EdgeId e : mg_.OutEdges(copies[i].sink)) {
         if (origin_[mg_.edge(e).to] == spec_s) {
-          auto it = by_source.find(mg_.edge(e).to);
-          if (it == by_source.end()) {
+          const uint32_t next = by_source_.Find(mg_.edge(e).to);
+          if (next == StampedIndex::kNone) {
             return Status::InvalidRun("dangling serial loop edge");
           }
           *edge = e;
-          return it->second;
+          return size_t{next};
         }
       }
       return size_t{SIZE_MAX};
     };
 
     for (size_t i = 0; i < copies.size(); ++i) {
-      if (grouped[i]) continue;
+      if (grouped_[i]) continue;
       // Walk back to the first copy of this serial chain.
       size_t start = i;
       for (size_t steps = 0;; ++steps) {
@@ -338,31 +379,31 @@ class PlanRecovery {
         start = prev;
       }
       // Walk forward collecting the ordered chain.
-      std::vector<size_t> chain{start};
-      std::vector<EdgeId> serial_edges;
+      chain_.assign(1, start);
+      serial_edges_.clear();
       for (size_t cur = start;;) {
         EdgeId e = kInvalidEdge;
         SKL_ASSIGN_OR_RETURN(size_t next, serial_next(cur, &e));
         if (next == SIZE_MAX) break;
-        if (grouped[next] || next == start) {
+        if (grouped_[next] || next == start) {
           return Status::InvalidRun("serial loop chain is inconsistent");
         }
-        serial_edges.push_back(e);
-        chain.push_back(next);
+        serial_edges_.push_back(e);
+        chain_.push_back(next);
         cur = next;
-        if (chain.size() > copies.size()) {
+        if (chain_.size() > copies.size()) {
           return Status::InvalidRun("serial loop chain contains a cycle");
         }
       }
       PlanNodeId g = plan_.AddNode(PlanNodeType::kLMinus, h);
-      for (size_t idx : chain) {
-        grouped[idx] = true;
+      for (size_t idx : chain_) {
+        grouped_[idx] = 1;
         plan_.SetParent(copies[idx].node, g);  // appends: keeps serial order
         mg_.RemoveEdge(copies[idx].copy_edge);
       }
-      for (EdgeId e : serial_edges) mg_.RemoveEdge(e);
-      EdgeId ge = mg_.AddEdge(copies[chain.front()].source,
-                              copies[chain.back()].sink, /*tag=*/g);
+      for (EdgeId e : serial_edges_) mg_.RemoveEdge(e);
+      EdgeId ge = mg_.AddEdge(copies[chain_.front()].source,
+                              copies[chain_.back()].sink, /*tag=*/g);
       PropagateSeed(node, ge);
     }
     return Status::OK();
@@ -418,8 +459,8 @@ class PlanRecovery {
   /// edge once, every root-owned module once.
   Status ValidateRootLevel() {
     const HierNode& root = hg_.node(kHierRoot);
-    std::unordered_map<uint64_t, int> expected;
-    for (const auto& [u, v] : root.own_edges) ++expected[PairKey(u, v)];
+    ++stamp_;
+    size_t own_edges_found = 0;
     for (EdgeId e = 0; e < mg_.edge_capacity(); ++e) {
       if (!mg_.IsAlive(e)) continue;
       const MultiEdge& me = mg_.edge(e);
@@ -430,19 +471,16 @@ class PlanRecovery {
         }
         continue;
       }
-      auto it = expected.find(PairKey(origin_[me.from], origin_[me.to]));
-      if (it == expected.end() || it->second == 0) {
+      if (!TakeOwnEdge(e, kHierRoot)) {
         return Status::InvalidRun(
             "run has an edge the specification's top level does not (run "
             "does not conform to the specification)");
       }
-      --it->second;
+      ++own_edges_found;
     }
-    for (const auto& entry : expected) {
-      if (entry.second != 0) {
-        return Status::InvalidRun(
-            "run is missing a top-level specification edge");
-      }
+    if (own_edges_found != root.own_edges.size()) {
+      return Status::InvalidRun(
+          "run is missing a top-level specification edge");
     }
     // Root-context vertices must carry distinct root-owned modules, one each.
     std::vector<uint8_t> seen(spec_.graph().num_vertices(), 0);
@@ -474,7 +512,20 @@ class PlanRecovery {
   ExecutionPlan plan_;
   size_t num_run_edges_;
 
+  /// A fork execution being grouped: its F- node and the next group with
+  /// the same source vertex.
+  struct ForkGroup {
+    VertexId source;
+    VertexId sink;
+    PlanNodeId node;
+    uint32_t next_same_source;
+  };
+
   std::vector<std::vector<EdgeId>> seeds_;
+  // Spec edge id of each run edge (m_G if the spec has no such edge), and
+  // per spec edge the stamp of the last copy that took it.
+  std::vector<uint32_t> spec_edge_;
+  std::vector<uint32_t> spec_edge_stamp_;
   std::vector<uint32_t> vert_stamp_;
   std::vector<uint32_t> edge_stamp_;
   uint32_t stamp_ = 0;
@@ -482,9 +533,17 @@ class PlanRecovery {
   std::vector<EdgeId> copy_edges_;
   std::vector<VertexId> copy_verts_;
   std::vector<VertexId> dfs_stack_;
-  std::vector<uint32_t> child_tally_;
-  std::vector<std::unordered_map<uint64_t, int>> own_edge_count_;
-  std::unordered_map<uint64_t, int> edge_tally_;
+  std::vector<uint32_t> child_tally_;  // by hierarchy node, zero between uses
+  // Scratch reused across levels and groupings.
+  std::vector<CopyRec> copies_;
+  std::vector<size_t> copies_begin_;
+  std::vector<ForkGroup> fork_groups_;
+  StampedIndex group_by_source_;
+  StampedIndex by_source_;
+  StampedIndex by_sink_;
+  std::vector<uint8_t> grouped_;
+  std::vector<size_t> chain_;
+  std::vector<EdgeId> serial_edges_;
 };
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "src/common/bit_codec.h"
+#include "src/common/check.h"
+#include "src/common/varint.h"
 #include "src/core/label_codec.h"
 
 namespace skl {
@@ -120,13 +122,6 @@ ProvenanceStore ProvenanceStore::FromColumns(
 }
 
 std::vector<uint8_t> ProvenanceStore::Serialize() const {
-  BitWriter writer;
-  writer.Write(kMagic, 32);
-  writer.WriteVarint(kVersion);
-  writer.WriteVarint(scheme_tag_.size());
-  writer.WriteBytes(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(scheme_tag_.data()),
-      scheme_tag_.size()));
   // Labels block: reuse the label codec widths.
   const uint32_t n = static_cast<uint32_t>(q1_.size());
   uint32_t max_q = 1, max_origin = 0;
@@ -136,6 +131,26 @@ std::vector<uint8_t> ProvenanceStore::Serialize() const {
   for (uint32_t o : origin_) max_origin = std::max(max_origin, o);
   const int q_bits = BitsForCount(max_q + 1);
   const int o_bits = BitsForCount(max_origin + 2);
+  // The exact blob size, so the writer fills one buffer.
+  size_t size = 4 + VarintSize(kVersion) + VarintSize(scheme_tag_.size()) +
+                scheme_tag_.size() + VarintSize(n) + VarintSize(q_bits) +
+                VarintSize(o_bits) +
+                (uint64_t{n} * (3 * q_bits + o_bits) + 7) / 8 +
+                VarintSize(item_writers_.size());
+  for (size_t x = 0; x < item_writers_.size(); ++x) {
+    std::span<const VertexId> rs = item_readers(static_cast<DataItemId>(x));
+    size += VarintSize(item_writers_[x]) + VarintSize(rs.size());
+    for (VertexId r : rs) size += VarintSize(r);
+  }
+
+  BitWriter writer;
+  writer.Reserve(size);
+  writer.Write(kMagic, 32);
+  writer.WriteVarint(kVersion);
+  writer.WriteVarint(scheme_tag_.size());
+  writer.WriteBytes(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(scheme_tag_.data()),
+      scheme_tag_.size()));
   writer.WriteVarint(n);
   writer.WriteVarint(static_cast<uint64_t>(q_bits));
   writer.WriteVarint(static_cast<uint64_t>(o_bits));
@@ -153,7 +168,9 @@ std::vector<uint8_t> ProvenanceStore::Serialize() const {
     writer.WriteVarint(rs.size());
     for (VertexId r : rs) writer.WriteVarint(r);
   }
-  return writer.Finish();
+  std::vector<uint8_t> blob = writer.Finish();
+  SKL_DCHECK(blob.size() == size);
+  return blob;
 }
 
 Result<ProvenanceStore> ProvenanceStore::Deserialize(

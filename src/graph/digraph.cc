@@ -59,11 +59,12 @@ size_t Digraph::InDegree(VertexId u) const {
   return in_offsets_[u + 1] - in_offsets_[u];
 }
 
-bool Digraph::HasEdge(VertexId u, VertexId v) const {
-  for (VertexId w : OutNeighbors(u)) {
-    if (w == v) return true;
+size_t Digraph::EdgeIndex(VertexId u, VertexId v) const {
+  SKL_DCHECK(u < num_vertices_);
+  for (uint32_t i = out_offsets_[u]; i < out_offsets_[u + 1]; ++i) {
+    if (heads_[i] == v) return i;
   }
-  return false;
+  return num_edges();
 }
 
 std::vector<std::pair<VertexId, VertexId>> Digraph::Edges() const {

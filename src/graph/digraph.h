@@ -58,7 +58,14 @@ class Digraph {
   size_t InDegree(VertexId u) const;
 
   /// True if the edge u -> v exists (linear scan of u's out list).
-  bool HasEdge(VertexId u, VertexId v) const;
+  bool HasEdge(VertexId u, VertexId v) const {
+    return EdgeIndex(u, v) != num_edges();
+  }
+
+  /// Id of the edge u -> v: its position in the out-CSR, in
+  /// [0, num_edges()) and ordered by source then OutNeighbors order; or
+  /// num_edges() if there is none. Linear scan of u's out list.
+  size_t EdgeIndex(VertexId u, VertexId v) const;
 
   /// All edges as (source, target) pairs in an unspecified stable order.
   std::vector<std::pair<VertexId, VertexId>> Edges() const;

@@ -137,6 +137,26 @@ Result<Hierarchy> BuildHierarchy(const Digraph& g,
     }
   }
 
+  // Edge owners and leaf leaders by spec edge id.
+  h.edge_owner_.assign(g.num_edges(), kInvalidHierNode);
+  h.leaf_led_by_.assign(g.num_edges(), kInvalidHierNode);
+  for (size_t i = 0; i < h.nodes_.size(); ++i) {
+    const HierNode& node = h.nodes_[i];
+    for (const auto& [u, v] : node.own_edges) {
+      const size_t e = g.EdgeIndex(u, v);
+      if (e == g.num_edges() || h.edge_owner_[e] != kInvalidHierNode) {
+        return Status::Internal(
+            "subgraph edge missing from the graph or owned twice");
+      }
+      h.edge_owner_[e] = static_cast<HierNodeId>(i);
+    }
+    if (i != kHierRoot && node.children.empty()) {
+      h.leaf_led_by_[g.EdgeIndex(node.leader_edge.first,
+                                 node.leader_edge.second)] =
+          static_cast<HierNodeId>(i);
+    }
+  }
+
   // Vertex owners: deepest node whose DomSet contains the vertex. DomSets of
   // distinct nodes are laminar, so "deepest containing" is well-defined.
   h.owner_.assign(g.num_vertices(), kHierRoot);

@@ -3,8 +3,8 @@
 // whose other nodes stand for the fork/loop subgraphs, ordered by nesting.
 // The hierarchy also precomputes everything the plan-recovery algorithm
 // (Section 5) needs: dominating sets, "own" vertices/edges (those not covered
-// by a deeper subgraph), per-vertex owners, leaf leader edges, and designated
-// children for non-leaf leader propagation.
+// by a deeper subgraph), per-vertex and per-edge owners, leaf leader edges,
+// and designated children for non-leaf leader propagation.
 #ifndef SKL_WORKFLOW_HIERARCHY_H_
 #define SKL_WORKFLOW_HIERARCHY_H_
 
@@ -70,6 +70,12 @@ class Hierarchy {
 
   bool IsLeaf(HierNodeId id) const { return nodes_[id].children.empty(); }
 
+  /// Tables over spec edge ids (Digraph::EdgeIndex of the spec graph), sized
+  /// m_G. The node whose own_edges holds edge `e`: own edges partition E(G).
+  HierNodeId EdgeOwner(size_t e) const { return edge_owner_[e]; }
+  /// The leaf whose leader edge is `e`, or kInvalidHierNode.
+  HierNodeId LeafLedBy(size_t e) const { return leaf_led_by_[e]; }
+
  private:
   friend Result<Hierarchy> BuildHierarchy(
       const Digraph& g, const std::vector<SubgraphInfo>& subgraphs,
@@ -79,6 +85,8 @@ class Hierarchy {
   std::vector<std::vector<HierNodeId>> levels_;  // index 0 unused
   std::vector<HierNodeId> owner_;
   std::vector<std::vector<VertexId>> own_vertices_;
+  std::vector<HierNodeId> edge_owner_;
+  std::vector<HierNodeId> leaf_led_by_;
   int32_t depth_ = 1;
 };
 

@@ -295,7 +295,11 @@ TEST(VarintTest, DecodesWhatItAppendsAndRejectsBadInput) {
   const uint64_t values[] = {0, 1, 127, 128, 16383, 16384, uint64_t{1} << 63,
                              UINT64_MAX};
   std::vector<uint8_t> bytes;
-  for (uint64_t value : values) AppendVarint(value, &bytes);
+  for (uint64_t value : values) {
+    const size_t before = bytes.size();
+    AppendVarint(value, &bytes);
+    EXPECT_EQ(VarintSize(value), bytes.size() - before) << value;
+  }
   size_t pos = 0;
   for (uint64_t value : values) {
     uint64_t got = 0;

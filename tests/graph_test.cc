@@ -33,6 +33,14 @@ TEST(DigraphTest, BasicTopology) {
   EXPECT_FALSE(g.HasEdge(0, 3));
 }
 
+TEST(DigraphTest, EdgeIndexIsTheOutCsrPosition) {
+  Digraph g = Diamond();
+  size_t id = 0;
+  for (const auto& [u, v] : g.Edges()) EXPECT_EQ(g.EdgeIndex(u, v), id++);
+  EXPECT_EQ(g.EdgeIndex(1, 0), g.num_edges());
+  EXPECT_EQ(g.EdgeIndex(0, 3), g.num_edges());
+}
+
 TEST(DigraphTest, NeighborsMatchEdges) {
   Digraph g = Diamond();
   auto out0 = g.OutNeighbors(0);
