@@ -6,15 +6,24 @@
 // parallel path only moves it onto pool workers and batches the publish, so
 // speedup tracks available cores.
 //
+// A last table splits one run's ingest work into its stages, each the
+// median over the batch: plan recovery (ConstructPlan), labeling from the
+// recovered plan, and capturing and serializing the run's blob.
+//
 // Workload knobs: SKL_BENCH_BULK_RUNS (default 24 runs) and
 // SKL_BENCH_BULK_SIZE (default ~2000 vertices per run).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/common/thread_pool.h"
+#include "src/core/plan_builder.h"
 #include "src/core/provenance_service.h"
+#include "src/core/provenance_store.h"
+#include "src/core/skeleton_labeler.h"
 
 int main() {
   using namespace skl;
@@ -94,5 +103,38 @@ int main() {
   std::printf("\nhardware threads: %u (wall-clock speedup is bounded by "
               "this)\n",
               ThreadPool::DefaultThreadCount());
+
+  // Per-run stages, one run at a time on this thread.
+  SkeletonLabeler labeler(&spec, SpecSchemeKind::kTcm);
+  SKL_CHECK(labeler.Init().ok());
+  std::vector<double> plan_ms, label_ms, blob_ms;
+  size_t blob_bytes = 0;
+  for (const Run& run : runs) {
+    Stopwatch sw;
+    auto recovered = ConstructPlan(spec, run);
+    plan_ms.push_back(sw.ElapsedMillis());
+    SKL_CHECK_MSG(recovered.ok(), recovered.status().ToString().c_str());
+    sw.Restart();
+    auto labeling = labeler.LabelRunWithPlan(run, recovered->plan,
+                                             std::move(recovered->origin));
+    label_ms.push_back(sw.ElapsedMillis());
+    SKL_CHECK_MSG(labeling.ok(), labeling.status().ToString().c_str());
+    sw.Restart();
+    const std::vector<uint8_t> blob =
+        ProvenanceStore::Capture(*labeling).Serialize();
+    blob_ms.push_back(sw.ElapsedMillis());
+    blob_bytes += blob.size();
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  std::printf("\nper-run stages (median ms): construct plan %.3f, label "
+              "%.3f, blob serialize %.3f (%.0f bytes/run)\n",
+              median(plan_ms), median(label_ms), median(blob_ms),
+              static_cast<double>(blob_bytes) / runs.size());
+  json.Add("stage_construct_plan_ms", median(plan_ms), "ms");
+  json.Add("stage_label_ms", median(label_ms), "ms");
+  json.Add("stage_blob_serialize_ms", median(blob_ms), "ms");
   return 0;
 }

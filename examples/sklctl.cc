@@ -80,6 +80,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/stopwatch.h"
@@ -567,29 +568,18 @@ int RemoteStats(ProvenanceClient& client, const std::vector<uint64_t>& run_ids,
   if (!stats.ok()) return Fail(stats.status());
   const auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
   if (json) {
-    std::printf(
-        "{\"num_runs\": %llu, \"reaches_queries\": %llu, "
-        "\"depends_on_queries\": %llu, \"module_data_queries\": %llu, "
-        "\"data_module_queries\": %llu, \"batch_calls\": %llu, "
-        "\"runs_ingested\": %llu, \"runs_imported\": %llu, "
-        "\"runs_removed\": %llu, \"bulk_batches\": %llu, "
-        "\"snapshot_saves\": %llu, \"cache_hits\": %llu, "
-        "\"cache_misses\": %llu, \"replication_lsn\": %llu, "
-        "\"replication_target_lsn\": %llu, \"connections_open\": %llu, "
-        "\"connections_accepted\": %llu, \"connections_timed_out\": %llu, "
-        "\"connections_backpressured\": %llu, \"epoll_wakeups\": %llu, "
-        "\"accept_backoffs\": %llu, \"spec_epoch\": %llu}\n",
-        u(stats->num_runs), u(stats->reaches_queries),
-        u(stats->depends_on_queries), u(stats->module_data_queries),
-        u(stats->data_module_queries), u(stats->batch_calls),
-        u(stats->runs_ingested), u(stats->runs_imported),
-        u(stats->runs_removed), u(stats->bulk_batches),
-        u(stats->snapshot_saves), u(stats->cache_hits),
-        u(stats->cache_misses), u(stats->replication_lsn),
-        u(stats->replication_target_lsn), u(stats->connections_open),
-        u(stats->connections_accepted), u(stats->connections_timed_out),
-        u(stats->connections_backpressured), u(stats->epoll_wakeups),
-        u(stats->accept_backoffs), u(stats->spec_epoch));
+    std::string line = "{";
+    size_t i = 0;
+    std::apply(
+        [&](const auto&... field) {
+          ((line += std::string(i == 0 ? "" : ", ") + "\"" +
+                    ServiceStats::kFieldNames[i] +
+                    "\": " + std::to_string(field),
+            ++i),
+           ...);
+        },
+        stats->Fields());
+    std::printf("%s}\n", line.c_str());
     return 0;
   }
   std::printf("runs registered:      %llu\n", u(stats->num_runs));

@@ -561,6 +561,12 @@ Result<RecoveredPlan> ConstructPlanWithOrigin(const Specification& spec,
   if (origin.size() != run.num_vertices()) {
     return Status::InvalidArgument("origin size mismatch");
   }
+  for (VertexId o : origin) {
+    if (o >= spec.graph().num_vertices()) {
+      return Status::InvalidArgument(
+          "origin names a vertex outside the specification");
+    }
+  }
   PlanRecovery recovery(spec, run, std::move(origin));
   return recovery.Build();
 }

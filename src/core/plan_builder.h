@@ -13,6 +13,12 @@
 // keeping the same asymptotics: every run edge is traversed O(1) times and at
 // most |V(T_R)| <= 4 m_R special edges are ever created (Lemma 4.2).
 //
+// Each run edge's spec edge (its id in the spec graph's CSR) is resolved
+// once; the hierarchy's per-spec-edge owner and leaf-leader tables (sized
+// m_G) then seed the leaves and check every copy's own edges, and the
+// per-level grouping of copies uses run-vertex-indexed stamped arrays, so
+// recovery does no hashing and no per-vertex allocation.
+//
 // ConstructPlan doubles as a conformance checker: a run that was not derived
 // from the specification fails with InvalidRun.
 #ifndef SKL_CORE_PLAN_BUILDER_H_

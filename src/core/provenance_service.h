@@ -58,6 +58,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -177,7 +178,21 @@ struct ServiceStats {
                     connections_backpressured, epoll_wakeups,
                     accept_backoffs, spec_epoch);
   }
+  /// The names of Fields(), in the same order: the keys of
+  /// `sklctl stats --json`.
+  static constexpr const char* kFieldNames[] = {
+      "num_runs", "reaches_queries", "depends_on_queries",
+      "module_data_queries", "data_module_queries", "batch_calls",
+      "runs_ingested", "runs_imported", "runs_removed", "bulk_batches",
+      "snapshot_saves", "cache_hits", "cache_misses", "replication_lsn",
+      "replication_target_lsn", "connections_open", "connections_accepted",
+      "connections_timed_out", "connections_backpressured", "epoll_wakeups",
+      "accept_backoffs", "spec_epoch"};
 };
+static_assert(std::size(ServiceStats::kFieldNames) ==
+                  std::tuple_size_v<
+                      decltype(std::declval<ServiceStats&>().Fields())>,
+              "ServiceStats::kFieldNames must name every field of Fields()");
 
 class RunSession;
 

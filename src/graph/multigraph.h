@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
 #include "src/common/check.h"
@@ -118,12 +117,6 @@ class Multigraph::EdgeRange {
  public:
   class Iterator {
    public:
-    using iterator_category = std::input_iterator_tag;
-    using value_type = EdgeId;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const EdgeId*;
-    using reference = EdgeId;
-
     Iterator() = default;
     EdgeId operator*() const { return cur_; }
     Iterator& operator++() {

@@ -160,6 +160,15 @@ TEST(PlanBuilderConformance, MinimalRunIsAccepted) {
   EXPECT_TRUE(plan->plan.Validate(run->num_edges()).ok());
 }
 
+TEST(PlanBuilderConformance, RejectsAnOriginOutsideTheSpecification) {
+  auto ex = testing_util::MakeRunningExample();
+  std::vector<VertexId> origin(ex.run.num_vertices(), 0);
+  origin.back() = ex.spec.graph().num_vertices();
+  auto plan = ConstructPlanWithOrigin(ex.spec, ex.run, std::move(origin));
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PlanBuilderConformance, RejectsUnknownModule) {
   auto ex = testing_util::MakeRunningExample();
   RunBuilder rb;
@@ -202,6 +211,27 @@ TEST(PlanBuilderConformance, RejectsForeignEdge) {
   auto run = std::move(rb).Build();
   ASSERT_TRUE(run.ok());
   EXPECT_FALSE(ConstructPlan(ex.spec, *run).ok());
+}
+
+TEST(PlanBuilderConformance, RejectsANonSpecEdgeInsideOneCopy) {
+  auto ex = testing_util::MakeRunningExample();
+  // e1 -> g1 stays inside the first L2 copy, whose module set it respects,
+  // but the specification has no e -> g edge: only the copy's own-edge
+  // tally can tell.
+  RunBuilder rb(ex.spec.shared_modules());
+  for (VertexId v = 0; v < ex.run.num_vertices(); ++v) {
+    rb.AddVertexById(ex.run.ModuleOf(v));
+  }
+  for (const auto& [u, v] : ex.run.graph().Edges()) rb.AddEdge(u, v);
+  rb.AddEdge(ex.rv("e1"), ex.rv("g1"));
+  auto run = std::move(rb).Build();
+  ASSERT_TRUE(run.ok());
+  auto plan = ConstructPlan(ex.spec, *run);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidRun);
+  EXPECT_NE(plan.status().message().find("copy's edges do not match"),
+            std::string::npos)
+      << plan.status().ToString();
 }
 
 TEST(PlanBuilderConformance, RejectsDuplicatedTopLevelVertex) {
