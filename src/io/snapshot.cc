@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -143,16 +144,15 @@ void SnapshotWriter::AddAlignedSection(uint32_t id,
   sections_.push_back({id, std::move(payload), /*aligned=*/true});
 }
 
-std::vector<uint8_t> SnapshotWriter::Finish() && {
-  size_t n_sections = sections_.size();
+SnapshotWriter::Layout SnapshotWriter::Lay() const {
+  Layout layout;
+  layout.n_sections = sections_.size();
   for (const PendingSection& s : sections_) {
-    if (s.aligned) ++n_sections;  // each aligned section gets a pad section
+    if (s.aligned) ++layout.n_sections;  // each gets a pad section ahead
   }
-  // Lay the file out first — the pad ahead of each aligned section and the
-  // total byte count — so the bytes go into one exactly sized buffer.
-  std::vector<size_t> pads(sections_.size(), 0);
+  layout.pads.assign(sections_.size(), 0);
   size_t offset =
-      4 + VarintLen(kSnapshotFormatVersion) + VarintLen(n_sections);
+      4 + VarintLen(kSnapshotFormatVersion) + VarintLen(layout.n_sections);
   for (size_t i = 0; i < sections_.size(); ++i) {
     const PendingSection& s = sections_[i];
     const size_t header_len = VarintLen(s.id) + VarintLen(s.payload.size()) + 4;
@@ -162,38 +162,58 @@ std::vector<uint8_t> SnapshotWriter::Finish() && {
       // 1-byte length (the pad is < 64, so its varint is one byte), 4-byte
       // CRC.
       const size_t unpadded = offset + 6 + header_len;
-      pads[i] =
+      layout.pads[i] =
           (kSnapshotSectionAlignment - unpadded % kSnapshotSectionAlignment) %
           kSnapshotSectionAlignment;
-      offset += 6 + pads[i];
+      offset += 6 + layout.pads[i];
     }
     offset += header_len + s.payload.size();
   }
-  BitWriter writer;
-  writer.Reserve(offset);
-  writer.Write(kMagic, 32);
-  writer.WriteVarint(kSnapshotFormatVersion);
-  writer.WriteVarint(n_sections);
+  layout.size = offset;
+  return layout;
+}
+
+void SnapshotWriter::Emit(
+    const Layout& layout,
+    const std::function<void(std::span<const uint8_t>)>& put) const {
+  BitWriter header;
+  header.Write(kMagic, 32);
+  header.WriteVarint(kSnapshotFormatVersion);
+  header.WriteVarint(layout.n_sections);
+  put(header.Finish());
   for (size_t i = 0; i < sections_.size(); ++i) {
     const PendingSection& s = sections_[i];
+    BitWriter head;
     if (s.aligned) {
-      const std::vector<uint8_t> zeros(pads[i], 0);
-      writer.WriteVarint(kSnapshotSectionPad);
-      writer.WriteVarint(pads[i]);
-      writer.Write(Crc32(zeros), 32);
-      writer.WriteBytes(zeros);
+      const std::vector<uint8_t> zeros(layout.pads[i], 0);
+      head.WriteVarint(kSnapshotSectionPad);
+      head.WriteVarint(layout.pads[i]);
+      head.Write(Crc32(zeros), 32);
+      head.WriteBytes(zeros);
     }
-    writer.WriteVarint(s.id);
-    writer.WriteVarint(s.payload.size());
-    writer.Write(Crc32(s.payload), 32);
-    writer.WriteBytes(s.payload);
+    head.WriteVarint(s.id);
+    head.WriteVarint(s.payload.size());
+    head.Write(Crc32(s.payload), 32);
+    put(head.Finish());
+    put(s.payload);
   }
-  SKL_DCHECK(writer.bit_count() == offset * 8);
-  return writer.Finish();
+}
+
+std::vector<uint8_t> SnapshotWriter::Finish() && {
+  const Layout layout = Lay();
+  std::vector<uint8_t> bytes;
+  bytes.reserve(layout.size);
+  Emit(layout, [&bytes](std::span<const uint8_t> piece) {
+    bytes.insert(bytes.end(), piece.begin(), piece.end());
+  });
+  SKL_DCHECK(bytes.size() == layout.size);
+  return bytes;
 }
 
 Status SnapshotWriter::WriteFile(const std::string& path) && {
-  const std::vector<uint8_t> bytes = std::move(*this).Finish();
+  // Sections go to the file one by one, with no whole-file copy in memory:
+  // the same bytes Finish() would return.
+  const Layout layout = Lay();
   // Write to a sibling tmp file and rename into place: a crash mid-save
   // must never leave a torn snapshot under the real name (the previous
   // snapshot, if any, stays intact until the atomic rename). The tmp name
@@ -208,8 +228,10 @@ Status SnapshotWriter::WriteFile(const std::string& path) && {
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Status::Internal("cannot create snapshot file " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    Emit(layout, [&out](std::span<const uint8_t> piece) {
+      out.write(reinterpret_cast<const char*>(piece.data()),
+                static_cast<std::streamsize>(piece.size()));
+    });
     out.close();  // flushes; a failed final flush surfaces on the stream
     if (out.fail()) {
       std::error_code cleanup_ec;

@@ -31,7 +31,9 @@
 #ifndef SKL_IO_SNAPSHOT_H_
 #define SKL_IO_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -108,6 +110,20 @@ class SnapshotWriter {
     std::vector<uint8_t> payload;
     bool aligned;
   };
+  /// Where the encoded container puts things: the section count with pad
+  /// sections, each aligned section's pad length, and the total size.
+  struct Layout {
+    size_t n_sections = 0;
+    std::vector<size_t> pads;
+    size_t size = 0;
+  };
+  Layout Lay() const;
+  /// Passes the encoded container to `put` piece by piece, in file order:
+  /// the file header, then for each section the bytes ahead of its payload
+  /// (pad section, id, length, CRC) and the payload itself.
+  void Emit(const Layout& layout,
+            const std::function<void(std::span<const uint8_t>)>& put) const;
+
   std::vector<PendingSection> sections_;
 };
 
