@@ -20,6 +20,7 @@
 #include "src/common/check.h"
 #include "src/common/crc32.h"
 #include "src/common/file_bytes.h"
+#include "src/common/varint.h"
 #include "src/core/provenance_service.h"
 #include "src/io/workflow_xml.h"
 #include "src/speclabel/scheme.h"
@@ -63,16 +64,6 @@ Status SyncDir(const std::string& dir) {
   (void)dir;
   return Status::OK();
 #endif
-}
-
-/// Encoded length of WriteVarint's LEB128 (7 bits per byte).
-size_t VarintLen(uint64_t value) {
-  size_t n = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++n;
-  }
-  return n;
 }
 
 size_t AlignUp(size_t offset) {
@@ -152,10 +143,11 @@ SnapshotWriter::Layout SnapshotWriter::Lay() const {
   }
   layout.pads.assign(sections_.size(), 0);
   size_t offset =
-      4 + VarintLen(kSnapshotFormatVersion) + VarintLen(layout.n_sections);
+      4 + VarintSize(kSnapshotFormatVersion) + VarintSize(layout.n_sections);
   for (size_t i = 0; i < sections_.size(); ++i) {
     const PendingSection& s = sections_[i];
-    const size_t header_len = VarintLen(s.id) + VarintLen(s.payload.size()) + 4;
+    const size_t header_len =
+        VarintSize(s.id) + VarintSize(s.payload.size()) + 4;
     if (s.aligned) {
       // A pad section (id 0) sized so the *next* section's payload lands on
       // an alignment boundary. The pad's own header is 6 bytes: 1-byte id,

@@ -689,7 +689,8 @@ TEST(BitCodecTest, TruncatedFieldFailsAtEveryWidthAndOffset) {
       const Status status = r.Read(prefix_kept ? bits : offset, &got);
       ASSERT_FALSE(status.ok()) << bits << " " << offset;
       EXPECT_EQ(status.message(), "bit stream exhausted");
-      EXPECT_EQ(r.bit_position(), prefix_kept ? static_cast<size_t>(offset) : size_t{0});
+      EXPECT_EQ(r.bit_position(),
+                prefix_kept ? static_cast<size_t>(offset) : size_t{0});
     }
   }
 }
