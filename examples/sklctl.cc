@@ -68,6 +68,7 @@
 // part of the snapshot. The remote stats subcommand also prints the
 // server's spec-memo hit rate (search schemes only).
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -568,17 +569,15 @@ int RemoteStats(ProvenanceClient& client, const std::vector<uint64_t>& run_ids,
   if (!stats.ok()) return Fail(stats.status());
   const auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
   if (json) {
-    std::string line = "{";
-    size_t i = 0;
-    std::apply(
-        [&](const auto&... field) {
-          ((line += std::string(i == 0 ? "" : ", ") + "\"" +
-                    ServiceStats::kFieldNames[i] +
-                    "\": " + std::to_string(field),
-            ++i),
-           ...);
-        },
+    const auto values = std::apply(
+        [](const auto&... field) { return std::array{uint64_t{field}...}; },
         stats->Fields());
+    std::string line = "{";
+    for (size_t i = 0; i < values.size(); ++i) {
+      line += std::string(i == 0 ? "\"" : ", \"") +
+              ServiceStats::kFieldNames[i] + "\": " +
+              std::to_string(values[i]);
+    }
     std::printf("%s}\n", line.c_str());
     return 0;
   }
