@@ -110,6 +110,19 @@ TEST(OpLogTest, AppendsReplayBitIdentical) {
   std::filesystem::remove(path);
 }
 
+TEST(OpLogTest, ServiceHistoryBytesArePinned) {
+  // The op-log a service writes for a seeded history (catalogued runs
+  // under three epochs, an import, a removal), pinned by digest: the entry
+  // encoding, the stats fields and the run blobs may not move one byte.
+  const std::string path = FreshLogPath("pinned_history");
+  testing_util::PinnedHistoryService(path);
+  const std::vector<uint8_t> bytes = ReadAll(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(bytes.size(), 3138u);
+  EXPECT_EQ(testing_util::Fnv1a(bytes.data(), bytes.size()),
+            0x8d4025735ba072a5ULL);
+}
+
 TEST(OpLogTest, ReopenContinuesTheLsnSequence) {
   const std::string path = BuildThreeEntryLog("oplog_reopen");
   OpLog::Options options;

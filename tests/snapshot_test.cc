@@ -138,6 +138,20 @@ TEST(SnapshotTest, RoundTripsDataCatalogAndDependsOn) {
   }
 }
 
+TEST(SnapshotTest, SnapshotBytesArePinned) {
+  // The whole-service encoding of a seeded history (catalogued runs under
+  // three epochs, an import, a removal), pinned by digest: a refactor of
+  // the store, the run index or the container may not move one byte.
+  const ProvenanceService service = testing_util::PinnedHistoryService();
+  auto bytes = service.SnapshotBytes();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(service.ListRuns().size(), 4u);
+  EXPECT_EQ(service.spec_epoch(), 3u);
+  EXPECT_EQ(bytes->size(), 8744u);
+  EXPECT_EQ(testing_util::Fnv1a(bytes->data(), bytes->size()),
+            0x622ed32cc4b45f75ULL);
+}
+
 TEST(SnapshotTest, PreservesRunIdsAcrossRemovalsAndTheIdCounter) {
   auto ex = testing_util::MakeRunningExample();
   auto service =

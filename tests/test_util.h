@@ -10,13 +10,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/core/provenance_service.h"
+#include "src/io/workflow_xml.h"
+#include "src/replication/oplog.h"
 #include "src/speclabel/scheme.h"
+#include "src/workload/data_generator.h"
 #include "src/workflow/run.h"
 #include "src/workflow/specification.h"
 #include "src/workload/real_workflows.h"
@@ -187,6 +191,62 @@ inline Run GenerateRun(const Specification& spec, uint32_t target,
   auto gen = generator.Generate(opt);
   SKL_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
   return std::move(gen->run);
+}
+
+/// The seeded mutation history whose durable bytes snapshot_test and
+/// oplog_test pin: catalogued AddRuns under three spec epochs (two
+/// ApplySpecDelta calls), an ImportRun of an exported run and a RemoveRun.
+/// When `oplog_path` is non-empty the history is also logged to a fresh
+/// op-log there (fsync off), which is closed again before returning.
+inline ProvenanceService PinnedHistoryService(
+    const std::string& oplog_path = {}) {
+  auto service = ProvenanceService::Create(MakeRunningExample().spec,
+                                           SpecSchemeKind::kTcm);
+  SKL_CHECK_MSG(service.ok(), service.status().ToString().c_str());
+  std::unique_ptr<OpLog> log;
+  if (!oplog_path.empty()) {
+    std::remove(oplog_path.c_str());
+    OpLog::Options options;
+    options.fsync = false;
+    auto opened = OpLog::Open(oplog_path,
+                              WriteSpecificationXml(service->base_spec()),
+                              std::string(service->scheme().name()), options);
+    SKL_CHECK_MSG(opened.ok(), opened.status().ToString().c_str());
+    log = std::move(opened).value();
+    service->AttachOpLog(log.get());
+  }
+  const auto check = [](const Status& status) {
+    SKL_CHECK_MSG(status.ok(), status.ToString().c_str());
+  };
+  uint64_t seed = 40;
+  const auto add_run = [&](uint32_t target) {
+    Run run = GenerateRun(service->spec(), target, ++seed);
+    DataGenOptions data;
+    data.seed = ++seed;
+    const DataCatalog catalog = GenerateDataCatalog(run, data);
+    auto id = service->AddRun(run, &catalog);
+    check(id.status());
+    return *id;
+  };
+  const RunId first = add_run(60);
+  const RunId second = add_run(90);
+  SpecDelta audit;
+  audit.kind = SpecDelta::Kind::kAddModule;
+  audit.module = "audit";
+  audit.from = {"a"};
+  audit.to = {"h"};
+  check(service->ApplySpecDelta(audit).status());
+  add_run(70);
+  auto blob = service->ExportRun(first);
+  check(blob.status());
+  check(service->ImportRun(*blob).status());
+  check(service->RemoveRun(second));
+  SpecDelta tail = audit;
+  tail.module = "tail";
+  check(service->ApplySpecDelta(tail).status());
+  add_run(50);
+  service->AttachOpLog(nullptr);
+  return std::move(service).value();
 }
 
 /// A tree-shaped specification for the interval scheme (which rejects spec
