@@ -3,7 +3,27 @@
 #include <filesystem>
 #include <fstream>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <unistd.h>
+#endif
+
 namespace skl {
+
+namespace {
+
+#if defined(__unix__) || defined(__APPLE__)
+Status FsyncPath(const char* path, int flags, const std::string& what) {
+  int fd = ::open(path, flags);
+  if (fd < 0) return Status::Internal("cannot open " + what + " for sync");
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  if (!synced) return Status::Internal("cannot sync " + what);
+  return Status::OK();
+}
+#endif
+
+}  // namespace
 
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path,
                                            std::string_view what) {
@@ -28,6 +48,28 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path,
                             std::to_string(size) + " bytes");
   }
   return bytes;
+}
+
+Status SyncFile(const std::string& path, std::string_view what) {
+#if defined(__unix__) || defined(__APPLE__)
+  return FsyncPath(path.c_str(), O_RDONLY, std::string(what) + " " + path);
+#else
+  (void)path;
+  (void)what;
+  return Status::OK();
+#endif
+}
+
+Status SyncDir(const std::string& dir, std::string_view what) {
+#if defined(__unix__) || defined(__APPLE__)
+  const std::string d = dir.empty() ? "." : dir;
+  return FsyncPath(d.c_str(), O_RDONLY | O_DIRECTORY,
+                   std::string(what) + " " + d);
+#else
+  (void)dir;
+  (void)what;
+  return Status::OK();
+#endif
 }
 
 }  // namespace skl

@@ -1,5 +1,6 @@
-// Whole-file reads for the durable formats (snapshots, op-logs): the file is
-// sized once and read with one bulk read, never byte by byte.
+// File access shared by the durable formats (snapshots, op-logs): whole-file
+// reads, sized once and read with one bulk read, never byte by byte; and
+// the fsync calls that make a written file, or a directory entry, durable.
 #ifndef SKL_COMMON_FILE_BYTES_H_
 #define SKL_COMMON_FILE_BYTES_H_
 
@@ -17,6 +18,16 @@ namespace skl {
 /// cannot be sized or yields fewer bytes than its size.
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path,
                                            std::string_view what);
+
+/// Flushes the file at `path` to stable storage. `what` names the file in
+/// errors ("snapshot file"). Internal if it cannot be opened or synced; a
+/// no-op on platforms without fsync.
+Status SyncFile(const std::string& path, std::string_view what);
+
+/// Flushes the entries of directory `dir` ("" is the working directory): a
+/// file created or renamed in it is durable only once this runs after
+/// that. `what` names the directory in errors ("op-log directory").
+Status SyncDir(const std::string& dir, std::string_view what);
 
 }  // namespace skl
 

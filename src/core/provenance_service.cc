@@ -207,10 +207,8 @@ Result<RunRecord> ProvenanceService::BuildRecord(
   SKL_ASSIGN_OR_RETURN(RunLabeling labeling,
                        RunLabeling::FromPlan(*at->spec, at->scheme.get(),
                                              *plan, std::move(origin)));
-  if (catalog != nullptr) {
-    SKL_RETURN_NOT_OK(ValidateCatalog(*catalog, labeling.num_vertices()));
-  }
-  RunRecord record = CaptureRecord(labeling, catalog, /*imported=*/false, at);
+  SKL_ASSIGN_OR_RETURN(RunRecord record,
+                       CaptureRecord(labeling, catalog, at));
   labeling_hist_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - labeling_start)
@@ -218,10 +216,12 @@ Result<RunRecord> ProvenanceService::BuildRecord(
   return record;
 }
 
-RunRecord ProvenanceService::CaptureRecord(const RunLabeling& labeling,
-                                           const DataCatalog* catalog,
-                                           bool imported,
-                                           const SpecEpoch* at) const {
+Result<RunRecord> ProvenanceService::CaptureRecord(const RunLabeling& labeling,
+                                                   const DataCatalog* catalog,
+                                                   const SpecEpoch* at) {
+  if (catalog != nullptr) {
+    SKL_RETURN_NOT_OK(ValidateCatalog(*catalog, labeling.num_vertices()));
+  }
   RunRecord record;
   record.store =
       ProvenanceStore::Capture(labeling, catalog, at->scheme->name());
@@ -231,39 +231,49 @@ RunRecord ProvenanceService::CaptureRecord(const RunLabeling& labeling,
   record.stats.context_bits = labeling.context_bits();
   record.stats.origin_bits = labeling.origin_bits();
   record.stats.num_nonempty_plus = labeling.num_nonempty_plus();
-  record.stats.imported = imported;
   record.stats.epoch = at->number;
   record.spec = at->spec.get();
   record.scheme = at->scheme.get();
   return record;
 }
 
+namespace {
+
+/// The op-log entry of a run about to be published: the exact stats and
+/// blob a replica restores bit-identically. Built before the registry takes
+/// the record.
+LogOp RunLogOp(const RunRecord& record) {
+  LogOp op;
+  op.kind = record.stats.imported ? LogOp::Kind::kImportRun
+                                  : LogOp::Kind::kAddRun;
+  op.stats = record.stats;
+  op.blob = record.store.Serialize();
+  return op;
+}
+
+}  // namespace
+
 Result<RunId> ProvenanceService::Publish(RunRecord record) {
   LogOp op;
-  if (oplog_ != nullptr) {
-    // Serialize before the registry takes ownership of the record; the op
-    // carries the exact stats and blob a replica restores bit-identically.
-    op.kind = record.stats.imported ? LogOp::Kind::kImportRun
-                                    : LogOp::Kind::kAddRun;
-    op.stats = record.stats;
-    op.blob = record.store.Serialize();
-  }
+  if (oplog_ != nullptr) op = RunLogOp(record);
   RunId id(registry_->Publish(std::move(record)));
   counters_->runs_ingested.fetch_add(1, std::memory_order_relaxed);
-  if (oplog_ != nullptr) {
-    op.run_id = id.value();
-    Result<uint64_t> appended = oplog_->Append(std::move(op));
-    if (!appended.ok()) {
-      // Published locally but not logged: acking success would break the
-      // append-before-ack contract, so surface the divergence instead.
-      return Status::Internal(
-          "run " + std::to_string(id.value()) +
-          " was registered but its op-log append failed (" +
-          appended.status().message() +
-          "); the service is ahead of its replication log");
-    }
-  }
+  op.run_id = id.value();
+  SKL_RETURN_NOT_OK(LogAfterPublish(std::move(op), "registered"));
   return id;
+}
+
+Status ProvenanceService::LogAfterPublish(LogOp op, std::string_view done) {
+  if (oplog_ == nullptr) return Status::OK();
+  const uint64_t run_id = op.run_id;
+  Result<uint64_t> appended = oplog_->Append(std::move(op));
+  if (appended.ok()) return Status::OK();
+  // Acking success would break the append-before-ack contract, so surface
+  // the divergence instead.
+  return Status::Internal(
+      "run " + std::to_string(run_id) + " was " + std::string(done) +
+      " but its op-log append failed (" + appended.status().message() +
+      "); the service is ahead of its replication log");
 }
 
 ThreadPool& ProvenanceService::Pool() {
@@ -361,16 +371,10 @@ std::vector<Result<RunId>> ProvenanceService::BulkIngest(
   }
   // Serialize the op-log payloads before PublishBatch consumes the records
   // (same before-the-move discipline as the single-run Publish path).
-  struct PendingOp {
-    RunStats stats;
-    std::vector<uint8_t> blob;
-  };
-  std::vector<PendingOp> pending;
+  std::vector<LogOp> ops;
   if (oplog_ != nullptr) {
-    pending.reserve(to_publish.size());
-    for (const RunRecord& r : to_publish) {
-      pending.push_back({r.stats, r.store.Serialize()});
-    }
+    ops.reserve(to_publish.size());
+    for (const RunRecord& r : to_publish) ops.push_back(RunLogOp(r));
   }
   const std::vector<uint64_t> ids =
       registry_->PublishBatch(std::move(to_publish));
@@ -378,23 +382,9 @@ std::vector<Result<RunId>> ProvenanceService::BulkIngest(
   // Append in ascending id order — the block is contiguous, so log order
   // matches id order and a replica replays the batch exactly as published.
   std::vector<Status> append_status(ids.size());
-  if (oplog_ != nullptr) {
-    for (size_t j = 0; j < ids.size(); ++j) {
-      LogOp op;
-      op.kind = pending[j].stats.imported ? LogOp::Kind::kImportRun
-                                          : LogOp::Kind::kAddRun;
-      op.run_id = ids[j];
-      op.stats = pending[j].stats;
-      op.blob = std::move(pending[j].blob);
-      Result<uint64_t> appended = oplog_->Append(std::move(op));
-      if (!appended.ok()) {
-        append_status[j] = Status::Internal(
-            "run " + std::to_string(ids[j]) +
-            " was registered but its op-log append failed (" +
-            appended.status().message() +
-            "); the service is ahead of its replication log");
-      }
-    }
+  for (size_t j = 0; j < ops.size(); ++j) {
+    ops[j].run_id = ids[j];
+    append_status[j] = LogAfterPublish(std::move(ops[j]), "registered");
   }
   for (size_t i = 0; i < count; ++i) {
     if (publish_index[i] == count) {
@@ -450,30 +440,17 @@ Status ProvenanceService::RemoveRun(RunId id) {
     return Status::NotFound("unknown run id");
   }
   counters_->runs_removed.fetch_add(1, std::memory_order_relaxed);
-  if (oplog_ != nullptr) {
-    LogOp op;
-    op.kind = LogOp::Kind::kRemoveRun;
-    op.run_id = id.value();
-    Result<uint64_t> appended = oplog_->Append(std::move(op));
-    if (!appended.ok()) {
-      return Status::Internal(
-          "run " + std::to_string(id.value()) +
-          " was removed but its op-log append failed (" +
-          appended.status().message() +
-          "); the service is ahead of its replication log");
-    }
-  }
-  return Status::OK();
+  LogOp op;
+  op.kind = LogOp::Kind::kRemoveRun;
+  op.run_id = id.value();
+  return LogAfterPublish(std::move(op), "removed");
 }
 
 Result<RunId> ProvenanceService::Register(const RunLabeling& labeling,
                                           const DataCatalog* catalog,
-                                          bool imported,
                                           const SpecEpoch* at) {
-  if (catalog != nullptr) {
-    SKL_RETURN_NOT_OK(ValidateCatalog(*catalog, labeling.num_vertices()));
-  }
-  return Publish(CaptureRecord(labeling, catalog, imported, at));
+  SKL_ASSIGN_OR_RETURN(RunRecord record, CaptureRecord(labeling, catalog, at));
+  return Publish(std::move(record));
 }
 
 namespace {
@@ -619,28 +596,7 @@ Result<RunId> ProvenanceService::ImportRun(
   // Imports land in the head epoch: the blob's labels must be valid
   // against the spec/scheme that is current right now.
   const SpecEpoch& at = head_epoch_entry();
-  // Tagged blobs must name this service's scheme — labels only answer
-  // correctly under the scheme that produced them. An empty tag means
-  // "unknown" and is accepted.
-  if (!store.scheme_tag().empty() &&
-      store.scheme_tag() != at.scheme->name()) {
-    return Status::InvalidArgument(
-        "blob was labeled under scheme '" + store.scheme_tag() +
-        "', but this service answers under scheme '" +
-        std::string(at.scheme->name()) + "'");
-  }
-  // The blob must stem from a run of this service's specification: every
-  // origin must name a spec vertex, or queries would index the scheme out
-  // of range.
-  const VertexId n_g = at.spec->graph().num_vertices();
-  for (VertexId v = 0; v < store.num_vertices(); ++v) {
-    if (store.label(v).origin >= n_g) {
-      return Status::InvalidArgument(
-          "blob references spec vertex " +
-          std::to_string(store.label(v).origin) +
-          " unknown to this service's specification");
-    }
-  }
+  SKL_RETURN_NOT_OK(AdmitStore(store, at, "blob"));
   RunRecord record;
   record.stats.num_vertices = store.num_vertices();
   record.stats.num_items = store.num_items();
@@ -709,53 +665,55 @@ Status ProvenanceService::RestoreRun(uint64_t id, const RunStats& stats,
   }
   SKL_ASSIGN_OR_RETURN(ProvenanceStore store,
                        ProvenanceStore::Deserialize(blob));
-  // Resolve the run's epoch: replicated/restored stats carry the epoch the
-  // run was ingested under on the source service. Epoch 0 is the pre-epoch
-  // wire/snapshot encoding and normalizes to 1 (the creation spec).
-  RunStats normalized = stats;
-  if (normalized.epoch == 0) normalized.epoch = 1;
-  const SpecEpoch* at = FindEpoch(normalized.epoch);
+  // Replicated/restored stats carry the epoch the run was ingested under on
+  // the source service.
+  const SpecEpoch* at = FindEpoch(stats.epoch);
   if (at == nullptr) {
     return Status::InvalidArgument(
         "replicated run " + std::to_string(id) + " was ingested under spec "
-        "epoch " + std::to_string(normalized.epoch) +
+        "epoch " + std::to_string(stats.epoch) +
         ", but this service's epoch chain only reaches epoch " +
         std::to_string(spec_epoch()) +
         " — apply the missing spec deltas first");
   }
-  if (!store.scheme_tag().empty() &&
-      store.scheme_tag() != at->scheme->name()) {
-    return Status::InvalidArgument(
-        "replicated run " + std::to_string(id) +
-        " was labeled under scheme '" + store.scheme_tag() +
-        "', but this service answers under scheme '" +
-        std::string(at->scheme->name()) + "'");
-  }
+  SKL_RETURN_NOT_OK(
+      AdmitStore(store, *at, "replicated run " + std::to_string(id)));
   if (store.num_vertices() != stats.num_vertices ||
       store.num_items() != stats.num_items) {
     return Status::InvalidArgument(
         "replicated run " + std::to_string(id) +
         ": stats disagree with the stored labels/catalog");
   }
-  // Same guard as ImportRun: every origin must name a spec vertex of the
-  // run's epoch, or queries would index the scheme out of range.
-  const VertexId n_g = at->spec->graph().num_vertices();
-  for (VertexId v = 0; v < store.num_vertices(); ++v) {
-    if (store.label(v).origin >= n_g) {
-      return Status::InvalidArgument(
-          "replicated run " + std::to_string(id) +
-          " references spec vertex " + std::to_string(store.label(v).origin) +
-          " unknown to this service's specification");
-    }
-  }
   RunRecord record;
-  record.stats = normalized;
+  record.stats = stats;
   record.spec = at->spec.get();
   record.scheme = at->scheme.get();
   record.store = std::move(store);
   // A false return means another apply raced this id in; idempotence again.
   (void)registry_->Restore(id, std::move(record));
   registry_->EnsureNextIdAtLeast(id + 1);
+  return Status::OK();
+}
+
+Status ProvenanceService::AdmitStore(const ProvenanceStore& store,
+                                     const SpecEpoch& at,
+                                     const std::string& who) {
+  const std::string_view scheme = at.scheme->name();
+  if (!store.scheme_tag().empty() && store.scheme_tag() != scheme) {
+    return Status::InvalidArgument(
+        who + " was labeled under scheme '" + store.scheme_tag() +
+        "', but this service answers under scheme '" + std::string(scheme) +
+        "'");
+  }
+  const VertexId n_g = at.spec->graph().num_vertices();
+  for (uint32_t origin : store.origin_column()) {
+    if (origin >= n_g) {
+      return Status::InvalidArgument(
+          who + " references spec vertex " + std::to_string(origin) +
+          " unknown to the specification of epoch " +
+          std::to_string(at.number));
+    }
+  }
   return Status::OK();
 }
 
@@ -769,7 +727,7 @@ std::vector<RunId> ProvenanceService::ListRuns() const {
 
 Result<RunId> RunSession::Seal(const DataCatalog* catalog) && {
   SKL_ASSIGN_OR_RETURN(RunLabeling labeling, std::move(labeler_).Finish());
-  return service_->Register(labeling, catalog, /*imported=*/false, epoch_);
+  return service_->Register(labeling, catalog, epoch_);
 }
 
 const ProvenanceService::SpecEpoch* ProvenanceService::FindEpoch(

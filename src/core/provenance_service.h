@@ -85,6 +85,7 @@
 namespace skl {
 
 class OpLog;           // src/replication/oplog.h
+struct LogOp;          // src/replication/oplog.h
 class SnapshotWriter;  // src/io/snapshot.h
 class SnapshotReader;
 
@@ -536,23 +537,37 @@ class ProvenanceService {
                                 const DataCatalog* catalog,
                                 const SpecEpoch* at) const;
 
-  /// Packs a labeling (+ optional, already validated catalog) into the
-  /// record format the registry stores. Lock-free; shared by every
-  /// ingestion path so the stats fields cannot diverge between them.
-  RunRecord CaptureRecord(const RunLabeling& labeling,
-                          const DataCatalog* catalog, bool imported,
-                          const SpecEpoch* at) const;
+  /// Packs a labeling (+ optional catalog, validated against it first)
+  /// into the record format the registry stores. Lock-free; shared by
+  /// every labeling ingestion path so the stats fields cannot diverge.
+  static Result<RunRecord> CaptureRecord(const RunLabeling& labeling,
+                                         const DataCatalog* catalog,
+                                         const SpecEpoch* at);
 
   /// Publishes a record under a fresh id (takes one shard's writer lock),
   /// then appends the op to the attached op-log (if any) before returning
   /// — the append-before-ack half of the replication contract.
   Result<RunId> Publish(RunRecord record);
 
+  /// Appends `op` to the attached op-log, if any, for a run change the
+  /// registry has already made visible (`done`: "registered", "removed").
+  /// The change cannot be taken back, so a failed append is reported as
+  /// Internal: the service is ahead of its replication log.
+  Status LogAfterPublish(LogOp op, std::string_view done);
+
+  /// The one admission check on a stored run, shared by ImportRun,
+  /// RestoreRun and the snapshot loader: a non-empty scheme tag must name
+  /// the scheme of epoch `at`, whose scheme alone can interpret the labels,
+  /// and every origin must be a vertex of that epoch's specification, or
+  /// queries would index the scheme out of range. InvalidArgument naming
+  /// `who` otherwise (the snapshot loader reports it as a ParseError).
+  static Status AdmitStore(const ProvenanceStore& store, const SpecEpoch& at,
+                           const std::string& who);
+
   /// Captures a labeling (+ optional catalog) and publishes it under a new
-  /// id. Validates the catalog against the labeling first.
+  /// id.
   Result<RunId> Register(const RunLabeling& labeling,
-                         const DataCatalog* catalog, bool imported,
-                         const SpecEpoch* at);
+                         const DataCatalog* catalog, const SpecEpoch* at);
 
   /// Shared driver of the two bulk paths: `build(i)` produces record i on a
   /// pool worker; successes are published in input order.
@@ -567,10 +582,8 @@ class ProvenanceService {
   /// Shared restore behind LoadSnapshot / LoadSnapshotBytes.
   static Result<ProvenanceService> LoadFromSnapshotReader(
       SnapshotReader reader, Options options);
-  /// Restores the columnar run sections into `service` (snapshot.cc).
-  static Status LoadColumnarRuns(const SnapshotReader& reader,
-                                 std::string_view scheme_name,
-                                 ProvenanceService* service);
+  /// Restores the columnar run sections into this service (snapshot.cc).
+  Status LoadColumnarRuns(const SnapshotReader& reader);
 
   // The append-only spec-epoch chain. Behind a unique_ptr so entry (and
   // container) addresses survive service moves: schemes hold a pointer to

@@ -16,60 +16,38 @@ constexpr uint32_t kVersion = 2;
 constexpr uint64_t kMaxSchemeTagBytes = 256;
 }  // namespace
 
-ProvenanceStore& ProvenanceStore::operator=(const ProvenanceStore& other) {
-  if (this == &other) return *this;
-  scheme_tag_ = other.scheme_tag_;
-  if (other.backing_ != nullptr) {
-    // View: share the backing, copy the column spans verbatim.
-    arena_.clear();
-    backing_ = other.backing_;
-    q1_ = other.q1_;
-    q2_ = other.q2_;
-    q3_ = other.q3_;
-    origin_ = other.origin_;
-    item_writers_ = other.item_writers_;
-    reader_offsets_ = other.reader_offsets_;
-    readers_ = other.readers_;
-  } else {
-    // Owned: copy the arena and re-derive the spans from the fixed layout.
-    backing_.reset();
-    arena_ = other.arena_;
-    BindToArena(other.q1_.size(), other.item_writers_.size(),
-                other.readers_.size());
-  }
-  return *this;
-}
+ProvenanceStore::ProvenanceStore(
+    std::span<const uint32_t> q1, std::span<const uint32_t> q2,
+    std::span<const uint32_t> q3, std::span<const uint32_t> origin,
+    std::span<const uint32_t> item_writers,
+    std::span<const uint32_t> reader_offsets,
+    std::span<const uint32_t> readers, std::string scheme_tag,
+    std::shared_ptr<const void> backing)
+    : q1_(q1),
+      q2_(q2),
+      q3_(q3),
+      origin_(origin),
+      item_writers_(item_writers),
+      reader_offsets_(reader_offsets),
+      readers_(readers),
+      backing_(std::move(backing)),
+      scheme_tag_(std::move(scheme_tag)) {}
 
-void ProvenanceStore::BindToArena(size_t n, size_t items,
-                                  size_t readers_total) {
-  if (arena_.empty()) {
-    q1_ = q2_ = q3_ = origin_ = {};
-    item_writers_ = reader_offsets_ = readers_ = {};
-    return;
-  }
-  const uint32_t* base = arena_.data();
-  q1_ = {base, n};
-  q2_ = {base + n, n};
-  q3_ = {base + 2 * n, n};
-  origin_ = {base + 3 * n, n};
-  item_writers_ = {base + 4 * n, items};
-  reader_offsets_ = {base + 4 * n + items, items + 1};
-  readers_ = {base + 4 * n + 2 * items + 1, readers_total};
-}
-
-std::vector<uint32_t>& ProvenanceStore::AllocateArena(size_t n, size_t items,
-                                                      size_t readers_total) {
-  arena_.assign(4 * n + 2 * items + 1 + readers_total, 0);
-  backing_.reset();
-  BindToArena(n, items, readers_total);
-  return arena_;
+ProvenanceStore ProvenanceStore::Share(std::vector<uint32_t> arena, size_t n,
+                                       size_t items, std::string scheme_tag) {
+  const size_t readers_total = arena.size() - (4 * n + 2 * items + 1);
+  auto shared = std::make_shared<const std::vector<uint32_t>>(std::move(arena));
+  const uint32_t* base = shared->data();
+  return ProvenanceStore(
+      {base, n}, {base + n, n}, {base + 2 * n, n}, {base + 3 * n, n},
+      {base + 4 * n, items}, {base + 4 * n + items, items + 1},
+      {base + 4 * n + 2 * items + 1, readers_total}, std::move(scheme_tag),
+      std::move(shared));
 }
 
 ProvenanceStore ProvenanceStore::Capture(const RunLabeling& labeling,
                                          const DataCatalog* catalog,
                                          std::string_view scheme_tag) {
-  ProvenanceStore store;
-  store.scheme_tag_.assign(scheme_tag);
   const std::vector<RunLabel>& labels = labeling.labels();
   const size_t n = labels.size();
   const size_t items = catalog != nullptr ? catalog->size() : 0;
@@ -77,7 +55,7 @@ ProvenanceStore ProvenanceStore::Capture(const RunLabeling& labeling,
   for (DataItemId x = 0; x < items; ++x) {
     readers_total += catalog->InputsOf(x).size();
   }
-  std::vector<uint32_t>& arena = store.AllocateArena(n, items, readers_total);
+  std::vector<uint32_t> arena(4 * n + 2 * items + 1 + readers_total);
   uint32_t* q1 = arena.data();
   uint32_t* q2 = q1 + n;
   uint32_t* q3 = q2 + n;
@@ -98,27 +76,38 @@ ProvenanceStore ProvenanceStore::Capture(const RunLabeling& labeling,
     for (VertexId r : catalog->InputsOf(x)) readers[off++] = r;
     offsets[x + 1] = off;
   }
-  return store;
+  return Share(std::move(arena), n, items, std::string(scheme_tag));
 }
 
-ProvenanceStore ProvenanceStore::FromColumns(
+Result<ProvenanceStore> ProvenanceStore::FromColumns(
     std::span<const uint32_t> q1, std::span<const uint32_t> q2,
     std::span<const uint32_t> q3, std::span<const uint32_t> origin,
     std::span<const uint32_t> item_writers,
     std::span<const uint32_t> reader_offsets,
     std::span<const uint32_t> readers, std::string scheme_tag,
     std::shared_ptr<const void> backing) {
-  ProvenanceStore store;
-  store.q1_ = q1;
-  store.q2_ = q2;
-  store.q3_ = q3;
-  store.origin_ = origin;
-  store.item_writers_ = item_writers;
-  store.reader_offsets_ = reader_offsets;
-  store.readers_ = readers;
-  store.scheme_tag_ = std::move(scheme_tag);
-  store.backing_ = std::move(backing);
-  return store;
+  const size_t n = q1.size();
+  const size_t items = item_writers.size();
+  if (q2.size() != n || q3.size() != n || origin.size() != n ||
+      reader_offsets.size() != items + 1) {
+    return Status::ParseError("column lengths disagree");
+  }
+  for (uint32_t w : item_writers) {
+    if (w >= n) return Status::ParseError("item writer out of range");
+  }
+  if (reader_offsets[0] != 0 || reader_offsets[items] != readers.size()) {
+    return Status::ParseError("corrupt reader offsets");
+  }
+  for (size_t x = 0; x < items; ++x) {
+    if (reader_offsets[x + 1] < reader_offsets[x]) {
+      return Status::ParseError("corrupt reader offsets");
+    }
+  }
+  for (uint32_t r : readers) {
+    if (r >= n) return Status::ParseError("item reader out of range");
+  }
+  return ProvenanceStore(q1, q2, q3, origin, item_writers, reader_offsets,
+                         readers, std::move(scheme_tag), std::move(backing));
 }
 
 std::vector<uint8_t> ProvenanceStore::Serialize() const {
@@ -199,8 +188,6 @@ Result<ProvenanceStore> ProvenanceStore::Deserialize(
   }
   std::span<const uint8_t> tag;
   SKL_RETURN_NOT_OK(reader.ReadBytes(tag_len, &tag));
-  ProvenanceStore store;
-  store.scheme_tag_.assign(tag.begin(), tag.end());
   SKL_RETURN_NOT_OK(reader.ReadVarint(&n));
   SKL_RETURN_NOT_OK(reader.ReadVarint(&q_bits));
   SKL_RETURN_NOT_OK(reader.ReadVarint(&o_bits));
@@ -212,8 +199,8 @@ Result<ProvenanceStore> ProvenanceStore::Deserialize(
   if (n > bytes.size() * 8 / (3 * q_bits + o_bits)) {
     return Status::ParseError("corrupt store header");
   }
-  // Labels land at the front of the arena; the catalog's size is unknown
-  // until parsed, so it goes through temporaries and is appended after.
+  // The arena in its final layout: labels first, then the catalog, whose
+  // size is known only once the labels are parsed.
   std::vector<uint32_t> arena(4 * n, 0);
   uint32_t* col_q1 = arena.data();
   uint32_t* col_q2 = col_q1 + n;
@@ -235,14 +222,15 @@ Result<ProvenanceStore> ProvenanceStore::Deserialize(
   if (items > bytes.size()) {
     return Status::ParseError("corrupt store header");
   }
-  std::vector<uint32_t> writers(items, 0);
-  std::vector<uint32_t> offsets(items + 1, 0);
-  std::vector<uint32_t> readers;
+  const size_t writers_at = 4 * n;
+  const size_t offsets_at = writers_at + items;
+  const size_t readers_at = offsets_at + items + 1;
+  arena.resize(readers_at, 0);
   for (uint64_t x = 0; x < items; ++x) {
     uint64_t writer_v, n_readers;
     SKL_RETURN_NOT_OK(reader.ReadVarint(&writer_v));
     if (writer_v >= n) return Status::ParseError("item writer out of range");
-    writers[x] = static_cast<uint32_t>(writer_v);
+    arena[writers_at + x] = static_cast<uint32_t>(writer_v);
     SKL_RETURN_NOT_OK(reader.ReadVarint(&n_readers));
     if (n_readers > n) return Status::ParseError("reader count out of range");
     for (uint64_t r = 0; r < n_readers; ++r) {
@@ -251,16 +239,12 @@ Result<ProvenanceStore> ProvenanceStore::Deserialize(
       if (reader_v >= n) {
         return Status::ParseError("item reader out of range");
       }
-      readers.push_back(static_cast<uint32_t>(reader_v));
+      arena.push_back(static_cast<uint32_t>(reader_v));
     }
-    offsets[x + 1] = static_cast<uint32_t>(readers.size());
+    arena[offsets_at + x + 1] =
+        static_cast<uint32_t>(arena.size() - readers_at);
   }
-  arena.insert(arena.end(), writers.begin(), writers.end());
-  arena.insert(arena.end(), offsets.begin(), offsets.end());
-  arena.insert(arena.end(), readers.begin(), readers.end());
-  store.arena_ = std::move(arena);
-  store.BindToArena(n, items, readers.size());
-  return store;
+  return Share(std::move(arena), n, items, std::string(tag.begin(), tag.end()));
 }
 
 }  // namespace skl

@@ -11,11 +11,14 @@
 // labels block at the exact Lemma 4.7 bit width (label_codec), then the
 // catalog as varints (item count; per item: writer, reader count, readers).
 //
-// Storage is either *owned* (one contiguous uint32 arena, built by
-// Capture/Deserialize) or a *view* over externally owned columns (built by
-// FromColumns, e.g. spans into an mmap'd snapshot); a view keeps its backing
-// alive through a shared_ptr, so the mapping is released only when the last
-// store viewing it is destroyed.
+// Every store is the same thing: seven column spans plus one shared,
+// immutable backing that keeps them alive. Capture and Deserialize fill one
+// contiguous uint32 arena [q1 | q2 | q3 | origin | writers | offsets |
+// readers] and hand it over as the backing; FromColumns binds spans into
+// memory someone else laid out (a snapshot's columns section, heap-held or
+// mmap'd). Nothing writes a column after it is bound, so a copy is a
+// refcount bump that shares the columns, and the memory is released when
+// the last store sharing it is destroyed.
 #ifndef SKL_CORE_PROVENANCE_STORE_H_
 #define SKL_CORE_PROVENANCE_STORE_H_
 
@@ -35,10 +38,6 @@ namespace skl {
 class ProvenanceStore {
  public:
   ProvenanceStore() = default;
-  ProvenanceStore(const ProvenanceStore& other) { *this = other; }
-  ProvenanceStore& operator=(const ProvenanceStore& other);
-  ProvenanceStore(ProvenanceStore&&) = default;
-  ProvenanceStore& operator=(ProvenanceStore&&) = default;
 
   /// Captures a labeled run and (optionally) its data catalog. `scheme_tag`
   /// names the skeleton scheme the labels were produced under (the bundled
@@ -49,20 +48,20 @@ class ProvenanceStore {
                                  const DataCatalog* catalog = nullptr,
                                  std::string_view scheme_tag = {});
 
-  /// Wraps externally owned columns without copying. The spans must point
-  /// into memory kept alive by `backing` (e.g. an mmap'd snapshot section);
-  /// `reader_offsets` is the CSR offset column (size num_items() + 1, or
-  /// empty when there are no items). All range validation is the caller's
-  /// job — accessors index the spans directly.
-  static ProvenanceStore FromColumns(std::span<const uint32_t> q1,
-                                     std::span<const uint32_t> q2,
-                                     std::span<const uint32_t> q3,
-                                     std::span<const uint32_t> origin,
-                                     std::span<const uint32_t> item_writers,
-                                     std::span<const uint32_t> reader_offsets,
-                                     std::span<const uint32_t> readers,
-                                     std::string scheme_tag,
-                                     std::shared_ptr<const void> backing);
+  /// Binds columns that live in memory kept alive by `backing` (e.g. an
+  /// mmap'd snapshot section), without copying. `reader_offsets` is the CSR
+  /// offset column, num_items() + 1 entries. The catalog is checked here,
+  /// so item queries can index the columns unchecked: every item writer
+  /// and reader must name one of the q1.size() vertices, and the offsets
+  /// must start at 0, never decrease and end at readers.size(); otherwise a
+  /// ParseError. Label values are the admitting service's to check.
+  static Result<ProvenanceStore> FromColumns(
+      std::span<const uint32_t> q1, std::span<const uint32_t> q2,
+      std::span<const uint32_t> q3, std::span<const uint32_t> origin,
+      std::span<const uint32_t> item_writers,
+      std::span<const uint32_t> reader_offsets,
+      std::span<const uint32_t> readers, std::string scheme_tag,
+      std::shared_ptr<const void> backing);
 
   /// Serializes to a self-describing blob.
   std::vector<uint8_t> Serialize() const;
@@ -107,29 +106,42 @@ class ProvenanceStore {
   /// Total reader entries across all items (the READERS column length).
   size_t num_reader_entries() const { return readers_.size(); }
 
+  // The catalog's CSR columns: item writers, num_items() + 1 offsets from
+  // 0 into the reader column, and the readers of every item in item order.
+  std::span<const uint32_t> item_writer_column() const {
+    return item_writers_;
+  }
+  std::span<const uint32_t> reader_offset_column() const {
+    return reader_offsets_;
+  }
+  std::span<const uint32_t> reader_column() const { return readers_; }
+
   /// Name of the skeleton scheme these labels were produced under; empty
   /// when unknown.
   const std::string& scheme_tag() const { return scheme_tag_; }
 
-  /// True when the columns view externally owned memory (snapshot backing)
-  /// rather than an owned arena.
-  bool is_view() const { return backing_ != nullptr; }
-
  private:
-  // Owned stores keep every column in one contiguous arena, in the fixed
-  // order [q1 | q2 | q3 | origin | writers | offsets | readers]; views
-  // point wherever the backing put them. Spans always describe the live
-  // columns, whichever case we are in.
-  void BindToArena(size_t n, size_t items, size_t readers_total);
-  std::vector<uint32_t>& AllocateArena(size_t n, size_t items,
-                                       size_t readers_total);
+  /// Binds the spans as given: FromColumns after its checks, and the
+  /// arena builders, whose columns are valid by construction.
+  ProvenanceStore(std::span<const uint32_t> q1, std::span<const uint32_t> q2,
+                  std::span<const uint32_t> q3,
+                  std::span<const uint32_t> origin,
+                  std::span<const uint32_t> item_writers,
+                  std::span<const uint32_t> reader_offsets,
+                  std::span<const uint32_t> readers, std::string scheme_tag,
+                  std::shared_ptr<const void> backing);
+
+  /// Makes `arena` ([q1 | q2 | q3 | origin | writers | offsets | readers],
+  /// n vertices and `items` items) the shared backing and binds its
+  /// columns.
+  static ProvenanceStore Share(std::vector<uint32_t> arena, size_t n,
+                               size_t items, std::string scheme_tag);
 
   std::span<const uint32_t> q1_, q2_, q3_, origin_;
   std::span<const uint32_t> item_writers_;
-  std::span<const uint32_t> reader_offsets_;  // size num_items()+1, or empty
+  std::span<const uint32_t> reader_offsets_;  // num_items()+1; empty by default
   std::span<const uint32_t> readers_;
-  std::vector<uint32_t> arena_;            // owned storage; empty for views
-  std::shared_ptr<const void> backing_;    // keeps a view's columns alive
+  std::shared_ptr<const void> backing_;  // keeps the columns alive
   std::string scheme_tag_;
 };
 

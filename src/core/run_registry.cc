@@ -9,6 +9,48 @@
 
 namespace skl {
 
+void WriteRunStats(BitWriter& writer, const RunStats& stats) {
+  writer.WriteVarint(stats.num_vertices);
+  writer.WriteVarint(stats.num_items);
+  writer.WriteVarint(stats.label_bits);
+  writer.WriteVarint(stats.context_bits);
+  writer.WriteVarint(stats.origin_bits);
+  writer.WriteVarint(stats.num_nonempty_plus);
+  writer.WriteVarint(stats.imported ? 1 : 0);
+  writer.WriteVarint(stats.epoch);
+}
+
+Status ReadRunStats(BitReader& reader, RunStats* stats) {
+  uint64_t fields[8];
+  for (uint64_t& field : fields) {
+    if (!reader.ReadVarint(&field).ok()) {
+      return Status::ParseError("truncated run stats");
+    }
+  }
+  const auto [num_vertices, num_items, label_bits, context_bits, origin_bits,
+              num_nonempty_plus, imported, epoch] = fields;
+  if (imported > 1) return Status::ParseError("bad imported flag");
+  if (epoch == 0) {
+    return Status::ParseError("spec epoch 0 (epochs start at 1)");
+  }
+  // The fields before `imported` restore into 32-bit members: a corrupted
+  // varint must not silently truncate.
+  for (int i = 0; i < 6; ++i) {
+    if (fields[i] > UINT32_MAX) {
+      return Status::ParseError("stats field out of range");
+    }
+  }
+  stats->num_vertices = static_cast<VertexId>(num_vertices);
+  stats->num_items = static_cast<size_t>(num_items);
+  stats->label_bits = static_cast<uint32_t>(label_bits);
+  stats->context_bits = static_cast<uint32_t>(context_bits);
+  stats->origin_bits = static_cast<uint32_t>(origin_bits);
+  stats->num_nonempty_plus = static_cast<uint32_t>(num_nonempty_plus);
+  stats->imported = imported != 0;
+  stats->epoch = epoch;
+  return Status::OK();
+}
+
 RunRegistry::RunRegistry(const Options& options)
     : shard_mask_(std::bit_ceil(std::clamp<size_t>(options.num_shards, 1,
                                                    kMaxShards)) -

@@ -44,6 +44,8 @@
 #include <tuple>
 #include <vector>
 
+#include "src/common/bit_codec.h"
+#include "src/common/status.h"
 #include "src/core/provenance_store.h"
 
 namespace skl {
@@ -71,6 +73,18 @@ struct RunStats {
                     origin_bits, num_nonempty_plus, imported);
   }
 };
+
+/// The durable encoding of RunStats, shared by the op-log's run entries and
+/// the snapshot's run index: eight varints in field order (num_vertices,
+/// num_items, label_bits, context_bits, origin_bits, num_nonempty_plus,
+/// imported as 0/1, epoch).
+void WriteRunStats(BitWriter& writer, const RunStats& stats);
+
+/// Reads WriteRunStats' varints into `*stats`. ParseError when the bytes
+/// run out, the imported flag is not 0 or 1, the epoch is 0 or a field
+/// does not fit 32 bits; the message carries no context, callers prefix
+/// their own.
+Status ReadRunStats(BitReader& reader, RunStats* stats);
 
 /// What a shard stores per run: the immutable bit-packed labels (+ catalog)
 /// and the stats snapshot taken at ingestion.

@@ -32,40 +32,6 @@ namespace {
 constexpr uint32_t kMagic = 0x534b4c53;  // "SKLS"
 constexpr uint64_t kMaxSchemeTagBytes = 256;
 
-#if defined(__unix__) || defined(__APPLE__)
-Status FsyncPath(const char* path, int flags, const std::string& what) {
-  int fd = ::open(path, flags);
-  if (fd < 0) return Status::Internal("cannot open " + what + " for sync");
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!synced) return Status::Internal("cannot sync " + what);
-  return Status::OK();
-}
-#endif
-
-/// Flushes a written file to stable storage where the platform supports it.
-Status SyncFile(const std::string& file) {
-#if defined(__unix__) || defined(__APPLE__)
-  return FsyncPath(file.c_str(), O_RDONLY, "snapshot file " + file);
-#else
-  (void)file;
-  return Status::OK();
-#endif
-}
-
-/// Flushes a directory's entries; a rename is only durable once this runs
-/// *after* it.
-Status SyncDir(const std::string& dir) {
-#if defined(__unix__) || defined(__APPLE__)
-  const std::string d = dir.empty() ? "." : dir;
-  return FsyncPath(d.c_str(), O_RDONLY | O_DIRECTORY,
-                   "snapshot directory " + d);
-#else
-  (void)dir;
-  return Status::OK();
-#endif
-}
-
 size_t AlignUp(size_t offset) {
   return (offset + kSnapshotSectionAlignment - 1) &
          ~(kSnapshotSectionAlignment - 1);
@@ -233,7 +199,7 @@ Status SnapshotWriter::WriteFile(const std::string& path) && {
   }
   // The tmp bytes must be on stable storage before the rename publishes
   // them, or a power failure could replace a good snapshot with a torn one.
-  Status synced = SyncFile(tmp);
+  Status synced = SyncFile(tmp, "snapshot file");
   if (!synced.ok()) {
     std::error_code cleanup_ec;
     std::filesystem::remove(tmp, cleanup_ec);
@@ -250,7 +216,8 @@ Status SnapshotWriter::WriteFile(const std::string& path) && {
   }
   // ... and the rename itself is only durable once the directory entry is
   // flushed; only then may the caller be told the checkpoint committed.
-  return SyncDir(std::filesystem::path(path).parent_path().string());
+  return SyncDir(std::filesystem::path(path).parent_path().string(),
+                 "snapshot directory");
 }
 
 Result<SnapshotReader> SnapshotReader::ParseBacking(
@@ -449,7 +416,8 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter() const {
   // — no stop-the-world pass, so queries keep answering while the snapshot
   // is encoded. Shards partition ids by hash, so the sweep's cross-shard
   // order interleaves; sorting restores the ascending id order the on-disk
-  // layout requires.
+  // layout requires. A store copy shares its immutable columns, so the
+  // sweep takes references, not label copies.
   struct SavedRun {
     uint64_t id;
     RunStats stats;
@@ -489,15 +457,7 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter() const {
   index.WriteVarint(saved.size());
   for (const SavedRun& r : saved) {
     index.WriteVarint(r.id);
-    const RunStats& s = r.stats;
-    index.WriteVarint(s.num_vertices);
-    index.WriteVarint(s.num_items);
-    index.WriteVarint(s.label_bits);
-    index.WriteVarint(s.context_bits);
-    index.WriteVarint(s.origin_bits);
-    index.WriteVarint(s.num_nonempty_plus);
-    index.WriteVarint(s.imported ? 1 : 0);
-    index.WriteVarint(s.epoch);
+    WriteRunStats(index, r.stats);
     index.WriteVarint(r.store.num_reader_entries());
     const std::string& tag = r.store.scheme_tag();
     index.WriteVarint(tag.size());
@@ -516,46 +476,20 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter() const {
        {total_vertices, total_items, total_offsets, total_readers}) {
     totals = PutU32Le(totals, static_cast<uint32_t>(total));
   }
-  const auto begin_column = [&cols] { cols.resize(AlignUp(cols.size()), 0); };
-  const auto label_column = [&](std::span<const uint32_t> (
-                                    ProvenanceStore::*column)() const) {
-    begin_column();
+  // Every column is the runs' own columns concatenated in id order: a
+  // run's offsets already start at 0, as the layout wants them.
+  for (const auto column :
+       {&ProvenanceStore::q1_column, &ProvenanceStore::q2_column,
+        &ProvenanceStore::q3_column, &ProvenanceStore::origin_column,
+        &ProvenanceStore::item_writer_column,
+        &ProvenanceStore::reader_offset_column,
+        &ProvenanceStore::reader_column}) {
+    cols.resize(AlignUp(cols.size()), 0);
     for (const SavedRun& r : saved) {
       const std::span<const uint32_t> values = (r.store.*column)();
       uint8_t* p = GrowU32s(cols, values.size());
       for (uint32_t value : values) p = PutU32Le(p, value);
     }
-  };
-  label_column(&ProvenanceStore::q1_column);
-  label_column(&ProvenanceStore::q2_column);
-  label_column(&ProvenanceStore::q3_column);
-  label_column(&ProvenanceStore::origin_column);
-  begin_column();  // WRITERS
-  for (const SavedRun& r : saved) {
-    uint8_t* p = GrowU32s(cols, r.store.num_items());
-    for (DataItemId x = 0; x < r.store.num_items(); ++x) {
-      p = PutU32Le(p, r.store.item_writer(x));
-    }
-  }
-  begin_column();  // OFFSETS (run-local CSR)
-  for (const SavedRun& r : saved) {
-    uint8_t* p = GrowU32s(cols, r.store.num_items() + 1);
-    uint32_t off = 0;
-    p = PutU32Le(p, 0);
-    for (DataItemId x = 0; x < r.store.num_items(); ++x) {
-      off += static_cast<uint32_t>(r.store.item_readers(x).size());
-      p = PutU32Le(p, off);
-    }
-  }
-  begin_column();  // READERS
-  for (const SavedRun& r : saved) {
-    uint8_t* p = GrowU32s(cols, r.store.num_reader_entries());
-    for (DataItemId x = 0; x < r.store.num_items(); ++x) {
-      for (VertexId reader : r.store.item_readers(x)) {
-        p = PutU32Le(p, reader);
-      }
-    }
-    SKL_DCHECK(p == cols.data() + cols.size());
   }
   writer.AddAlignedSection(kSnapshotSectionColumns, std::move(cols));
   return writer;
@@ -668,14 +602,11 @@ Result<ProvenanceService> ProvenanceService::LoadFromSnapshotReader(
         "deltas");
   }
 
-  SKL_RETURN_NOT_OK(
-      LoadColumnarRuns(reader, service.scheme().name(), &service));
+  SKL_RETURN_NOT_OK(service.LoadColumnarRuns(reader));
   return service;
 }
 
-Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader,
-                                           std::string_view scheme_name,
-                                           ProvenanceService* service) {
+Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader) {
   SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> index_bytes,
                        reader.Section(kSnapshotSectionRunIndex));
   BitReader index(index_bytes.data(), index_bytes.size());
@@ -688,6 +619,7 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader,
   struct RunMeta {
     uint64_t id;
     RunStats stats;
+    const SpecEpoch* at;  // the run's ingest epoch
     uint64_t readers_total;
     std::string tag;
   };
@@ -698,72 +630,46 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader,
   uint64_t prev_id = 0;
   uint64_t sum_vertices = 0, sum_items = 0, sum_offsets = 0, sum_readers = 0;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0, num_vertices = 0, num_items = 0, label_bits = 0,
-             context_bits = 0, origin_bits = 0, num_nonempty_plus = 0,
-             imported = 0, epoch = 0, readers_total = 0, tag_len = 0;
-    SKL_RETURN_NOT_OK(index.ReadVarint(&id));
-    SKL_RETURN_NOT_OK(index.ReadVarint(&num_vertices));
-    SKL_RETURN_NOT_OK(index.ReadVarint(&num_items));
-    SKL_RETURN_NOT_OK(index.ReadVarint(&label_bits));
-    SKL_RETURN_NOT_OK(index.ReadVarint(&context_bits));
-    SKL_RETURN_NOT_OK(index.ReadVarint(&origin_bits));
-    SKL_RETURN_NOT_OK(index.ReadVarint(&num_nonempty_plus));
-    SKL_RETURN_NOT_OK(index.ReadVarint(&imported));
-    SKL_RETURN_NOT_OK(index.ReadVarint(&epoch));
-    SKL_RETURN_NOT_OK(index.ReadVarint(&readers_total));
+    RunMeta meta;
+    uint64_t tag_len = 0;
+    SKL_RETURN_NOT_OK(index.ReadVarint(&meta.id));
+    Status stats = ReadRunStats(index, &meta.stats);
+    if (!stats.ok()) {
+      return Status::ParseError("snapshot run " + std::to_string(meta.id) +
+                                ": " + stats.message());
+    }
+    SKL_RETURN_NOT_OK(index.ReadVarint(&meta.readers_total));
     SKL_RETURN_NOT_OK(index.ReadVarint(&tag_len));
-    if (id <= prev_id || id >= next_id) {
+    if (meta.id <= prev_id || meta.id >= next_id) {
       return Status::ParseError(
-          "snapshot run registry: run id " + std::to_string(id) +
+          "snapshot run registry: run id " + std::to_string(meta.id) +
           " out of order or beyond the id counter");
     }
-    if (imported > 1) {
-      return Status::ParseError("snapshot run registry: bad imported flag");
-    }
-    if (service->FindEpoch(epoch) == nullptr) {
+    meta.at = FindEpoch(meta.stats.epoch);
+    if (meta.at == nullptr) {
       return Status::ParseError(
-          "snapshot run " + std::to_string(id) + " was ingested under spec "
-          "epoch " + std::to_string(epoch) +
+          "snapshot run " + std::to_string(meta.id) +
+          " was ingested under spec epoch " +
+          std::to_string(meta.stats.epoch) +
           ", which the snapshot's epoch chain does not reach");
     }
-    if (num_vertices > UINT32_MAX || num_items > UINT32_MAX ||
-        label_bits > UINT32_MAX || context_bits > UINT32_MAX ||
-        origin_bits > UINT32_MAX || num_nonempty_plus > UINT32_MAX ||
-        readers_total > UINT32_MAX) {
-      return Status::ParseError("snapshot run " + std::to_string(id) +
+    if (meta.readers_total > UINT32_MAX) {
+      return Status::ParseError("snapshot run " + std::to_string(meta.id) +
                                 ": stats field out of range");
     }
     if (tag_len > kMaxSchemeTagBytes) {
-      return Status::ParseError("snapshot run " + std::to_string(id) +
+      return Status::ParseError("snapshot run " + std::to_string(meta.id) +
                                 ": scheme tag too long");
     }
     std::span<const uint8_t> tag_bytes;
     SKL_RETURN_NOT_OK(index.ReadBytes(tag_len, &tag_bytes));
-    std::string tag(tag_bytes.begin(), tag_bytes.end());
-    if (!tag.empty() && tag != scheme_name) {
-      return Status::ParseError(
-          "snapshot run " + std::to_string(id) + " was labeled under scheme '" +
-          tag + "', but the snapshot's scheme is '" + std::string(scheme_name) +
-          "'");
-    }
-    RunMeta meta;
-    meta.id = id;
-    meta.stats.num_vertices = static_cast<VertexId>(num_vertices);
-    meta.stats.num_items = static_cast<size_t>(num_items);
-    meta.stats.label_bits = static_cast<uint32_t>(label_bits);
-    meta.stats.context_bits = static_cast<uint32_t>(context_bits);
-    meta.stats.origin_bits = static_cast<uint32_t>(origin_bits);
-    meta.stats.num_nonempty_plus = static_cast<uint32_t>(num_nonempty_plus);
-    meta.stats.imported = imported != 0;
-    meta.stats.epoch = epoch;
-    meta.readers_total = readers_total;
-    meta.tag = std::move(tag);
+    meta.tag.assign(tag_bytes.begin(), tag_bytes.end());
+    sum_vertices += meta.stats.num_vertices;
+    sum_items += meta.stats.num_items;
+    sum_offsets += meta.stats.num_items + 1;
+    sum_readers += meta.readers_total;
+    prev_id = meta.id;
     metas.push_back(std::move(meta));
-    sum_vertices += num_vertices;
-    sum_items += num_items;
-    sum_offsets += num_items + 1;
-    sum_readers += readers_total;
-    prev_id = id;
   }
   if (index.bit_position() != index_bytes.size() * 8) {
     return Status::ParseError(
@@ -834,58 +740,26 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader,
     const size_t n = meta.stats.num_vertices;
     const size_t items = meta.stats.num_items;
     const size_t readers_total = static_cast<size_t>(meta.readers_total);
-    const std::span<const uint32_t> q1(base[0] + cum_v, n);
-    const std::span<const uint32_t> q2(base[1] + cum_v, n);
-    const std::span<const uint32_t> q3(base[2] + cum_v, n);
-    const std::span<const uint32_t> origin(base[3] + cum_v, n);
-    const std::span<const uint32_t> writers(base[4] + cum_items, items);
-    const std::span<const uint32_t> offsets(base[5] + cum_offsets, items + 1);
-    const std::span<const uint32_t> readers(base[6] + cum_readers,
-                                            readers_total);
-    // Same guard as ImportRun, against the run's *own* epoch: every origin
-    // must name a vertex of the spec the run was labeled under, or queries
-    // would index that epoch's scheme out of range. (Presence was already
-    // verified in the index pass.)
-    const SpecEpoch* at = service->FindEpoch(meta.stats.epoch);
-    const VertexId run_n_g = at->spec->graph().num_vertices();
-    for (uint32_t o : origin) {
-      if (o >= run_n_g) {
-        return Status::ParseError(
-            "snapshot run " + std::to_string(meta.id) +
-            " references spec vertex " + std::to_string(o) +
-            " unknown to its epoch's specification");
-      }
-    }
-    for (uint32_t w : writers) {
-      if (w >= n) {
-        return Status::ParseError("snapshot run " + std::to_string(meta.id) +
-                                  ": item writer out of range");
-      }
-    }
-    if (offsets[0] != 0 || offsets[items] != readers_total) {
+    Result<ProvenanceStore> store = ProvenanceStore::FromColumns(
+        {base[0] + cum_v, n}, {base[1] + cum_v, n}, {base[2] + cum_v, n},
+        {base[3] + cum_v, n}, {base[4] + cum_items, items},
+        {base[5] + cum_offsets, items + 1},
+        {base[6] + cum_readers, readers_total}, std::move(meta.tag), backing);
+    if (!store.ok()) {
       return Status::ParseError("snapshot run " + std::to_string(meta.id) +
-                                ": corrupt reader offsets");
+                                ": " + store.status().message());
     }
-    for (size_t x = 0; x < items; ++x) {
-      if (offsets[x + 1] < offsets[x]) {
-        return Status::ParseError("snapshot run " + std::to_string(meta.id) +
-                                  ": corrupt reader offsets");
-      }
-    }
-    for (uint32_t r : readers) {
-      if (r >= n) {
-        return Status::ParseError("snapshot run " + std::to_string(meta.id) +
-                                  ": item reader out of range");
-      }
+    Status admitted = AdmitStore(*store, *meta.at,
+                                 "snapshot run " + std::to_string(meta.id));
+    if (!admitted.ok()) {
+      return Status::ParseError(admitted.message());
     }
     RunRecord record;
     record.stats = meta.stats;
-    record.spec = at->spec.get();
-    record.scheme = at->scheme.get();
-    record.store = ProvenanceStore::FromColumns(
-        q1, q2, q3, origin, writers, offsets, readers, std::move(meta.tag),
-        backing);
-    if (!service->registry_->Restore(meta.id, std::move(record))) {
+    record.spec = meta.at->spec.get();
+    record.scheme = meta.at->scheme.get();
+    record.store = std::move(store).value();
+    if (!registry_->Restore(meta.id, std::move(record))) {
       return Status::ParseError("snapshot run registry: duplicate run id " +
                                 std::to_string(meta.id));
     }
@@ -894,8 +768,8 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader,
     cum_offsets += items + 1;
     cum_readers += readers_total;
   }
-  service->registry_->SetNextId(next_id);
-  service->loaded_via_mmap_ = can_view && reader.is_mapped();
+  registry_->SetNextId(next_id);
+  loaded_via_mmap_ = can_view && reader.is_mapped();
   return Status::OK();
 }
 

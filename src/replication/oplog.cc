@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -25,28 +24,6 @@ constexpr size_t kEntryFrameBytes = 8;
 /// Upper bound on an entry payload's bytes besides its blob: the op kind
 /// byte and at most eleven varints of at most ten bytes each.
 constexpr size_t kMaxEntryFieldBytes = 1 + 11 * 10;
-
-#if defined(__unix__) || defined(__APPLE__)
-Status FsyncPath(const char* path, int flags, const std::string& what) {
-  int fd = ::open(path, flags);
-  if (fd < 0) return Status::Internal("cannot open " + what + " for sync");
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!synced) return Status::Internal("cannot sync " + what);
-  return Status::OK();
-}
-#endif
-
-Status SyncDir(const std::string& dir) {
-#if defined(__unix__) || defined(__APPLE__)
-  const std::string d = dir.empty() ? "." : dir;
-  return FsyncPath(d.c_str(), O_RDONLY | O_DIRECTORY,
-                   "op-log directory " + d);
-#else
-  (void)dir;
-  return Status::OK();
-#endif
-}
 
 /// Flushes an open log file's written bytes to stable storage.
 Status SyncOpenFile(std::FILE* file, const std::string& path) {
@@ -100,15 +77,7 @@ void WriteLogOp(const LogOp& op, BitWriter& writer) {
     case LogOp::Kind::kAddRun:
     case LogOp::Kind::kImportRun: {
       writer.WriteVarint(op.run_id);
-      const RunStats& s = op.stats;
-      writer.WriteVarint(s.num_vertices);
-      writer.WriteVarint(s.num_items);
-      writer.WriteVarint(s.label_bits);
-      writer.WriteVarint(s.context_bits);
-      writer.WriteVarint(s.origin_bits);
-      writer.WriteVarint(s.num_nonempty_plus);
-      writer.WriteVarint(s.imported ? 1 : 0);
-      writer.WriteVarint(s.epoch);
+      WriteRunStats(writer, op.stats);
       writer.WriteVarint(op.blob.size());
       writer.WriteBytes(op.blob);
       break;
@@ -168,41 +137,23 @@ Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload) {
   switch (op.kind) {
     case LogOp::Kind::kAddRun:
     case LogOp::Kind::kImportRun: {
-      uint64_t run_id = 0, num_vertices = 0, num_items = 0, label_bits = 0,
-               context_bits = 0, origin_bits = 0, num_nonempty_plus = 0,
-               imported = 0, epoch = 0, blob_len = 0;
-      if (!reader.ReadVarint(&run_id).ok() ||
-          !reader.ReadVarint(&num_vertices).ok() ||
-          !reader.ReadVarint(&num_items).ok() ||
-          !reader.ReadVarint(&label_bits).ok() ||
-          !reader.ReadVarint(&context_bits).ok() ||
-          !reader.ReadVarint(&origin_bits).ok() ||
-          !reader.ReadVarint(&num_nonempty_plus).ok() ||
-          !reader.ReadVarint(&imported).ok() ||
-          !reader.ReadVarint(&epoch).ok() ||
-          !reader.ReadVarint(&blob_len).ok()) {
+      uint64_t run_id = 0, blob_len = 0;
+      if (!reader.ReadVarint(&run_id).ok()) {
+        return Status::ParseError("op-log entry LSN " + std::to_string(lsn) +
+                                  ": truncated run fields");
+      }
+      Status stats = ReadRunStats(reader, &op.stats);
+      if (!stats.ok()) {
+        return Status::ParseError("op-log entry LSN " + std::to_string(lsn) +
+                                  ": " + stats.message());
+      }
+      if (!reader.ReadVarint(&blob_len).ok()) {
         return Status::ParseError("op-log entry LSN " + std::to_string(lsn) +
                                   ": truncated run fields");
       }
       if (run_id == 0) {
         return Status::ParseError("op-log entry LSN " + std::to_string(lsn) +
                                   ": run id 0 is not a valid id");
-      }
-      if (imported > 1) {
-        return Status::ParseError("op-log entry LSN " + std::to_string(lsn) +
-                                  ": bad imported flag");
-      }
-      if (epoch == 0) {
-        return Status::ParseError("op-log entry LSN " + std::to_string(lsn) +
-                                  ": spec epoch 0 (epochs start at 1)");
-      }
-      // The stats fields restore into uint32_t (same guard as the snapshot
-      // Runs section): a corrupted varint must not silently truncate.
-      if (num_vertices > UINT32_MAX || label_bits > UINT32_MAX ||
-          context_bits > UINT32_MAX || origin_bits > UINT32_MAX ||
-          num_nonempty_plus > UINT32_MAX) {
-        return Status::ParseError("op-log entry LSN " + std::to_string(lsn) +
-                                  ": stats field out of range");
       }
       std::span<const uint8_t> blob;
       if (!reader.ReadBytes(static_cast<size_t>(blob_len), &blob).ok()) {
@@ -211,14 +162,6 @@ Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload) {
             std::to_string(blob_len) + " blob bytes past the entry end");
       }
       op.run_id = run_id;
-      op.stats.num_vertices = static_cast<VertexId>(num_vertices);
-      op.stats.num_items = static_cast<size_t>(num_items);
-      op.stats.label_bits = static_cast<uint32_t>(label_bits);
-      op.stats.context_bits = static_cast<uint32_t>(context_bits);
-      op.stats.origin_bits = static_cast<uint32_t>(origin_bits);
-      op.stats.num_nonempty_plus = static_cast<uint32_t>(num_nonempty_plus);
-      op.stats.imported = imported != 0;
-      op.stats.epoch = epoch;
       op.blob.assign(blob.begin(), blob.end());
       break;
     }
@@ -476,7 +419,8 @@ Result<std::unique_ptr<OpLog>> OpLog::Open(const std::string& path,
       // The file's directory entry must also be durable, or a crash could
       // forget the log existed while clients hold acks recorded in it.
       SKL_RETURN_NOT_OK(
-          SyncDir(std::filesystem::path(path).parent_path().string()));
+          SyncDir(std::filesystem::path(path).parent_path().string(),
+                  "op-log directory"));
     }
   }
   return log;

@@ -7,19 +7,28 @@
 // byte-exhaustive truncation and single-bit-flip fuzz through both
 // loaders, trailing-byte rejection in the run index, scheme-tag mismatch
 // rejection, the SKL_NO_MMAP fallback, and the mapping-outlives-the-
-// directory-entry contract.
+// directory-entry contract. Also the one stored-run path: copies of a
+// captured, deserialized or mapped store share its columns, and one
+// defective store is refused by every way into the registry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/temp_path.h"
 #include "src/core/provenance_service.h"
+#include "src/core/provenance_store.h"
+#include "src/core/skeleton_labeler.h"
 #include "src/io/snapshot.h"
+#include "src/replication/replicator.h"
 #include "src/workload/data_generator.h"
 #include "src/workload/run_generator.h"
 #include "tests/test_util.h"
@@ -329,6 +338,201 @@ TEST(ColumnarSnapshotTest, ImportRejectsBlobFromAnotherScheme) {
   EXPECT_NE(imported.status().message().find("was labeled under scheme"),
             std::string::npos)
       << imported.status().ToString();
+}
+
+// ------------------------------------------------ one stored-run path --
+
+/// Byte offsets of the seven u32 columns inside a columns-section payload
+/// (Q1, Q2, Q3, ORIGIN, WRITERS, OFFSETS, READERS), from its totals header:
+/// the geometry docs/PERSISTENCE.md specifies, re-derived independently of
+/// the loader.
+std::vector<size_t> ColumnOffsets(std::span<const uint8_t> cols) {
+  uint32_t totals[4];
+  std::memcpy(totals, cols.data(), sizeof(totals));
+  const uint64_t counts[7] = {totals[0], totals[0], totals[0], totals[0],
+                              totals[1], totals[2], totals[3]};
+  std::vector<size_t> offsets;
+  size_t off = 16;
+  for (uint64_t count : counts) {
+    off = (off + kSnapshotSectionAlignment - 1) /
+          kSnapshotSectionAlignment * kSnapshotSectionAlignment;
+    offsets.push_back(off);
+    off += 4 * count;
+  }
+  return offsets;
+}
+
+TEST(ColumnarSnapshotTest, StoreCopiesShareTheirColumns) {
+  // A stored run is immutable, so a copy is a refcount bump on the same
+  // columns — whichever way the store was built.
+  const auto expect_shared = [](const ProvenanceStore& store) {
+    const ProvenanceStore copy = store;
+    EXPECT_EQ(copy.q1_column().data(), store.q1_column().data());
+    EXPECT_EQ(copy.origin_column().data(), store.origin_column().data());
+    EXPECT_EQ(copy.num_vertices(), store.num_vertices());
+    EXPECT_EQ(copy.num_items(), store.num_items());
+  };
+  auto ex = testing_util::MakeRunningExample();
+  SkeletonLabeler labeler(&ex.spec, SpecSchemeKind::kTcm);
+  ASSERT_TRUE(labeler.Init().ok());
+  auto labeling = labeler.LabelRun(ex.run);
+  ASSERT_TRUE(labeling.ok());
+  const ProvenanceStore captured = ProvenanceStore::Capture(*labeling);
+  expect_shared(captured);
+  auto deserialized = ProvenanceStore::Deserialize(captured.Serialize());
+  ASSERT_TRUE(deserialized.ok());
+  expect_shared(*deserialized);
+
+  // Bound into a mapped snapshot the way the loader binds it: the first
+  // run (the running example, no catalog) viewed in place.
+  auto service = BuildService(SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok());
+  TempFile file("shared_columns");
+  ASSERT_TRUE(service->SaveSnapshot(file.path()).ok());
+  std::optional<ProvenanceStore> mapped_copy;
+  {
+    auto reader = SnapshotReader::MapFile(file.path());
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ASSERT_TRUE(reader->is_mapped());
+    auto cols = reader->Section(kSnapshotSectionColumns);
+    ASSERT_TRUE(cols.ok());
+    const std::vector<size_t> at = ColumnOffsets(*cols);
+    const size_t n = ex.run.num_vertices();
+    const auto column = [&](int c, size_t count) {
+      return std::span<const uint32_t>(
+          reinterpret_cast<const uint32_t*>(cols->data() + at[c]), count);
+    };
+    auto mapped = ProvenanceStore::FromColumns(
+        column(0, n), column(1, n), column(2, n), column(3, n), column(4, 0),
+        column(5, 1), column(6, 0), "TCM", reader->backing());
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_EQ(mapped->q1_column().data(), column(0, n).data());
+    expect_shared(*mapped);
+    mapped_copy = *mapped;
+  }
+  // The copy alone keeps the mapping alive after the reader is gone.
+  ASSERT_EQ(mapped_copy->num_vertices(), captured.num_vertices());
+  for (VertexId v = 0; v < captured.num_vertices(); ++v) {
+    EXPECT_EQ(mapped_copy->label(v).q1, captured.label(v).q1);
+    EXPECT_EQ(mapped_copy->label(v).origin, captured.label(v).origin);
+  }
+}
+
+/// The two defects a stored run can carry past the blob and column
+/// decoders, which only the service's admission check can see.
+enum class Defect { kForeignSchemeTag, kOriginPastTheSpec };
+
+/// Every column of a store, owned, for rebuilding it with a defect.
+struct OwnedColumns {
+  std::vector<uint32_t> q1, q2, q3, origin, writers, offsets, readers;
+};
+
+TEST(ColumnarSnapshotTest, DefectiveStoreIsRefusedOnEveryAdmissionPath) {
+  // One service holding one catalogued run; that run, rebuilt with a
+  // defect, must be refused by ImportRun and by a replicated AddRun
+  // (InvalidArgument), and by a snapshot whose columns carry it
+  // (ParseError).
+  auto ex = testing_util::MakeRunningExample();
+  const VertexId n_g = ex.spec.graph().num_vertices();
+  ::skl::Run run = GenerateRun(ex.spec, 60, 13);
+  DataGenOptions dopt;
+  dopt.seed = 7;
+  const DataCatalog catalog = GenerateDataCatalog(run, dopt);
+  auto service =
+      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok());
+  auto id = service->AddRun(run, &catalog);
+  ASSERT_TRUE(id.ok());
+  auto stats = service->Stats(*id);
+  ASSERT_TRUE(stats.ok());
+  auto exported = service->ExportRun(*id);
+  ASSERT_TRUE(exported.ok());
+  auto good = ProvenanceStore::Deserialize(*exported);
+  ASSERT_TRUE(good.ok());
+  ASSERT_EQ(good->scheme_tag(), "TCM");
+  ASSERT_GT(good->num_items(), 0u);
+  TempFile file("admission");
+  ASSERT_TRUE(service->SaveSnapshot(file.path()).ok());
+
+  for (Defect defect :
+       {Defect::kForeignSchemeTag, Defect::kOriginPastTheSpec}) {
+    const bool foreign = defect == Defect::kForeignSchemeTag;
+    SCOPED_TRACE(foreign ? "foreign scheme tag" : "origin past the spec");
+    const char* refusal =
+        foreign ? "was labeled under scheme" : "references spec vertex";
+    auto cols = std::make_shared<OwnedColumns>();
+    for (VertexId v = 0; v < good->num_vertices(); ++v) {
+      const RunLabel label = good->label(v);
+      cols->q1.push_back(label.q1);
+      cols->q2.push_back(label.q2);
+      cols->q3.push_back(label.q3);
+      cols->origin.push_back(label.origin);
+    }
+    cols->offsets.push_back(0);
+    for (DataItemId x = 0; x < good->num_items(); ++x) {
+      cols->writers.push_back(good->item_writer(x));
+      for (VertexId r : good->item_readers(x)) cols->readers.push_back(r);
+      cols->offsets.push_back(static_cast<uint32_t>(cols->readers.size()));
+    }
+    if (!foreign) cols->origin[0] = n_g;
+    auto defective = ProvenanceStore::FromColumns(
+        cols->q1, cols->q2, cols->q3, cols->origin, cols->writers,
+        cols->offsets, cols->readers, foreign ? "BFS" : "TCM", cols);
+    ASSERT_TRUE(defective.ok()) << defective.status().ToString();
+    const std::vector<uint8_t> blob = defective->Serialize();
+
+    auto imported = service->ImportRun(blob);
+    EXPECT_EQ(imported.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(imported.status().message().find(refusal), std::string::npos)
+        << imported.status().ToString();
+
+    LogOp op;
+    op.kind = LogOp::Kind::kAddRun;
+    op.run_id = 1000;
+    op.stats = *stats;
+    op.blob = blob;
+    Status restored = ApplyLogOp(*service, op);
+    EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(restored.message().find(refusal), std::string::npos)
+        << restored.ToString();
+    EXPECT_FALSE(service->Contains(RunId::FromValue(1000)));
+
+    // The saved snapshot, with its one run's tag and ORIGIN column
+    // replaced by the defective store's.
+    auto reader = SnapshotReader::ReadFile(file.path());
+    ASSERT_TRUE(reader.ok());
+    SnapshotWriter writer;
+    for (uint32_t section : {kSnapshotSectionSpec, kSnapshotSectionScheme,
+                             kSnapshotSectionEpochs, kSnapshotSectionRunIndex,
+                             kSnapshotSectionColumns}) {
+      auto bytes = reader->Section(section);
+      ASSERT_TRUE(bytes.ok());
+      std::vector<uint8_t> payload(bytes->begin(), bytes->end());
+      if (section == kSnapshotSectionRunIndex) {
+        // The run's scheme tag is the last field of the index.
+        const std::string& tag = defective->scheme_tag();
+        ASSERT_EQ(tag.size(), good->scheme_tag().size());
+        std::copy(tag.begin(), tag.end(), payload.end() - tag.size());
+        writer.AddSection(section, std::move(payload));
+      } else if (section == kSnapshotSectionColumns) {
+        const size_t origin_at = ColumnOffsets(payload)[3];
+        std::memcpy(payload.data() + origin_at, cols->origin.data(),
+                    4 * cols->origin.size());
+        writer.AddAlignedSection(section, std::move(payload));
+      } else {
+        writer.AddSection(section, std::move(payload));
+      }
+    }
+    TempFile tampered("admission_tampered");
+    ASSERT_TRUE(std::move(writer).WriteFile(tampered.path()).ok());
+    for (bool use_mmap : {false, true}) {
+      auto loaded = ProvenanceService::LoadSnapshot(tampered.path(), {},
+                                                    {.use_mmap = use_mmap});
+      EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+      EXPECT_NE(loaded.status().message().find(refusal), std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -20,9 +20,9 @@
 #include "src/io/workflow_xml.h"
 #include "src/replication/oplog.h"
 #include "src/speclabel/scheme.h"
-#include "src/workload/data_generator.h"
 #include "src/workflow/run.h"
 #include "src/workflow/specification.h"
+#include "src/workload/data_generator.h"
 #include "src/workload/real_workflows.h"
 #include "src/workload/run_generator.h"
 
