@@ -747,12 +747,12 @@ Status ProvenanceService::ApplySpecDeltaReplicated(const SpecDelta& delta,
                                                    uint64_t target_epoch) {
   std::lock_guard<std::mutex> lock(*epoch_mu_);
   const uint64_t head = epochs_->back().number;
-  if (target_epoch != 0 && target_epoch <= head) {
+  if (target_epoch <= head) {
     // Already applied — the snapshot/stream overlap of a replica
     // bootstrap, or a retried batch. Idempotence makes both safe.
     return Status::OK();
   }
-  if (target_epoch != 0 && target_epoch != head + 1) {
+  if (target_epoch != head + 1) {
     return Status::InvalidArgument(
         "gap in the delta chain: replica is at spec epoch " +
         std::to_string(head) + " but the op targets epoch " +

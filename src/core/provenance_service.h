@@ -374,11 +374,13 @@ class ProvenanceService {
   Result<uint64_t> ApplySpecDelta(const SpecDelta& delta);
 
   /// Replica-side apply of a shipped kSpecDelta op (and the restore path
-  /// of log recovery): applies `delta`, expecting the chain to land on
-  /// `target_epoch`. Idempotent — a target at or below the current head is
-  /// skipped silently (snapshot+stream overlap). Never appended to an
-  /// attached op-log and exempt from the live-dependent-run guard (the
-  /// primary already enforced it).
+  /// of log recovery and snapshot loading): applies `delta`, expecting the
+  /// chain to land on `target_epoch`, which is always >= 2 (both callers
+  /// read it from bytes whose decoders refuse anything lower). Idempotent
+  /// — a target at or below the current head is skipped silently
+  /// (snapshot+stream overlap); a target past head + 1 is a chain gap
+  /// (InvalidArgument). Never appended to an attached op-log and exempt
+  /// from the live-dependent-run guard (the primary already enforced it).
   Status ApplySpecDeltaReplicated(const SpecDelta& delta,
                                   uint64_t target_epoch);
 

@@ -1073,10 +1073,14 @@ struct ProvenanceServer::Handlers {
                               uint64_t max_entries) {
     SKL_ASSIGN_OR_RETURN(OpLog * log, ReplicationLog());
     // Cap the batch so one subscribe cannot ask for an unbounded reply
-    // frame; the tailer just comes back for the rest.
+    // frame; the tailer just comes back for the rest. The entries are read
+    // back from the log file, so a damaged entry or a failed read is the
+    // reply's error, and the tailer stays below it.
     LogBatch batch;
-    batch.ops = log->ReadFrom(
-        after_lsn, static_cast<size_t>(std::min<uint64_t>(max_entries, 4096)));
+    SKL_ASSIGN_OR_RETURN(
+        batch.ops,
+        log->ReadFrom(after_lsn, static_cast<size_t>(
+                                     std::min<uint64_t>(max_entries, 4096))));
     batch.primary_last_lsn = log->last_lsn();
     return batch;
   }

@@ -5,6 +5,8 @@
 #include <filesystem>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <cerrno>
+
 #include <unistd.h>
 #endif
 
@@ -36,6 +38,37 @@ Status SyncOpenFile(std::FILE* file, const std::string& path) {
   (void)path;
 #endif
   return Status::OK();
+}
+
+/// Reads exactly `out.size()` bytes at `offset` of the open log file `fd`
+/// without moving any file position, so appends may run alongside.
+Status ReadAt(int fd, uint64_t offset, std::span<uint8_t> out,
+              const std::string& path) {
+#if defined(__unix__) || defined(__APPLE__)
+  size_t done = 0;
+  while (done < out.size()) {
+    const ssize_t n = ::pread(fd, out.data() + done, out.size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return Status::Internal("cannot read op-log file " + path +
+                              " at byte " + std::to_string(offset + done));
+    }
+    if (n == 0) {
+      return Status::Internal(
+          "op-log file " + path + " ends before byte " +
+          std::to_string(offset + out.size()) + " (truncated while open)");
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::OK();
+#else
+  (void)fd;
+  (void)offset;
+  (void)out;
+  return Status::Internal("reading op-log file " + path +
+                          " back needs pread, which this platform lacks");
+#endif
 }
 
 std::span<const uint8_t> StrSpan(const std::string& s) {
@@ -229,6 +262,64 @@ Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload) {
   return op;
 }
 
+// --------------------------------------------------------- entry frames --
+
+namespace {
+
+/// One entry frame parsed from the front of a byte range.
+struct EntryFrame {
+  LogOp op;
+  size_t bytes = 0;  ///< framed size: length + CRC prefix, then payload
+};
+
+/// Parses the entry frame at the front of `bytes`, which must carry LSN
+/// `lsn`: the 32-bit payload length and CRC-32, the payload under that
+/// CRC, DeserializeLogOp and the LSN sequence. The one copy of these
+/// checks: replay and ReadFrom both go through it. A ParseError says why
+/// the frame does not check out (torn, corrupted, malformed or out of
+/// sequence), naming the LSN it follows.
+Result<EntryFrame> ParseEntryFrame(std::span<const uint8_t> bytes,
+                                   uint64_t lsn) {
+  const auto after = [lsn] { return "after LSN " + std::to_string(lsn - 1); };
+  const size_t remaining = bytes.size();
+  if (remaining < kEntryFrameBytes) {
+    return Status::ParseError(
+        "op-log torn tail " + after() + ": " + std::to_string(remaining) +
+        " trailing bytes are too short for an entry frame");
+  }
+  BitReader reader(bytes.data(), bytes.size());
+  uint64_t len = 0, crc = 0;
+  // Cannot fail: kEntryFrameBytes are present.
+  (void)reader.Read(32, &len);
+  (void)reader.Read(32, &crc);
+  if (len > remaining - kEntryFrameBytes) {
+    return Status::ParseError(
+        "op-log entry " + after() + " declares " + std::to_string(len) +
+        " payload bytes but only " +
+        std::to_string(remaining - kEntryFrameBytes) + " remain (torn tail)");
+  }
+  const std::span<const uint8_t> payload =
+      bytes.subspan(kEntryFrameBytes, static_cast<size_t>(len));
+  if (Crc32(payload) != crc) {
+    return Status::ParseError(
+        "op-log entry " + after() +
+        " failed its CRC-32 check (corrupted or torn append)");
+  }
+  Result<LogOp> op = DeserializeLogOp(payload);
+  if (!op.ok()) {
+    return Status::ParseError("op-log entry " + after() + " is malformed: " +
+                              op.status().message());
+  }
+  if (op->lsn != lsn) {
+    return Status::ParseError("op-log LSN discontinuity: expected " +
+                              std::to_string(lsn) + ", entry carries " +
+                              std::to_string(op->lsn));
+  }
+  return EntryFrame{std::move(op).value(), kEntryFrameBytes + payload.size()};
+}
+
+}  // namespace
+
 // ------------------------------------------------------------ the log --
 
 OpLog::OpLog(std::string path, std::string spec_xml, std::string scheme_name,
@@ -304,56 +395,20 @@ Result<OpLogReplay> OpLog::ReplayFile(const std::string& path) {
   // Entry loop. The replay invariant: after every iteration, ops holds the
   // complete valid prefix (LSNs 1..last_lsn) and valid_bytes points just
   // past it — the first damaged frame sets `tail` and stops, never skips.
+  // A clean end of file leaves `tail` OK.
+  const std::span<const uint8_t> file(bytes);
   replay.valid_bytes = reader.bit_position() / 8;
-  const size_t total = bytes.size();
-  while (true) {
-    const size_t offset = reader.bit_position() / 8;
-    const size_t remaining = total - offset;
-    if (remaining == 0) break;  // clean end: tail stays OK
-    const std::string after = "after LSN " + std::to_string(replay.last_lsn);
-    if (remaining < kEntryFrameBytes) {
-      replay.tail = Status::ParseError(
-          "op-log torn tail " + after + ": " + std::to_string(remaining) +
-          " trailing bytes are too short for an entry frame");
+  while (replay.valid_bytes < file.size()) {
+    Result<EntryFrame> frame = ParseEntryFrame(
+        file.subspan(replay.valid_bytes), replay.last_lsn + 1);
+    if (!frame.ok()) {
+      replay.tail = frame.status();
       break;
     }
-    uint64_t len = 0, crc = 0;
-    // Cannot fail: kEntryFrameBytes are present.
-    (void)reader.Read(32, &len);
-    (void)reader.Read(32, &crc);
-    if (len > remaining - kEntryFrameBytes) {
-      replay.tail = Status::ParseError(
-          "op-log entry " + after + " declares " + std::to_string(len) +
-          " payload bytes but only " +
-          std::to_string(remaining - kEntryFrameBytes) +
-          " remain (torn tail)");
-      break;
-    }
-    std::span<const uint8_t> payload;
-    (void)reader.ReadBytes(static_cast<size_t>(len), &payload);
-    if (Crc32(payload) != crc) {
-      replay.tail = Status::ParseError(
-          "op-log entry " + after +
-          " failed its CRC-32 check (corrupted or torn append)");
-      break;
-    }
-    Result<LogOp> op = DeserializeLogOp(payload);
-    if (!op.ok()) {
-      replay.tail = Status::ParseError("op-log entry " + after +
-                                       " is malformed: " +
-                                       op.status().message());
-      break;
-    }
-    if (op->lsn != replay.last_lsn + 1) {
-      replay.tail = Status::ParseError(
-          "op-log LSN discontinuity: expected " +
-          std::to_string(replay.last_lsn + 1) + ", entry carries " +
-          std::to_string(op->lsn));
-      break;
-    }
-    replay.ops.push_back(std::move(op).value());
+    replay.entry_offsets.push_back(replay.valid_bytes);
+    replay.ops.push_back(std::move(frame->op));
     replay.last_lsn += 1;
-    replay.valid_bytes = reader.bit_position() / 8;
+    replay.valid_bytes += frame->bytes;
   }
   return replay;
 }
@@ -395,15 +450,18 @@ Result<std::unique_ptr<OpLog>> OpLog::Open(const std::string& path,
                                 path + ": " + trunc_ec.message());
       }
     }
-    log->ops_ = std::move(replay.ops);
+    log->offsets_ = std::move(replay.entry_offsets);
+    log->offsets_.push_back(replay.valid_bytes);
     log->last_lsn_.store(replay.last_lsn, std::memory_order_release);
-    log->file_ = std::fopen(path.c_str(), "ab");
+    // Read + append on one descriptor: writes land at the end, ReadFrom
+    // preads.
+    log->file_ = std::fopen(path.c_str(), "a+b");
     if (log->file_ == nullptr) {
       return Status::Internal("cannot open op-log file " + path +
                               " for append");
     }
   } else {
-    log->file_ = std::fopen(path.c_str(), "wb");
+    log->file_ = std::fopen(path.c_str(), "w+b");
     if (log->file_ == nullptr) {
       return Status::Internal("cannot create op-log file " + path);
     }
@@ -414,6 +472,7 @@ Result<std::unique_ptr<OpLog>> OpLog::Open(const std::string& path,
         std::fflush(log->file_) != 0) {
       return Status::Internal("error writing op-log header to " + path);
     }
+    log->offsets_.push_back(prefix.size());
     if (options.fsync) {
       SKL_RETURN_NOT_OK(SyncOpenFile(log->file_, path));
       // The file's directory entry must also be durable, or a crash could
@@ -423,6 +482,9 @@ Result<std::unique_ptr<OpLog>> OpLog::Open(const std::string& path,
                   "op-log directory"));
     }
   }
+#if defined(__unix__) || defined(__APPLE__)
+  log->fd_ = ::fileno(log->file_);
+#endif
   return log;
 }
 
@@ -466,7 +528,7 @@ Result<uint64_t> OpLog::Append(LogOp op) {
       return poisoned_;
     }
   }
-  ops_.push_back(std::move(op));
+  offsets_.push_back(offsets_.back() + bytes.size());
   last_lsn_.store(lsn, std::memory_order_release);
   append_hist_.Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -475,17 +537,49 @@ Result<uint64_t> OpLog::Append(LogOp op) {
   return lsn;
 }
 
-std::vector<LogOp> OpLog::ReadFrom(uint64_t after_lsn, size_t max_ops) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LogOp> out;
-  if (after_lsn >= ops_.size()) return out;
-  // LSN n lives at index n-1, so the first entry past `after_lsn` is at
-  // index after_lsn exactly.
-  const size_t begin = static_cast<size_t>(after_lsn);
-  const size_t end = std::min(ops_.size(), begin + max_ops);
-  out.assign(ops_.begin() + static_cast<ptrdiff_t>(begin),
-             ops_.begin() + static_cast<ptrdiff_t>(end));
-  return out;
+Result<std::vector<LogOp>> OpLog::ReadFrom(uint64_t after_lsn,
+                                          size_t max_ops) const {
+  // The window's entry offsets and the end of its last entry, copied under
+  // the lock. The bytes they bound were written before the offsets were
+  // published and never change again, so the read needs no lock.
+  std::vector<uint64_t> window;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const uint64_t entries = offsets_.size() - 1;
+    if (after_lsn >= entries || max_ops == 0) return std::vector<LogOp>{};
+    // LSN n starts at offsets_[n - 1], so the first entry past after_lsn
+    // starts at offsets_[after_lsn].
+    const uint64_t count = std::min<uint64_t>(entries - after_lsn, max_ops);
+    const auto first = offsets_.begin() + static_cast<ptrdiff_t>(after_lsn);
+    window.assign(first, first + static_cast<ptrdiff_t>(count + 1));
+  }
+  std::vector<uint8_t> bytes(window.back() - window.front());
+  SKL_RETURN_NOT_OK(ReadAt(fd_, window.front(), bytes, path_));
+
+  std::vector<LogOp> ops;
+  ops.reserve(window.size() - 1);
+  for (size_t i = 0; i + 1 < window.size(); ++i) {
+    const uint64_t lsn = after_lsn + i + 1;
+    const size_t size = window[i + 1] - window[i];
+    Result<EntryFrame> frame = ParseEntryFrame(
+        std::span<const uint8_t>(bytes).subspan(window[i] - window.front(),
+                                                size),
+        lsn);
+    Status damage = frame.status();
+    if (damage.ok() && frame->bytes != size) {
+      damage = Status::ParseError(
+          "its frame spans " + std::to_string(frame->bytes) + " bytes, not "
+          "the " + std::to_string(size) + " appended");
+    }
+    if (!damage.ok()) {
+      return Status::ParseError("op-log " + path_ + " cannot serve LSN " +
+                                std::to_string(lsn) + " at byte " +
+                                std::to_string(window[i]) + ": " +
+                                damage.message());
+    }
+    ops.push_back(std::move(frame->op));
+  }
+  return ops;
 }
 
 }  // namespace skl

@@ -33,6 +33,12 @@
 // The log is append-only and never compacted: a LoadSnapshot barrier
 // records where a snapshot superseded the registry (recovery chains
 // through it; replicas re-bootstrap), but the bytes before it stay.
+//
+// The file is the only copy of a logged op. An open OpLog keeps 8 bytes
+// per entry in memory, the entry's file offset, and no op or blob:
+// ReadFrom (the kSubscribe serving path) reads the framed entries back
+// from the file and checks them with the same entry-frame parser replay
+// uses, so a run's labels leave memory when its registry record does.
 #ifndef SKL_REPLICATION_OPLOG_H_
 #define SKL_REPLICATION_OPLOG_H_
 
@@ -96,6 +102,8 @@ struct OpLogReplay {
   std::string scheme_name;
   /// The valid entry prefix, LSNs 1..last_lsn in order.
   std::vector<LogOp> ops;
+  /// File offset of each entry frame in `ops`, index = LSN - 1.
+  std::vector<uint64_t> entry_offsets;
   uint64_t last_lsn = 0;
   /// File offset just past the last valid entry (the truncation point a
   /// reopen uses to drop a torn tail).
@@ -117,9 +125,11 @@ struct OpLogOptions {
 
 /// The durable log. Internally synchronized: Append / last_lsn / ReadFrom
 /// may be called concurrently (the service appends from many ingestion
-/// threads; the server's kSubscribe handler reads). Non-movable — the
-/// service and server hold borrowed pointers — so Open returns a
-/// unique_ptr.
+/// threads; the server's kSubscribe handler reads). ReadFrom holds the
+/// mutex only to copy offsets and reads the file outside it: a written
+/// entry never changes while the log is open (only Open truncates).
+/// Non-movable — the service and server hold borrowed pointers — so Open
+/// returns a unique_ptr.
 class OpLog {
  public:
   using Options = OpLogOptions;
@@ -160,9 +170,14 @@ class OpLog {
   }
 
   /// Up to `max_ops` entries with LSN > after_lsn, in LSN order — the
-  /// kSubscribe serving path. Entries are copied out; the in-memory tail
-  /// mirrors the file, so this never touches disk.
-  std::vector<LogOp> ReadFrom(uint64_t after_lsn, size_t max_ops) const;
+  /// kSubscribe serving path. The entries are read back from the file
+  /// (one pread of their framed bytes) and pass the checks replay applies:
+  /// length, CRC-32, payload shape and LSN sequence. An entry damaged at
+  /// rest fails the whole window with a ParseError naming its LSN, never
+  /// a wrong op; a failed read is Internal. Empty when nothing follows
+  /// after_lsn.
+  Result<std::vector<LogOp>> ReadFrom(uint64_t after_lsn,
+                                      size_t max_ops) const;
 
   const std::string& path() const { return path_; }
   const std::string& spec_xml() const { return spec_xml_; }
@@ -185,8 +200,11 @@ class OpLog {
   Options options_;
 
   mutable std::mutex mu_;
-  std::FILE* file_ = nullptr;     // guarded by mu_
-  std::vector<LogOp> ops_;        // every entry, index = LSN - 1; by mu_
+  std::FILE* file_ = nullptr;     // appends guarded by mu_
+  int fd_ = -1;                   // file_'s descriptor; pread needs no lock
+  /// File offset of every entry frame, index = LSN - 1, then the offset
+  /// just past the last entry (so size() == last LSN + 1); by mu_.
+  std::vector<uint64_t> offsets_;
   Status poisoned_;               // non-OK once an append failed; by mu_
   std::atomic<uint64_t> last_lsn_{0};
   LatencyHistogram append_hist_;  // internally atomic, not under mu_

@@ -1,17 +1,21 @@
 // Durable op-log unit + fuzz suite (src/replication/oplog.h): entry
 // round trips, reopen-continues-LSN, header identity checks, ReadFrom
-// windows — and, mirroring snapshot_test.cc's fuzz style, byte-exhaustive
+// windows read back from the file (after a torn-tail reopen, at the log's
+// end, over a damaged entry, racing appends) — and, mirroring
+// snapshot_test.cc's fuzz style, byte-exhaustive
 // truncation and bit-flip sweeps over a 3-entry log asserting replay
 // always stops at the last valid LSN with a descriptive Status: never a
 // crash, never a silently skipped entry, never a full-length replay of a
 // damaged file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/bit_codec.h"
@@ -50,6 +54,14 @@ LogOp MakeAddOp(uint64_t run_id, uint8_t blob_fill, size_t blob_len) {
 
 using testing_util::ReadAll;
 using testing_util::WriteAll;
+
+/// ReadFrom's window, asserting it was served.
+std::vector<LogOp> ReadOk(const OpLog& log, uint64_t after_lsn,
+                          size_t max_ops) {
+  auto window = log.ReadFrom(after_lsn, max_ops);
+  SKL_CHECK_MSG(window.ok(), window.status().ToString().c_str());
+  return std::move(window).value();
+}
 
 /// A log with 3 entries (add, import, remove); fsync off — these tests
 /// exercise the format, not the disk.
@@ -229,16 +241,160 @@ TEST(OpLogTest, ReadFromServesLsnWindows) {
   options.fsync = false;
   auto log = OpLog::Open(path, kSpecXml, kScheme, options);
   ASSERT_TRUE(log.ok());
+  std::vector<LogOp> appended;
   for (uint64_t i = 1; i <= 5; ++i) {
-    ASSERT_TRUE((*log)->Append(MakeAddOp(i, 0x11, 4)).ok());
+    appended.push_back(MakeAddOp(i, static_cast<uint8_t>(0x10 + i), 3 * i));
+    auto lsn = (*log)->Append(appended.back());
+    ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
+    appended.back().lsn = *lsn;
   }
-  EXPECT_EQ((*log)->ReadFrom(0, 100).size(), 5u);
-  const std::vector<LogOp> window = (*log)->ReadFrom(2, 2);
-  ASSERT_EQ(window.size(), 2u);
-  EXPECT_EQ(window[0].lsn, 3u);
-  EXPECT_EQ(window[1].lsn, 4u);
-  EXPECT_TRUE((*log)->ReadFrom(5, 10).empty());
-  EXPECT_TRUE((*log)->ReadFrom(50, 10).empty());
+  // All of it, a middle window, windows ending exactly at the last entry
+  // or clamped to it, and the last entry alone.
+  for (const auto& [after, max] : {std::pair<uint64_t, size_t>{0, 100},
+                                   {2, 2}, {2, 3}, {2, 4}, {4, 1}, {0, 5}}) {
+    SCOPED_TRACE("after " + std::to_string(after) + ", max " +
+                 std::to_string(max));
+    const std::vector<LogOp> window = ReadOk(**log, after, max);
+    ASSERT_EQ(window.size(), std::min<size_t>(5 - after, max));
+    for (size_t i = 0; i < window.size(); ++i) {
+      EXPECT_EQ(window[i].lsn, after + i + 1);
+      EXPECT_EQ(SerializeLogOp(window[i]), SerializeLogOp(appended[after + i]));
+    }
+  }
+  EXPECT_TRUE(ReadOk(**log, 5, 10).empty());
+  EXPECT_TRUE(ReadOk(**log, 50, 10).empty());
+  EXPECT_TRUE(ReadOk(**log, 0, 0).empty());
+  std::filesystem::remove(path);
+}
+
+TEST(OpLogTest, ReadFromAfterATornTailReopenReturnsWhatWasAppended) {
+  // One op of every kind, each with its blob; then a crash mid-append.
+  const std::string path = FreshLogPath("oplog_readfrom_torn");
+  OpLog::Options options;
+  options.fsync = false;
+  std::vector<LogOp> appended;
+  appended.push_back(MakeAddOp(1, 0xA1, 40));
+  LogOp imported = MakeAddOp(2, 0xB2, 17);
+  imported.kind = LogOp::Kind::kImportRun;
+  imported.stats.imported = true;
+  appended.push_back(imported);
+  LogOp removed;
+  removed.kind = LogOp::Kind::kRemoveRun;
+  removed.run_id = 1;
+  appended.push_back(removed);
+  LogOp delta;
+  delta.kind = LogOp::Kind::kSpecDelta;
+  delta.stats.epoch = 2;
+  delta.blob = {0x01, 0x02, 0x03};
+  appended.push_back(delta);
+  LogOp barrier;
+  barrier.kind = LogOp::Kind::kSnapshotBarrier;
+  const std::string snapshot = "/some/snapshot.skls";
+  barrier.blob.assign(snapshot.begin(), snapshot.end());
+  appended.push_back(barrier);
+  {
+    auto log = OpLog::Open(path, kSpecXml, kScheme, options);
+    ASSERT_TRUE(log.ok());
+    for (size_t i = 0; i < appended.size(); ++i) {
+      auto lsn = (*log)->Append(appended[i]);
+      ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
+      appended[i].lsn = *lsn;
+    }
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    const char torn[] = {0x00, 0x00, 0x01, 0x00, 0x7F, 0x01};
+    out.write(torn, sizeof(torn));
+  }
+  auto reopened = OpLog::Open(path, kSpecXml, kScheme, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ((*reopened)->last_lsn(), appended.size());
+  // The reopened log serves LSNs 1..k from the file it replayed, then the
+  // entries appended after the truncation.
+  LogOp after = MakeAddOp(3, 0xC3, 9);
+  ASSERT_TRUE((*reopened)->Append(after).ok());
+  after.lsn = appended.size() + 1;
+  appended.push_back(after);
+  const std::vector<LogOp> all = ReadOk(**reopened, 0, 100);
+  ASSERT_EQ(all.size(), appended.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    SCOPED_TRACE("LSN " + std::to_string(i + 1));
+    EXPECT_EQ(all[i].lsn, i + 1);
+    EXPECT_EQ(all[i].kind, appended[i].kind);
+    EXPECT_EQ(all[i].blob, appended[i].blob);
+    EXPECT_EQ(SerializeLogOp(all[i]), SerializeLogOp(appended[i]));
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(OpLogTest, ReadFromRefusesAnEntryDamagedAtRest) {
+  // Reads come from the file: flipping one payload byte of entry 2 after
+  // it was appended turns every window over it into a ParseError naming
+  // LSN 2 — never a wrong op — while windows beside it are still served.
+  const std::string path = FreshLogPath("oplog_readfrom_damaged");
+  OpLog::Options options;
+  options.fsync = false;
+  auto log = OpLog::Open(path, kSpecXml, kScheme, options);
+  ASSERT_TRUE(log.ok());
+  for (uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE((*log)->Append(MakeAddOp(i, 0x33, 32)).ok());
+  }
+  auto replay = OpLog::ReplayFile(path);
+  ASSERT_TRUE(replay.ok());
+  ASSERT_EQ(replay->entry_offsets.size(), 4u);
+  // Last byte of entry 2's blob: past its 8-byte frame prefix, inside the
+  // CRC-covered payload.
+  const uint64_t victim = replay->entry_offsets[2] - 1;
+  testing_util::FlipByteAt(path, victim, 0x40);
+
+  for (const auto& [after, max] :
+       {std::pair<uint64_t, size_t>{0, 10}, {1, 1}, {1, 3}}) {
+    SCOPED_TRACE("after " + std::to_string(after) + ", max " +
+                 std::to_string(max));
+    auto window = (*log)->ReadFrom(after, max);
+    ASSERT_FALSE(window.ok()) << "a damaged entry was served";
+    EXPECT_EQ(window.status().code(), StatusCode::kParseError);
+    EXPECT_NE(window.status().message().find("cannot serve LSN 2"),
+              std::string::npos)
+        << window.status().ToString();
+    EXPECT_NE(window.status().message().find("CRC-32"), std::string::npos)
+        << window.status().ToString();
+  }
+  EXPECT_EQ(ReadOk(**log, 0, 1).size(), 1u);
+  const std::vector<LogOp> past = ReadOk(**log, 2, 10);
+  ASSERT_EQ(past.size(), 2u);
+  EXPECT_EQ(past[0].lsn, 3u);
+  std::filesystem::remove(path);
+}
+
+TEST(OpLogTest, ReadFromRacesAppendsWithoutTornWindows) {
+  // ReadFrom reads the file outside the log mutex while Append writes:
+  // every window a reader sees is a contiguous run of whole entries.
+  const std::string path = FreshLogPath("oplog_readfrom_race");
+  OpLog::Options options;
+  options.fsync = false;
+  auto log = OpLog::Open(path, kSpecXml, kScheme, options);
+  ASSERT_TRUE(log.ok());
+  constexpr uint64_t kEntries = 300;
+  std::thread writer([&] {
+    for (uint64_t i = 1; i <= kEntries; ++i) {
+      auto lsn = (*log)->Append(
+          MakeAddOp(i, static_cast<uint8_t>(i), static_cast<size_t>(i % 50)));
+      SKL_CHECK_MSG(lsn.ok(), lsn.status().ToString().c_str());
+    }
+  });
+  uint64_t seen = 0;
+  bool whole = true;
+  while (seen < kEntries && whole) {
+    for (const LogOp& op : ReadOk(**log, seen, 7)) {
+      whole = whole && op.lsn == seen + 1 && op.run_id == op.lsn &&
+              op.blob == std::vector<uint8_t>(op.lsn % 50,
+                                              static_cast<uint8_t>(op.lsn));
+      ++seen;
+    }
+  }
+  writer.join();
+  EXPECT_TRUE(whole) << "window torn at or before LSN " << seen;
   std::filesystem::remove(path);
 }
 

@@ -15,10 +15,12 @@
 // replicas keep serving reads.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/check.h"
@@ -491,6 +493,96 @@ TEST(ReplicationTest, SubscribeWithoutAnOpLogIsRefusedDescriptively) {
   ASSERT_FALSE(snap.ok());
   EXPECT_EQ(snap.status().code(), StatusCode::kInvalidArgument);
   (*server)->Shutdown();
+}
+
+TEST(ReplicationTest, DamagedLogEntryIsATypedErrorNotAHang) {
+  // The primary serves kSubscribe from its op-log file, so an entry
+  // damaged at rest must reach a subscriber as a ParseError naming its
+  // LSN, and a replica tailing across it must record that error and stay
+  // below the entry.
+  const testing_util::RunningExample ex = testing_util::MakeRunningExample();
+  const std::string spec_xml = WriteSpecificationXml(ex.spec);
+  OpLog::Options log_options;
+  log_options.fsync = false;
+  ReadReplica::Options replica_options;
+  replica_options.poll_interval_ms = 1;
+  replica_options.client.backoff_base_ms = 1;
+  replica_options.client.backoff_max_ms = 5;
+
+  // Primary A has an empty log, so the replica bootstraps at LSN 0; then
+  // A goes away and the replica keeps redialing its port.
+  const std::string path_a =
+      PidQualifiedTempPath("replication_damaged_a", ".skllog");
+  std::filesystem::remove(path_a);
+  auto log_a = OpLog::Open(path_a, spec_xml, "tcm", log_options);
+  ASSERT_TRUE(log_a.ok()) << log_a.status().ToString();
+  auto service_a = ProvenanceService::Create(ex.spec, SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service_a.ok());
+  ProvenanceServer::Options options_a;
+  options_a.oplog = log_a->get();
+  auto primary_a =
+      ProvenanceServer::Start(std::move(service_a).value(), options_a);
+  ASSERT_TRUE(primary_a.ok()) << primary_a.status().ToString();
+  const uint16_t port = (*primary_a)->port();
+  auto replica = ReadReplica::Start("127.0.0.1", port, replica_options);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  ASSERT_EQ((*replica)->applied_lsn(), 0u);
+  (*primary_a)->Shutdown();
+
+  // Primary B, on the same port, logged three AddRuns; the last byte of
+  // entry 2 (inside its run blob) is flipped on disk after the append.
+  const std::string path_b =
+      PidQualifiedTempPath("replication_damaged_b", ".skllog");
+  std::filesystem::remove(path_b);
+  auto log_b = OpLog::Open(path_b, spec_xml, "tcm", log_options);
+  ASSERT_TRUE(log_b.ok()) << log_b.status().ToString();
+  auto service_b = ProvenanceService::Create(ex.spec, SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service_b.ok());
+  service_b->AttachOpLog(log_b->get());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(service_b->AddRun(ex.run).ok());
+  auto replay = OpLog::ReplayFile(path_b);
+  ASSERT_TRUE(replay.ok());
+  ASSERT_EQ(replay->entry_offsets.size(), 3u);
+  testing_util::FlipByteAt(path_b, replay->entry_offsets[2] - 1, 0x40);
+  ProvenanceServer::Options options_b;
+  options_b.port = port;
+  options_b.oplog = log_b->get();
+  auto primary_b =
+      ProvenanceServer::Start(std::move(service_b).value(), options_b);
+  ASSERT_TRUE(primary_b.ok()) << primary_b.status().ToString();
+
+  auto client = ProvenanceClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+  auto damaged = client->Subscribe(0, 10);
+  ASSERT_FALSE(damaged.ok()) << "a damaged entry was shipped";
+  EXPECT_EQ(damaged.status().code(), StatusCode::kParseError);
+  EXPECT_NE(damaged.status().message().find("LSN 2"), std::string::npos)
+      << damaged.status().ToString();
+  auto before = client->Subscribe(0, 1);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->ops.size(), 1u);
+
+  Status tail = Status::OK();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (tail.code() != StatusCode::kParseError &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    tail = (*replica)->tail_error();
+  }
+  EXPECT_EQ(tail.code(), StatusCode::kParseError) << tail.ToString();
+  EXPECT_NE(tail.message().find("LSN 2"), std::string::npos)
+      << tail.ToString();
+  EXPECT_LT((*replica)->applied_lsn(), 2u);
+  // The replica keeps serving reads at the LSN it holds.
+  auto reader = ProvenanceClient::Connect("127.0.0.1", (*replica)->port());
+  ASSERT_TRUE(reader.ok());
+  EXPECT_TRUE(reader->Ping().ok());
+
+  (*replica)->Stop();
+  (*primary_b)->Shutdown();
+  std::filesystem::remove(path_a);
+  std::filesystem::remove(path_b);
 }
 
 }  // namespace

@@ -681,7 +681,9 @@ TEST(SpecUpdateReplicationTest, ReplicaConvergesFromOplogDeltasAlone) {
 
     ASSERT_TRUE(primary->RemoveRun(*id1).ok());
 
-    shipped = (*oplog)->ReadFrom(0, 1000);
+    auto read = (*oplog)->ReadFrom(0, 1000);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    shipped = std::move(read).value();
     ASSERT_EQ(shipped.size(), 5u);  // add, delta, add, delta, remove
     primary_epoch = primary->spec_epoch();
     for (RunId id : primary->ListRuns()) primary_runs.push_back(id.value());

@@ -84,6 +84,21 @@ inline void WriteAll(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
+/// XORs the byte at `offset` of the file at `path` with `mask`, in place:
+/// the file keeps its length and every other byte, so a log or snapshot
+/// open elsewhere sees damage at rest. Aborts if the byte is not there.
+inline void FlipByteAt(const std::string& path, uint64_t offset,
+                       uint8_t mask) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  SKL_CHECK_MSG(static_cast<bool>(file), path.c_str());
+  file.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  SKL_CHECK_MSG(static_cast<bool>(file.get(byte)), path.c_str());
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.put(static_cast<char>(byte ^ static_cast<char>(mask)));
+  SKL_CHECK_MSG(static_cast<bool>(file.flush()), path.c_str());
+}
+
 /// The Figure 3 run of the running example: F1 executed twice; in one copy
 /// L2... — precisely: fork F1 {b,c} twice (copies (b1,c1,b2,c2) with loop L1
 /// twice, and (b3,c3) with L1 once), loop L2 twice (iteration 1 reads e1,
