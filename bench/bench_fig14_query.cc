@@ -1,8 +1,9 @@
 // Figure 14: SKL query time versus run size for QBLAST with a TCM skeleton,
 // measured through the service API. Expected shape: flat (constant time),
 // independent of run size. The batch column answers a span of pairs under
-// one reader lock; the single column pays the shared_mutex acquisition per
-// call — the gap is the service-layer overhead amortized away by batching.
+// one shard read pin; the single column pays the per-call service overhead
+// (pin, run lookup, epoch check, tally, Result) — the gap is what batching
+// amortizes away.
 #include <cstdio>
 #include <vector>
 

@@ -504,9 +504,9 @@ class ProvenanceService {
   friend class RunSession;
 
   /// The write-path half of ServiceStats; atomic because mutations hold
-  /// different shard locks, or none. Query events are counted per shard
-  /// (RunRegistry::Tallies) and memo lookups per thread stripe (MemoTally),
-  /// so no read writes a shared line.
+  /// different shard locks, or none. Query events (RunRegistry::TotalTally)
+  /// and memo lookups (MemoTally) are counted per thread stripe, so no read
+  /// writes a shared line.
   struct Counters {
     std::atomic<uint64_t> runs_ingested{0};
     std::atomic<uint64_t> runs_imported{0};

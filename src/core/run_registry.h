@@ -1,19 +1,19 @@
-// Sharded, lock-striped run registry: the storage layer under
-// ProvenanceService. Runs are partitioned over N shards by a mixed hash of
-// their RunId; each shard owns its runs' ProvenanceStores and stats behind
-// its own std::shared_mutex, and its query tallies. A query therefore takes
-// only its shard's *read* lock and writes only its shard's tally line — two
-// queries on runs in different shards share no written memory at all, which
-// is what lets multi-reader throughput scale with threads
-// (bench/bench_query_cache.cc measures it).
+// Sharded run registry: the storage layer under ProvenanceService. Runs are
+// partitioned over N shards by a mixed hash of their RunId; each shard owns
+// its runs' ProvenanceStores and stats behind its own reader/writer lock,
+// whose reader counts live, with the query tallies, on per-thread stripes
+// (32, handed out round-robin; threads beyond share). A point query writes
+// only its own stripe, no line another reader writes, which is what lets
+// multi-reader throughput scale with threads (bench/bench_query_cache.cc).
 //
-//   shard = shards_[mix(id) & mask]          (mask = num_shards - 1)
+//   shard  = shards_[mix(id) & mask]          (mask = num_shards - 1)
+//   Shard (64-byte aligned): writer_mu, writing, runs: id -> RunRecord
+//   stripe (whole lines):    tallies[Tally::kCount], readers[num_shards]
 //
-//   ┌ Shard (64-byte aligned) ────────────────────────────┐
-//   │ shared_mutex mu                                     │
-//   │   runs:       id -> RunRecord        (guarded by mu)│
-//   │ tallies:      own cache line         (relaxed RMW)  │
-//   └─────────────────────────────────────────────────────┘
+// A reader bumps its stripe's count for the shard, then checks `writing`; a
+// writer sets `writing`, then waits for every stripe's count to drain. All
+// four steps are seq_cst, so one side always sees the other. An exclusive
+// acquisition scans every stripe: batch writers take each shard once.
 //
 // Records are immutable once published, and the registry memoizes nothing
 // about them: the only memo on the query path is the per-epoch spec-pair
@@ -22,8 +22,8 @@
 //
 // Cross-registry operations (ListIds, size, ForEach — the substrate of
 // ListRuns / ServiceStats / SaveSnapshot) compose per-shard snapshots by
-// visiting one shard lock at a time; there is no stop-the-world lock over
-// all shards, so they never stall queries on other shards. The composed
+// reading one shard at a time; there is no stop-the-world lock over all
+// shards, so they never stall queries on other shards. The composed
 // view is per-shard consistent, not a single global instant — the id
 // allocator below is what keeps such views sound (every visible id is
 // below the allocator value read *after* the sweep).
@@ -40,7 +40,8 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -99,7 +100,7 @@ struct RunRecord {
   const SpecLabelingScheme* scheme = nullptr;
 };
 
-/// The query events a shard tallies (see RunRegistry::Tallies).
+/// The query events the registry tallies (RunRegistry::TotalTally).
 enum class Tally : uint8_t {
   kReaches,      ///< Reaches + ReachesBatch pairs
   kDependsOn,    ///< DependsOn + DependsOnBatch pairs
@@ -110,6 +111,14 @@ enum class Tally : uint8_t {
 };
 
 class RunRegistry {
+  /// Drops the reader count a pin took; notifies a writer waiting on it.
+  struct Unpin {
+    const std::atomic<uint32_t>* writing;  // the pinned shard's flag
+    void operator()(std::atomic<uint64_t>* readers) const;
+  };
+  using ReadPin = std::unique_ptr<std::atomic<uint64_t>, Unpin>;
+  class WriteLock;
+
  public:
   /// Upper clamp on Options::num_shards (also the CLI's --shards bound).
   static constexpr size_t kMaxShards = 1024;
@@ -127,36 +136,31 @@ class RunRegistry {
   RunRegistry(const RunRegistry&) = delete;
   RunRegistry& operator=(const RunRegistry&) = delete;
 
-  /// A shard's query tallies, alone on their cache line: the one place a
-  /// query event is counted (docs/OBSERVABILITY.md). Relaxed, not guarded.
-  struct alignas(64) Tallies {
-    std::atomic<uint64_t> count[static_cast<size_t>(Tally::kCount)] = {};
-  };
-
-  /// A shard read lock + the record a query needs. Falsy when the id is
-  /// unknown (the lock is released immediately in that case).
+  /// A shard read pin + the record a query needs. Falsy when the id is
+  /// unknown (the pin is released immediately in that case). Movable: the
+  /// pin is released once, by whichever handle holds it last.
   class ReadHandle {
    public:
     explicit operator bool() const { return record_ != nullptr; }
     const RunRecord& record() const { return *record_; }
-    /// Counts `n` events of kind `t` on the owning shard: a query's only
-    /// registry write besides its shard lock. Handle must be truthy.
+    /// Counts `n` events of kind `t` on the acquiring thread's stripe, a
+    /// query's only other registry write. Handle must be truthy.
     void Count(Tally t, uint64_t n = 1) const {
-      tallies_->count[static_cast<size_t>(t)].fetch_add(
-          n, std::memory_order_relaxed);
+      tallies_[static_cast<size_t>(t)].fetch_add(n,
+                                                 std::memory_order_relaxed);
     }
 
    private:
     friend class RunRegistry;
     ReadHandle() = default;
-    std::shared_lock<std::shared_mutex> lock_;
+    ReadPin pin_;
     const RunRecord* record_ = nullptr;
-    Tallies* tallies_ = nullptr;
+    std::atomic<uint64_t>* tallies_ = nullptr;
   };
 
-  /// Locks the owning shard shared and resolves the id. The handle keeps
-  /// the shard readable (other readers proceed; writers wait) until it is
-  /// destroyed — keep its scope as tight as the query it serves.
+  /// Pins the owning shard for reading and resolves the id. The handle
+  /// keeps the shard readable (other readers proceed; writers wait) until
+  /// it is destroyed — keep its scope as tight as the query it serves.
   ReadHandle AcquireRead(uint64_t id) const;
 
   /// Allocates the next id and inserts the record under its shard's writer
@@ -164,8 +168,7 @@ class RunRegistry {
   uint64_t Publish(RunRecord record);
 
   /// Bulk publish: allocates a contiguous ascending id block (so ids
-  /// mirror batch order), then inserts grouped by shard — each shard's
-  /// writer lock is taken exactly once per batch.
+  /// mirror batch order), then inserts as Restore does.
   std::vector<uint64_t> PublishBatch(std::vector<RunRecord> records);
 
   /// Removes a run. False if unknown.
@@ -180,7 +183,7 @@ class RunRegistry {
   /// shard by shard and merged.
   std::vector<uint64_t> ListIds() const;
 
-  /// Visits every run under its owning shard's read lock, one shard at a
+  /// Visits every run under a read pin of its owning shard, one shard at a
   /// time; cross-shard visit order is by shard, not by id. The substrate
   /// of SaveSnapshot: callers collect and sort by id afterwards.
   void ForEach(
@@ -193,10 +196,10 @@ class RunRegistry {
     return next_id_.load(std::memory_order_acquire);
   }
 
-  /// Snapshot restore: inserts a record under a caller-chosen id without
-  /// touching the allocator. False if the id is already present. Pair with
-  /// SetNextId once all records are in.
-  bool Restore(uint64_t id, RunRecord record);
+  /// Snapshot restore and replica apply: moves records[i] in under ids[i],
+  /// allocator untouched (pair with SetNextId), taking each shard's writer
+  /// side once. An id already present keeps its record.
+  void Restore(std::span<const uint64_t> ids, std::span<RunRecord> records);
 
   /// Snapshot restore: seeds the allocator so the next Publish hands out
   /// the same id it would have on the saving service.
@@ -220,33 +223,37 @@ class RunRegistry {
 
   /// Which shard owns `id` — the label the observability layer stamps on
   /// per-shard series and slow-query entries.
-  size_t ShardIndexFor(uint64_t id) const { return ShardIndexOf(id); }
+  size_t ShardIndexFor(uint64_t id) const;
 
-  /// Point-in-time tally of one shard (shard < num_shards()), read
+  /// The service-wide count of `t`: every stripe's tally summed, read
   /// relaxed at scrape time.
-  uint64_t ShardTally(size_t shard, Tally t) const {
-    return shards_[shard].tallies.count[static_cast<size_t>(t)].load(
-        std::memory_order_relaxed);
-  }
-  /// ShardTally summed over every shard: the service-wide count.
   uint64_t TotalTally(Tally t) const;
 
  private:
+  static constexpr size_t kTallies = static_cast<size_t>(Tally::kCount);
+
+  struct alignas(64) Line {
+    std::atomic<uint64_t> word[8] = {};
+  };
   struct alignas(64) Shard {
-    mutable std::shared_mutex mu;
-    std::map<uint64_t, RunRecord> runs;  // guarded by mu
-    mutable Tallies tallies;
+    std::mutex writer_mu;               // serializes this shard's writers
+    std::atomic<uint32_t> writing{0};    // 1 while a writer holds the shard
+    std::map<uint64_t, RunRecord> runs;  // written only under `writing`
   };
 
-  size_t ShardIndexOf(uint64_t id) const;
-  Shard& ShardOf(uint64_t id) { return shards_[ShardIndexOf(id)]; }
-  const Shard& ShardOf(uint64_t id) const {
-    return shards_[ShardIndexOf(id)];
+  /// Word `i` of a thread stripe: words [0, kTallies) are its query
+  /// tallies, word kTallies + s its reader count on shard s.
+  std::atomic<uint64_t>& StripeWord(size_t stripe, size_t i) const {
+    return stripes_[stripe * stripe_lines_ + i / 8].word[i % 8];
   }
+  /// Takes `stripe`'s reader count on shard `s`, waiting out a writer.
+  ReadPin Pin(size_t s, size_t stripe) const;
 
   size_t shard_mask_;
   std::atomic<uint64_t> next_id_{1};
   std::unique_ptr<Shard[]> shards_;
+  size_t stripe_lines_;            // cache lines per thread stripe
+  std::unique_ptr<Line[]> stripes_;  // the stripes, back to back
 };
 
 }  // namespace skl

@@ -736,6 +736,8 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader) {
   }
 
   size_t cum_v = 0, cum_items = 0, cum_offsets = 0, cum_readers = 0;
+  std::vector<uint64_t> ids;
+  std::vector<RunRecord> records;
   for (RunMeta& meta : metas) {
     const size_t n = meta.stats.num_vertices;
     const size_t items = meta.stats.num_items;
@@ -759,15 +761,16 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader) {
     record.spec = meta.at->spec.get();
     record.scheme = meta.at->scheme.get();
     record.store = std::move(store).value();
-    if (!registry_->Restore(meta.id, std::move(record))) {
-      return Status::ParseError("snapshot run registry: duplicate run id " +
-                                std::to_string(meta.id));
-    }
+    ids.push_back(meta.id);
+    records.push_back(std::move(record));
     cum_v += n;
     cum_items += items;
     cum_offsets += items + 1;
     cum_readers += readers_total;
   }
+  // The index ids are strictly ascending and the registry is fresh, so every
+  // record goes in; one call takes each shard's writer side once.
+  registry_->Restore(ids, records);
   registry_->SetNextId(next_id);
   loaded_via_mmap_ = can_view && reader.is_mapped();
   return Status::OK();

@@ -416,22 +416,27 @@ Result<OpLogReplay> OpLog::ReplayFile(const std::string& path) {
 Result<std::unique_ptr<OpLog>> OpLog::Open(const std::string& path,
                                            const std::string& spec_xml,
                                            const std::string& scheme_name,
-                                           Options options) {
+                                           Options options,
+                                           const OpLogReplay* replayed) {
   std::unique_ptr<OpLog> log(
       new OpLog(path, spec_xml, scheme_name, options));
   std::error_code ec;
   const bool exists = std::filesystem::exists(path, ec);
   if (exists) {
-    SKL_ASSIGN_OR_RETURN(OpLogReplay replay, ReplayFile(path));
-    if (replay.spec_xml != spec_xml) {
+    OpLogReplay replay;
+    if (replayed == nullptr) {
+      SKL_ASSIGN_OR_RETURN(replay, ReplayFile(path));
+      replayed = &replay;
+    }
+    if (replayed->spec_xml != spec_xml) {
       return Status::InvalidArgument(
           "op-log at " + path +
           " was written for a different specification; refusing to append");
     }
-    if (replay.scheme_name != scheme_name) {
+    if (replayed->scheme_name != scheme_name) {
       return Status::InvalidArgument(
           "op-log at " + path + " was written for scheme '" +
-          replay.scheme_name + "', not '" + scheme_name +
+          replayed->scheme_name + "', not '" + scheme_name +
           "'; refusing to append");
     }
     // Drop the torn/corrupt tail (if any) so the next append lands right
@@ -442,17 +447,17 @@ Result<std::unique_ptr<OpLog>> OpLog::Open(const std::string& path,
       return Status::Internal("cannot stat op-log file " + path + ": " +
                               size_ec.message());
     }
-    if (size > replay.valid_bytes) {
+    if (size > replayed->valid_bytes) {
       std::error_code trunc_ec;
-      std::filesystem::resize_file(path, replay.valid_bytes, trunc_ec);
+      std::filesystem::resize_file(path, replayed->valid_bytes, trunc_ec);
       if (trunc_ec) {
         return Status::Internal("cannot truncate op-log torn tail at " +
                                 path + ": " + trunc_ec.message());
       }
     }
-    log->offsets_ = std::move(replay.entry_offsets);
-    log->offsets_.push_back(replay.valid_bytes);
-    log->last_lsn_.store(replay.last_lsn, std::memory_order_release);
+    log->offsets_ = replayed->entry_offsets;
+    log->offsets_.push_back(replayed->valid_bytes);
+    log->last_lsn_.store(replayed->last_lsn, std::memory_order_release);
     // Read + append on one descriptor: writes land at the end, ReadFrom
     // preads.
     log->file_ = std::fopen(path.c_str(), "a+b");

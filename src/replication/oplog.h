@@ -141,11 +141,13 @@ class OpLog {
   /// continues at the surviving LSN. Entry-level corruption *before* the
   /// tail also truncates from the first damaged entry: everything after it
   /// was never guaranteed ordered, and a log that lies about its LSNs is
-  /// worse than a shorter one.
-  static Result<std::unique_ptr<OpLog>> Open(const std::string& path,
-                                             const std::string& spec_xml,
-                                             const std::string& scheme_name,
-                                             Options options = {});
+  /// worse than a shorter one. `replayed`, when given, is ReplayFile's
+  /// parse of the same unchanged file, used instead of parsing it again
+  /// (RecoverPrimary already holds one).
+  static Result<std::unique_ptr<OpLog>> Open(
+      const std::string& path, const std::string& spec_xml,
+      const std::string& scheme_name, Options options = {},
+      const OpLogReplay* replayed = nullptr);
 
   /// Parses a log file without opening it for append: header, then every
   /// entry until damage or end-of-file (see OpLogReplay::tail). The

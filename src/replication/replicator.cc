@@ -49,7 +49,7 @@ Result<RecoveredPrimary> RecoverPrimary(
   SKL_ASSIGN_OR_RETURN(
       ProvenanceService service,
       ProvenanceService::Create(std::move(spec), kind, service_options));
-  for (const LogOp& op : replay.ops) {
+  for (LogOp& op : replay.ops) {
     if (op.kind == LogOp::Kind::kSnapshotBarrier) {
       // The registry was replaced wholesale here; recovery chains through
       // the recorded snapshot file instead of replaying across it.
@@ -71,14 +71,15 @@ Result<RecoveredPrimary> RecoverPrimary(
           "op-log entry at LSN " + std::to_string(op.lsn) +
           " does not apply: " + applied.message());
     }
+    op.blob = {};  // the service holds the run now; drop the log's copy
   }
-  // Open (which replays again and truncates any torn tail) *before*
+  // Open (which truncates any torn tail) from this replay, *before*
   // attaching: replaying RemoveRun ops through a service that already has
   // the log attached would re-append them.
   SKL_ASSIGN_OR_RETURN(
       std::unique_ptr<OpLog> oplog,
       OpLog::Open(oplog_path, replay.spec_xml, replay.scheme_name,
-                  oplog_options));
+                  oplog_options, &replay));
   service.AttachOpLog(oplog.get());
   return RecoveredPrimary{std::move(service), std::move(oplog)};
 }
@@ -201,6 +202,7 @@ void ReadReplica::TailLoop() {
       continue;
     }
     failures = 0;
+    RecordError(Status::OK());  // a good batch ends a transport failure
     bool rebootstrapped = false;
     for (const LogOp& op : batch->ops) {
       if (stop_.load(std::memory_order_acquire)) return;

@@ -610,14 +610,15 @@ TEST(ProvenanceServiceTest, ShardedRegistryAndMemoAnswerIdentically) {
             std::string::npos);
 }
 
-TEST(ProvenanceServiceTest, ShardTalliesCountConcurrentQueriesExactly) {
-  // TSan target: 4 readers over 16 shards send every query kind at once.
-  // Each event is counted once, on its shard's tally line, and
-  // service_stats() sums the shards — so the totals must equal what the
-  // readers sent exactly: nothing lost to a race, nothing counted twice.
+TEST(ProvenanceServiceTest, QueryTalliesCountConcurrentQueriesExactly) {
+  // TSan target: 40 readers over 16 shards send every query kind at once —
+  // more readers than the registry has thread stripes, so some share one.
+  // Each event is counted once, on the reader's stripe, and service_stats()
+  // sums the stripes — so the totals must equal what the readers sent
+  // exactly: nothing lost to a race, nothing counted twice.
   constexpr uint64_t kRuns = 8;
-  constexpr uint64_t kThreads = 4;
-  constexpr uint64_t kRounds = 300;
+  constexpr uint64_t kThreads = 40;
+  constexpr uint64_t kRounds = 40;
   const Specification spec = MakeSpec();
   std::vector<::skl::Run> runs;
   std::vector<DataCatalog> catalogs;

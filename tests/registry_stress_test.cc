@@ -11,12 +11,17 @@
 // must keep observing bit-identical answers for the stable runs across
 // the swap (the snapshot contains them with the same ids and labels), and
 // no interleaving may produce a wrong memo answer, a lost run, or a TSan
-// report.
+// report. The registry's own reader/writer lock is driven directly too:
+// every writer kind against readers on one shard, and a moved read handle.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -24,6 +29,7 @@
 
 #include "src/common/temp_path.h"
 #include "src/core/provenance_service.h"
+#include "src/core/run_registry.h"
 #include "src/workload/query_generator.h"
 #include "src/workload/run_generator.h"
 #include "tests/test_util.h"
@@ -194,6 +200,103 @@ TEST(RegistryStressTest, CollidingShardsSurviveChurnAndSwap) {
 TEST(RegistryStressTest, StripedShardsSurviveChurnAndSwap) {
   StressWithShards(16, SpecSchemeKind::kTcm);
   StressWithShards(16, SpecSchemeKind::kBfs);
+}
+
+/// A record whose stats carry `marker`, so a reader can tell it apart.
+RunRecord MarkedRecord(VertexId marker) {
+  RunRecord record;
+  record.stats.num_vertices = marker;
+  return record;
+}
+
+TEST(RegistryStressTest, OneShardWritersNeverTearReaders) {
+  // Every writer kind on the one shard readers use: Publish + Remove churn
+  // and batched Restore + Remove, while readers resolve the stable runs and
+  // tally each read. Readers must always see the stable records, and the
+  // tallies must sum to exactly the reads made.
+  RunRegistry registry({.num_shards = 1});
+  constexpr VertexId kStable = 4;
+  for (VertexId i = 0; i < kStable; ++i) registry.Publish(MarkedRecord(i));
+  constexpr int kRegistryReaders = 6;
+  constexpr int kReads = 3000;
+  std::atomic<bool> readers_done{false};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kRegistryReaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kReads; ++r) {
+        const VertexId i = static_cast<VertexId>(t + r) % kStable;
+        RunRegistry::ReadHandle handle = registry.AcquireRead(i + 1);
+        if (!handle || handle.record().stats.num_vertices != i) {
+          failures.fetch_add(1);
+        }
+        if (handle) handle.Count(Tally::kReaches);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!readers_done.load()) {
+      const uint64_t id = registry.Publish(MarkedRecord(7));
+      if (!registry.Remove(id)) failures.fetch_add(1);
+    }
+  });
+  threads.emplace_back([&] {
+    for (uint64_t base = 1'000'000; !readers_done.load(); base += 3) {
+      std::vector<uint64_t> ids = {base, base + 1, base + 2};
+      std::vector<RunRecord> records(3, MarkedRecord(9));
+      registry.Restore(ids, records);
+      for (uint64_t id : ids) {
+        if (!registry.Remove(id)) failures.fetch_add(1);
+      }
+    }
+  });
+  for (int t = 0; t < kRegistryReaders; ++t) threads[t].join();
+  readers_done.store(true);
+  for (size_t t = kRegistryReaders; t < threads.size(); ++t) {
+    threads[t].join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(registry.size(), kStable);
+  EXPECT_EQ(registry.TotalTally(Tally::kReaches),
+            uint64_t{kRegistryReaders} * kReads);
+}
+
+TEST(RegistryStressTest, MovedReadHandleReleasesItsShardOnce) {
+  // A handle moved out of AcquireRead holds the shard until the last move
+  // target is destroyed, and releases it exactly once: a later Remove on
+  // the shard waits for it, then finishes. A count released twice or never
+  // leaves the Remove stuck for good, so the join is bounded and a miss
+  // aborts the process (the stuck thread cannot be joined).
+  RunRegistry registry({.num_shards = 1});
+  const uint64_t held_id = registry.Publish(MarkedRecord(1));
+  const uint64_t removed_id = registry.Publish(MarkedRecord(2));
+  std::optional<RunRegistry::ReadHandle> held;
+  {
+    RunRegistry::ReadHandle handle = registry.AcquireRead(held_id);
+    ASSERT_TRUE(handle);
+    held.emplace(std::move(handle));
+  }  // the moved-from handle releases nothing
+  ASSERT_TRUE(*held);
+  EXPECT_EQ(held->record().stats.num_vertices, 1u);
+
+  std::promise<bool> removed;
+  std::future<bool> done = removed.get_future();
+  std::thread remover(
+      [&] { removed.set_value(registry.Remove(removed_id)); });
+  EXPECT_EQ(done.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "a writer entered a shard a reader still held";
+  held.reset();
+  if (done.wait_for(std::chrono::seconds(20)) != std::future_status::ready) {
+    std::fprintf(stderr,
+                 "Remove never finished: the read pin was not released "
+                 "exactly once\n");
+    std::abort();
+  }
+  remover.join();
+  EXPECT_TRUE(done.get());
+  EXPECT_FALSE(registry.Contains(removed_id));
+  EXPECT_TRUE(registry.Contains(held_id));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -583,6 +584,74 @@ TEST(ReplicationTest, DamagedLogEntryIsATypedErrorNotAHang) {
   (*primary_b)->Shutdown();
   std::filesystem::remove(path_a);
   std::filesystem::remove(path_b);
+}
+
+TEST(ReplicationTest, ReplicaResumesAfterPrimaryRestart) {
+  // The transport error a replica records while its primary is down is
+  // cleared by the first good batch from the restarted primary, so
+  // WaitForLsn then waits for new LSNs instead of returning it.
+  const testing_util::RunningExample ex = testing_util::MakeRunningExample();
+  const std::string path =
+      PidQualifiedTempPath("replication_restart", ".skllog");
+  std::filesystem::remove(path);
+  OpLog::Options log_options;
+  log_options.fsync = false;
+  ReadReplica::Options replica_options;
+  replica_options.poll_interval_ms = 1;
+  replica_options.client.backoff_base_ms = 1;
+  replica_options.client.backoff_max_ms = 5;
+  const auto poll_until = [](const std::function<bool()>& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return done();
+  };
+
+  auto log = OpLog::Open(path, WriteSpecificationXml(ex.spec), "tcm",
+                         log_options);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  auto service = ProvenanceService::Create(ex.spec, SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok());
+  service->AttachOpLog(log->get());
+  ASSERT_TRUE(service->AddRun(ex.run).ok());
+  ProvenanceServer::Options options;
+  options.oplog = log->get();
+  auto primary = ProvenanceServer::Start(std::move(service).value(), options);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  options.port = (*primary)->port();
+  auto replica = ReadReplica::Start("127.0.0.1", options.port,
+                                    replica_options);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  ASSERT_TRUE((*replica)->WaitForLsn(1, 10000).ok());
+
+  (*primary)->Shutdown();
+  primary->reset();
+  log->reset();
+  ASSERT_TRUE(poll_until([&] { return !(*replica)->tail_error().ok(); }))
+      << "the replica never noticed its primary was gone";
+
+  auto recovered = RecoverPrimary(path, {}, log_options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  options.oplog = recovered->oplog.get();
+  auto restarted =
+      ProvenanceServer::Start(std::move(recovered->service), options);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_TRUE(poll_until([&] { return (*replica)->tail_error().ok(); }))
+      << (*replica)->tail_error().ToString();
+
+  auto writer = ProvenanceClient::Connect("127.0.0.1", options.port);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->AddRun(ex.run).ok());
+  const uint64_t lsn = recovered->oplog->last_lsn();
+  ASSERT_EQ(lsn, 2u);
+  Status caught_up = (*replica)->WaitForLsn(lsn, 10000);
+  EXPECT_TRUE(caught_up.ok()) << caught_up.ToString();
+
+  (*replica)->Stop();
+  (*restarted)->Shutdown();
+  std::filesystem::remove(path);
 }
 
 }  // namespace
