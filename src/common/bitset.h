@@ -4,6 +4,8 @@
 #ifndef SKL_COMMON_BITSET_H_
 #define SKL_COMMON_BITSET_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -64,6 +66,30 @@ class DynamicBitset {
   size_t size_ = 0;
   std::vector<uint64_t> words_;
 };
+
+/// Sets bits[base + b] for every set bit b of `word` and leaves the other
+/// bits as they are: a batch answer fill that writes only the true answers
+/// of a result sized up front with every answer false.
+inline void SetTrueBits(uint64_t word, size_t base, std::vector<bool>& bits) {
+  for (; word != 0; word &= word - 1) {
+    bits[base + static_cast<size_t>(std::countr_zero(word))] = true;
+  }
+}
+
+/// Sets bits[i] = bit(i) for every i < bits.size(), where `bits` was sized
+/// up front with every bit false and bit(i) is 0 or 1: packs 64 values to
+/// a word with no branch on a value, then sets only the true ones.
+template <class F>
+void FillTrueBits(std::vector<bool>& bits, F&& bit) {
+  for (size_t base = 0; base < bits.size(); base += 64) {
+    const size_t end = std::min(base + 64, bits.size());
+    uint64_t word = 0;
+    for (size_t i = base; i < end; ++i) {
+      word |= static_cast<uint64_t>(bit(i)) << (i - base);
+    }
+    SetTrueBits(word, base, bits);
+  }
+}
 
 }  // namespace skl
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 
+#include "src/common/bitset.h"
 #include "src/common/stopwatch.h"
 #include "src/core/plan_builder.h"
 #include "src/replication/oplog.h"
@@ -43,6 +44,63 @@ Status ValidateCatalog(const DataCatalog& catalog, VertexId num_vertices) {
 bool StoreReaches(const ProvenanceStore& store, VertexId v, VertexId w,
                   const SpecLabelingScheme& scheme) {
   return RunLabeling::Decide(store.label(v), store.label(w), scheme);
+}
+
+/// Pairs per pass of StoreReachesBatch: its buffers are stack arrays of
+/// this many entries, indexed by uint16_t and packed 64 to a word.
+constexpr size_t kBatchChunk = 256;
+static_assert(kBatchChunk % 64 == 0 && kBatchChunk <= 65536);
+
+/// ReachesBatch's kernel: answers[i] = StoreReaches(pairs[i]) for a result
+/// sized to pairs.size(), all false. Each chunk takes three passes, and no
+/// branch depends on a label:
+///   1. the context test (ContextTest) of every pair, its verdict packed 64
+///      to a word, compacting the origin pairs it leaves open to the
+///      skeleton;
+///   2. one ReachesMany call answering those origin pairs, their answers
+///      or-ed into the words (an open pair's context verdict is 0);
+///   3. the true answers set, walking each word's set bits.
+void StoreReachesBatch(const ProvenanceStore& store,
+                       std::span<const VertexPair> pairs,
+                       const SpecLabelingScheme& scheme,
+                       std::vector<bool>& answers) {
+  const uint32_t* q1 = store.q1_column().data();
+  const uint32_t* q2 = store.q2_column().data();
+  const uint32_t* q3 = store.q3_column().data();
+  const uint32_t* origin = store.origin_column().data();
+  uint64_t words[kBatchChunk / 64];
+  VertexId from[kBatchChunk];
+  VertexId to[kBatchChunk];
+  uint16_t open_index[kBatchChunk];
+  uint8_t spec_answer[kBatchChunk];
+  for (size_t base = 0; base < pairs.size(); base += kBatchChunk) {
+    const size_t m = std::min(kBatchChunk, pairs.size() - base);
+    size_t k = 0;
+    for (size_t w0 = 0; w0 < m; w0 += 64) {
+      const size_t end = std::min(w0 + 64, m);
+      uint64_t word = 0;
+      for (size_t i = w0; i < end; ++i) {
+        const auto [v, w] = pairs[base + i];
+        const ContextVerdict context =
+            ContextTest(RunLabel{q1[v], q2[v], q3[v]},
+                        RunLabel{q1[w], q2[w], q3[w]});
+        word |= static_cast<uint64_t>(context.forward) << (i - w0);
+        from[k] = origin[v];
+        to[k] = origin[w];
+        open_index[k] = static_cast<uint16_t>(i);
+        k += context.split ^ 1;
+      }
+      words[w0 / 64] = word;
+    }
+    scheme.ReachesMany({from, k}, {to, k}, spec_answer);
+    for (size_t j = 0; j < k; ++j) {
+      words[open_index[j] / 64] |= static_cast<uint64_t>(spec_answer[j])
+                                   << (open_index[j] % 64);
+    }
+    for (size_t w0 = 0; w0 < m; w0 += 64) {
+      SetTrueBits(words[w0 / 64], base + w0, answers);
+    }
+  }
 }
 
 bool StoreDependsOn(const ProvenanceStore& store, DataItemId x,
@@ -490,20 +548,17 @@ Result<std::vector<bool>> ProvenanceService::ReachesBatch(
   RunRegistry::ReadHandle handle = registry_->AcquireRead(id.value());
   if (!handle) return Status::NotFound("unknown run id");
   SKL_RETURN_NOT_OK(CheckEpochPin(handle.record(), at_epoch));
-  const VertexId n = handle.record().stats.num_vertices;
   // Validate the whole span first: a failing batch answers nothing and
-  // must touch no counter.
-  for (const auto& [v, w] : pairs) {
-    if (v >= n || w >= n) {
-      return Status::InvalidArgument("vertex out of range for run");
-    }
+  // must touch no counter. A max over every id, with no early exit, is a
+  // loop the compiler vectorizes.
+  VertexId highest = 0;
+  for (const auto& [v, w] : pairs) highest = std::max({highest, v, w});
+  if (!pairs.empty() && highest >= handle.record().stats.num_vertices) {
+    return Status::InvalidArgument("vertex out of range for run");
   }
-  const SpecLabelingScheme& sch = *handle.record().scheme;
-  std::vector<bool> answers;
-  answers.reserve(pairs.size());
-  for (const auto& [v, w] : pairs) {
-    answers.push_back(StoreReaches(handle.record().store, v, w, sch));
-  }
+  std::vector<bool> answers(pairs.size());
+  StoreReachesBatch(handle.record().store, pairs, *handle.record().scheme,
+                    answers);
   handle.Count(Tally::kBatchCalls);
   handle.Count(Tally::kReaches, pairs.size());
   return answers;
@@ -538,11 +593,11 @@ Result<std::vector<bool>> ProvenanceService::DependsOnBatch(
     }
   }
   const SpecLabelingScheme& sch = *handle.record().scheme;
-  std::vector<bool> answers;
-  answers.reserve(pairs.size());
-  for (const auto& [x, x_from] : pairs) {
-    answers.push_back(StoreDependsOn(handle.record().store, x, x_from, sch));
-  }
+  std::vector<bool> answers(pairs.size());
+  FillTrueBits(answers, [&](size_t i) {
+    return StoreDependsOn(handle.record().store, pairs[i].first,
+                          pairs[i].second, sch);
+  });
   handle.Count(Tally::kBatchCalls);
   handle.Count(Tally::kDependsOn, pairs.size());
   return answers;

@@ -40,14 +40,8 @@ Result<RunLabeling> RunLabeling::FromPlan(const Specification& spec,
 
 bool RunLabeling::Decide(const RunLabel& a, const RunLabel& b,
                          const SpecLabelingScheme& scheme) {
-  int64_t d2 = static_cast<int64_t>(a.q2) - static_cast<int64_t>(b.q2);
-  int64_t d3 = static_cast<int64_t>(a.q3) - static_cast<int64_t>(b.q3);
-  if (d2 * d3 < 0) {
-    // LCA of the contexts is an F- node (unreachable either way) or an L-
-    // node (reachable in serial order); a.q1 < b.q1 && a.q3 > b.q3 singles
-    // out the L- case in the forward direction (Lemma 4.5).
-    return a.q1 < b.q1 && a.q3 > b.q3;
-  }
+  const ContextVerdict context = ContextTest(a, b);
+  if (context.split != 0) return context.forward != 0;
   return scheme.Reaches(a.origin, b.origin);
 }
 
@@ -69,13 +63,12 @@ RunRelationship RunLabeling::Relate(VertexId v, VertexId w) const {
   if (v == w) return RunRelationship::kEqual;
   const RunLabel& a = labels_[v];
   const RunLabel& b = labels_[w];
-  int64_t d2 = static_cast<int64_t>(a.q2) - static_cast<int64_t>(b.q2);
-  int64_t d3 = static_cast<int64_t>(a.q3) - static_cast<int64_t>(b.q3);
-  if (d2 * d3 < 0) {
+  const ContextVerdict context = ContextTest(a, b);
+  if (context.split != 0) {
     // L- ancestor: O1 and the reversed O3 disagree, direction from O1.
-    // F- ancestor: O1 and O3 agree, so neither test below fires.
-    if (a.q1 < b.q1 && a.q3 > b.q3) return RunRelationship::kForward;
-    if (b.q1 < a.q1 && b.q3 > a.q3) return RunRelationship::kBackward;
+    // F- ancestor: O1 and O3 agree, so neither direction's test fires.
+    if (context.forward != 0) return RunRelationship::kForward;
+    if (ContextTest(b, a).forward != 0) return RunRelationship::kBackward;
     return RunRelationship::kUnrelated;
   }
   if (scheme_->Reaches(a.origin, b.origin)) return RunRelationship::kForward;
@@ -89,13 +82,9 @@ bool RunLabeling::ReachesWithStats(VertexId v, VertexId w,
                                    bool* used_skeleton) const {
   const RunLabel& a = labels_[v];
   const RunLabel& b = labels_[w];
-  int64_t d2 = static_cast<int64_t>(a.q2) - static_cast<int64_t>(b.q2);
-  int64_t d3 = static_cast<int64_t>(a.q3) - static_cast<int64_t>(b.q3);
-  if (d2 * d3 < 0) {
-    *used_skeleton = false;
-    return a.q1 < b.q1 && a.q3 > b.q3;
-  }
-  *used_skeleton = true;
+  const ContextVerdict context = ContextTest(a, b);
+  *used_skeleton = context.split == 0;
+  if (context.split != 0) return context.forward != 0;
   return scheme_->Reaches(a.origin, b.origin);
 }
 

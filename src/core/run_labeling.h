@@ -32,6 +32,31 @@ struct RunLabel {
   VertexId origin = kInvalidVertex;
 };
 
+/// Lemma 4.5's context test on two labels' context encodings (their origins
+/// are not read). `split` is (q2-q2')*(q3-q3') < 0: the contexts' LCA is an
+/// F- or L- node, and `forward` is then the answer (q1 < q1' && q3 > q3'
+/// singles out the L- case in the forward direction). Otherwise the LCA is
+/// a + node, `forward` is 0, and the answer is the skeleton predicate on
+/// the origins.
+///
+/// No && or ||, so a batch loop over it carries no data-dependent branch.
+/// The product is of the differences' signs, which cannot overflow and
+/// leaves a branching caller (Decide) one test to branch on. The verdicts
+/// are 0/1 words rather than bools, so a batch loop keeps each in a
+/// register of its own.
+struct ContextVerdict {
+  uint32_t split;
+  uint32_t forward;
+};
+
+inline ContextVerdict ContextTest(const RunLabel& a, const RunLabel& b) {
+  const int sign2 = (a.q2 > b.q2) - (a.q2 < b.q2);
+  const int sign3 = (a.q3 > b.q3) - (a.q3 < b.q3);
+  const uint32_t split = sign2 * sign3 < 0;
+  const uint32_t forward = split & (a.q1 < b.q1) & (a.q3 > b.q3);
+  return {split, forward};
+}
+
 /// How two run vertices relate under the dependency order.
 enum class RunRelationship {
   kEqual,      ///< same vertex

@@ -1,5 +1,6 @@
 #include "src/net/protocol.h"
 
+#include "src/common/bitset.h"
 #include "src/common/crc32.h"
 
 namespace skl {
@@ -179,6 +180,25 @@ Result<std::string> PayloadReader::Str() {
                      bytes.size());
 }
 
+Result<std::vector<bool>> PayloadReader::Booleans(uint64_t count) {
+  const std::span<const uint8_t> bytes =
+      payload_.subspan(pos_, std::min<uint64_t>(count, remaining()));
+  uint8_t any = 0;
+  for (uint8_t byte : bytes) any |= byte;
+  if (any > 1) {
+    const auto bad = std::find_if(bytes.begin(), bytes.end(),
+                                  [](uint8_t byte) { return byte > 1; });
+    return Status::ParseError("boolean field holds " + std::to_string(*bad));
+  }
+  if (bytes.size() < count) {
+    return Status::ParseError("payload truncated before a boolean");
+  }
+  pos_ += bytes.size();
+  std::vector<bool> values(bytes.size());
+  FillTrueBits(values, [&](size_t i) { return bytes[i]; });
+  return values;
+}
+
 Status PayloadReader::ExpectEnd() {
   if (pos_ != payload_.size()) {
     return Status::ParseError("payload has " +
@@ -186,6 +206,14 @@ Status PayloadReader::ExpectEnd() {
                               " trailing bytes");
   }
   return Status::OK();
+}
+
+void PayloadWriter::Booleans(const std::vector<bool>& values) {
+  U64(values.size());
+  const size_t start = out_->size();
+  out_->resize(start + values.size());
+  uint8_t* bytes = out_->data() + start;
+  for (size_t i = 0; i < values.size(); ++i) bytes[i] = values[i] ? 1 : 0;
 }
 
 void EncodeErrorPayload(const Status& status, uint64_t trace_id,

@@ -315,6 +315,9 @@ class PayloadWriter {
   void Str(std::string_view s) {
     Bytes({reinterpret_cast<const uint8_t*>(s.data()), s.size()});
   }
+  /// A count varint, then one 0/1 byte per value: the bytes U64 and
+  /// Boolean write for the list, in one append.
+  void Booleans(const std::vector<bool>& values);
   std::vector<uint8_t> Finish() && { return std::move(owned_); }
 
  private:
@@ -362,6 +365,10 @@ class PayloadReader {
   /// Length-prefixed blob; the span aliases the payload buffer.
   Result<std::span<const uint8_t>> Bytes();
   Result<std::string> Str();
+  /// `count` booleans written one byte each (the count itself is read by
+  /// the caller). Fails as the same number of Boolean() reads would: on the
+  /// first byte other than 0/1, else on running out of payload.
+  Result<std::vector<bool>> Booleans(uint64_t count);
   /// Payload bytes not yet read.
   size_t remaining() const { return payload_.size() - pos_; }
   /// Fails with ParseError if payload bytes remain unconsumed — a shape
@@ -376,10 +383,10 @@ class PayloadReader {
 // ------------------------------------------------------- field codec --
 // PutField/GetField encode one typed field: unsigned integers as varints
 // (a narrower one range-checked on decode), booleans as one byte, strings
-// and byte vectors length-prefixed, other vectors as a count varint and
-// then each element, pairs and tuples as their elements in order, and a
-// struct with a Fields() member as the fields that ties, in order. The
-// message shapes are in src/net/messages.h.
+// and byte vectors length-prefixed, other vectors (bool ones too) as a
+// count varint and then each element, pairs and tuples as their elements
+// in order, and a struct with a Fields() member as the fields that ties,
+// in order. The message shapes are in src/net/messages.h.
 
 /// A PayloadReader that knows which side is decoding and keeps the first
 /// failure: GetField returns false and leaves it in `error`. An id that
@@ -419,6 +426,9 @@ inline void PutField(PayloadWriter& out, const std::string& text) {
 }
 inline void PutField(PayloadWriter& out, const std::vector<uint8_t>& bytes) {
   out.Bytes(bytes);
+}
+inline void PutField(PayloadWriter& out, const std::vector<bool>& list) {
+  out.Booleans(list);
 }
 template <class T>
 void PutField(PayloadWriter& out, const std::vector<T>& list) {
@@ -466,6 +476,10 @@ inline bool GetField(FieldReader& in, std::vector<uint8_t>& bytes) {
   if (!in.Take(in.payload.Bytes(), view)) return false;
   bytes.assign(view.begin(), view.end());
   return true;
+}
+inline bool GetField(FieldReader& in, std::vector<bool>& list) {
+  uint64_t count = 0;
+  return GetField(in, count) && in.Take(in.payload.Booleans(count), list);
 }
 template <class T>
 bool GetField(FieldReader& in, std::vector<T>& list) {

@@ -8,6 +8,7 @@
 #ifndef SKL_SPECLABEL_SCHEME_H_
 #define SKL_SPECLABEL_SCHEME_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -68,6 +69,16 @@ class SpecLabelingScheme {
 
   /// Reflexive reachability between spec vertices.
   virtual bool Reaches(VertexId u, VertexId v) const = 0;
+
+  /// Batch form of Reaches: out[i] = Reaches(u[i], v[i]) as 0/1 for every
+  /// i < u.size() (u and v have the same size). The default loops over
+  /// Reaches, so a decorator (MemoizedScheme) still sees every pair;
+  /// schemes with a cheap direct lookup override it to skip the per-pair
+  /// virtual call (TCM).
+  virtual void ReachesMany(std::span<const VertexId> u,
+                           std::span<const VertexId> v, uint8_t* out) const {
+    for (size_t i = 0; i < u.size(); ++i) out[i] = Reaches(u[i], v[i]);
+  }
 
   /// Total index size in bits across all vertices (0 for search-based
   /// schemes, which keep only the graph itself).

@@ -90,6 +90,11 @@ bool TcmScheme::Reaches(VertexId u, VertexId v) const {
   return closure_[u].Test(v);
 }
 
+void TcmScheme::ReachesMany(std::span<const VertexId> u,
+                            std::span<const VertexId> v, uint8_t* out) const {
+  for (size_t i = 0; i < u.size(); ++i) out[i] = closure_[u[i]].Test(v[i]);
+}
+
 size_t TcmScheme::TotalLabelBits() const {
   return closure_.size() * closure_.size();
 }

@@ -25,6 +25,9 @@ class TcmScheme : public SpecLabelingScheme {
                           std::span<const VertexId> vertex_remap,
                           std::span<const VertexId> dirty) override;
   bool Reaches(VertexId u, VertexId v) const override;
+  /// Closure-row lookups with no virtual call per pair.
+  void ReachesMany(std::span<const VertexId> u, std::span<const VertexId> v,
+                   uint8_t* out) const override;
   size_t TotalLabelBits() const override;
   size_t MaxLabelBits() const override;
 

@@ -222,6 +222,47 @@ TEST(ProtocolTest, PayloadReaderRejectsTruncationAndTrailingBytes) {
   }
 }
 
+TEST(ProtocolTest, BoolListCodecMatchesOneBooleanPerElement) {
+  // The vector<bool> codec writes and reads the bytes a count varint plus
+  // one Boolean per element would, including across 64-answer words.
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (size_t n : {0, 1, 7, 8, 63, 64, 65, 200, 1025}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<bool> values(n);
+    PayloadWriter reference;
+    reference.U64(n);
+    for (size_t i = 0; i < n; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      values[i] = (state >> 61) & 1;
+      reference.Boolean(values[i]);
+    }
+    const std::vector<uint8_t> expected = std::move(reference).Finish();
+    PayloadWriter writer;
+    PutField(writer, values);
+    const std::vector<uint8_t> payload = std::move(writer).Finish();
+    EXPECT_EQ(payload, expected);
+    std::vector<bool> decoded = {true};
+    ASSERT_TRUE(
+        DecodeMessage(payload, StatusCode::kParseError, decoded).ok());
+    EXPECT_EQ(decoded, values);
+  }
+  // Malformed lists fail as the same sequence of Boolean reads would: on
+  // the first byte other than 0/1, else on the missing bytes.
+  const auto decode_error = [](std::vector<uint8_t> payload) {
+    std::vector<bool> decoded;
+    return DecodeMessage(payload, StatusCode::kParseError, decoded);
+  };
+  const Status short_list = decode_error({3, 1, 0});
+  EXPECT_EQ(short_list.code(), StatusCode::kParseError);
+  EXPECT_EQ(short_list.message(), "payload truncated before a boolean");
+  const Status bad_byte = decode_error({3, 1, 7, 0});
+  EXPECT_EQ(bad_byte.code(), StatusCode::kParseError);
+  EXPECT_EQ(bad_byte.message(), "boolean field holds 7");
+  EXPECT_EQ(decode_error({4, 0, 1, 9}).message(), "boolean field holds 9");
+  EXPECT_EQ(decode_error({2, 255, 2}).message(), "boolean field holds 255");
+  EXPECT_EQ(decode_error({1, 0, 0}).message(), "payload has 1 trailing bytes");
+}
+
 TEST(ProtocolTest, ErrorPayloadRoundTripsEveryCode) {
   for (StatusCode code :
        {StatusCode::kInvalidArgument, StatusCode::kInvalidSpecification,
