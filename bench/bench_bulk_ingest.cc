@@ -120,8 +120,9 @@ int main() {
     label_ms.push_back(sw.ElapsedMillis());
     SKL_CHECK_MSG(labeling.ok(), labeling.status().ToString().c_str());
     sw.Restart();
-    const std::vector<uint8_t> blob =
-        ProvenanceStore::Capture(*labeling).Serialize();
+    auto store = ProvenanceStore::Capture(*labeling);
+    SKL_CHECK_MSG(store.ok(), store.status().ToString().c_str());
+    const std::vector<uint8_t> blob = store->Serialize();
     blob_ms.push_back(sw.ElapsedMillis());
     blob_bytes += blob.size();
   }

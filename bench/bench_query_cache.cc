@@ -7,9 +7,11 @@
 //      (memo hits). TCM (O(1) label compare): through the service only —
 //      an indexed scheme's compare beats a memo probe, so the service
 //      gives it no memo to measure — plus the BFS memo hit rate over
-//      those sweeps (a bounded working set swept many times);
-//   2. the batch label-compare kernel over the columnar store vs an
-//      array-of-structs twin, and the service's ReachesBatch on 1024-pair
+//      those sweeps (a bounded working set swept many times), and TCM
+//      point queries spread uniformly over 64 runs, so each one also pays
+//      the registry's run lookup and a cold label;
+//   2. the label compare over the store's label words vs a twin of
+//      16-byte RunLabel rows, and the service's ReachesBatch on 1024-pair
 //      uniform batches;
 //   3. multi-reader TCM throughput at 1/2/4/8 threads with the registry
 //      fully contended (--shards=1: every run on one lock) vs striped
@@ -28,6 +30,7 @@
 
 #include "bench/bench_common.h"
 #include "src/common/metrics.h"
+#include "src/common/random.h"
 #include "src/core/provenance_service.h"
 #include "src/core/provenance_store.h"
 #include "src/core/run_labeling.h"
@@ -121,6 +124,32 @@ int main() {
     std::printf("%-8s %14.1f %14s %14s %10s\n", "TCM", uncached_ns, "-", "-",
                 "-");
     json.Add("tcm_uncached_ns", uncached_ns, "ns/query");
+
+    // The same pairs, each on one of 64 runs picked uniformly: every query
+    // looks its run up in the registry, and the labels of 64 runs no
+    // longer sit in the core's private caches.
+    constexpr size_t kManyRuns = 64;
+    std::vector<RunId> ids;
+    for (size_t r = 0; r < kManyRuns; ++r) {
+      auto many_id = tcm.AddRun(generated.run);
+      SKL_CHECK(many_id.ok());
+      ids.push_back(*many_id);
+    }
+    Rng rng(31);
+    std::vector<RunId> run_of(queries.size() * kManyRuns / 4);
+    for (RunId& picked : run_of) picked = ids[rng.NextBelow(kManyRuns)];
+    const size_t many_queries = queries.size() * rounds;
+    Stopwatch many_sw;
+    for (size_t q = 0; q < many_queries; ++q) {
+      const auto& [v, w] = queries[q % queries.size()];
+      auto answer = tcm.Reaches(run_of[q % run_of.size()], v, w);
+      SKL_CHECK(answer.ok());
+    }
+    const double many_runs_ns =
+        NsPerQuery(many_sw.ElapsedSeconds(), many_queries);
+    std::printf("%-8s %14.1f   (uniform over %zu runs)\n", "TCM",
+                many_runs_ns, kManyRuns);
+    json.Add("tcm_many_runs_ns", many_runs_ns, "ns/query");
   }
   {
     ProvenanceService service = MakeService(spec, SpecSchemeKind::kBfs, 8);
@@ -173,14 +202,14 @@ int main() {
     json.Add("query_cache_hit_ns", hit_ns, "ns/query");
   }
 
-  // -------------------- 2. batch kernel: columnar vs AoS label storage --
+  // ---------------- 2. label compare: one word per vertex vs 16-byte rows --
   {
     // The storage-layout before/after column: the same label-compare sweep
     // (every source vertex against a fixed target, the ReachesBatch inner
-    // loop) over the store's flat columns vs an array-of-structs twin
-    // materialized from them — the per-run heap-blob layout the columnar
-    // arena replaced. Store-level on purpose: no memo, no locks, just the
-    // memory layout under the decision kernel.
+    // loop) over the store's label words, fields compared masked in place
+    // as the service's point path does, vs a twin of RunLabel rows (four
+    // uint32 fields, 16 bytes) decoded from them. Store-level on purpose:
+    // no memo, no locks, just the memory layout under the decision.
     ProvenanceService service = MakeService(spec, SpecSchemeKind::kTcm, 8);
     auto id = service.AddRun(generated.run);
     SKL_CHECK(id.ok());
@@ -191,31 +220,38 @@ int main() {
     const SpecLabelingScheme& scheme = service.scheme();
     const size_t kernel_rounds = std::max<size_t>(1, total_queries / n);
 
-    std::vector<RunLabel> aos;
-    aos.reserve(n);
-    for (VertexId v = 0; v < n; ++v) aos.push_back(store->label(v));
+    std::vector<RunLabel> rows;
+    rows.reserve(n);
+    for (VertexId v = 0; v < n; ++v) rows.push_back(store->label(v));
 
-    size_t columnar_true = 0, aos_true = 0;
+    const std::span<const uint64_t> words = store->label_words();
+    const LabelPacking packing = store->packing();
+    size_t word_true = 0, row_true = 0;
     Stopwatch sw;
     for (size_t r = 0; r < kernel_rounds; ++r) {
-      const RunLabel target = store->label(n - 1 - (r % n));
+      const uint64_t target = words[n - 1 - (r % n)];
+      const PackedContext target_context = packing.Context(target);
       for (VertexId v = 0; v < n; ++v) {
-        columnar_true +=
-            RunLabeling::Decide(store->label(v), target, scheme) ? 1 : 0;
+        const ContextVerdict context =
+            ContextTest(packing.Context(words[v]), target_context);
+        word_true += context.split != 0
+                         ? context.forward
+                         : scheme.Reaches(packing.Origin(words[v]),
+                                          packing.Origin(target));
       }
     }
-    const double columnar_ns =
+    const double word_ns =
         NsPerQuery(sw.ElapsedSeconds(), static_cast<size_t>(n) * kernel_rounds);
     sw.Restart();
     for (size_t r = 0; r < kernel_rounds; ++r) {
-      const RunLabel target = aos[n - 1 - (r % n)];
+      const RunLabel target = rows[n - 1 - (r % n)];
       for (VertexId v = 0; v < n; ++v) {
-        aos_true += RunLabeling::Decide(aos[v], target, scheme) ? 1 : 0;
+        row_true += RunLabeling::Decide(rows[v], target, scheme) ? 1 : 0;
       }
     }
-    const double aos_ns =
+    const double row_ns =
         NsPerQuery(sw.ElapsedSeconds(), static_cast<size_t>(n) * kernel_rounds);
-    SKL_CHECK(columnar_true == aos_true);  // layouts must agree bit-for-bit
+    SKL_CHECK(word_true == row_true);  // layouts must agree bit-for-bit
 
     // The service's own batch path on 1024-pair uniform batches: shard
     // pin, whole-span validation, the branch-free kernel and the answer
@@ -235,15 +271,14 @@ int main() {
         NsPerQuery(sw.ElapsedSeconds(), batch.size() * batch_rounds);
     if (batch_true == 0xdeadbeef) std::printf("impossible\n");  // keep live
 
-    PrintHeader("batch label-compare kernel (TCM, full-run sweep)");
-    std::printf("columnar %8.2f ns/pair   aos twin %8.2f ns/pair "
+    PrintHeader("label compare (TCM, full-run sweep)");
+    std::printf("label words %8.2f ns/pair   16-byte rows %8.2f ns/pair "
                 "(%zu pairs, answers identical)\n",
-                columnar_ns, aos_ns,
-                static_cast<size_t>(n) * kernel_rounds);
+                word_ns, row_ns, static_cast<size_t>(n) * kernel_rounds);
     std::printf("ReachesBatch %8.2f ns/pair (1024-pair uniform batches)\n",
                 batch_kernel_ns);
-    json.Add("batch_columnar_ns", columnar_ns, "ns/pair");
-    json.Add("batch_aos_ns", aos_ns, "ns/pair");
+    json.Add("batch_word_ns", word_ns, "ns/pair");
+    json.Add("batch_row_ns", row_ns, "ns/pair");
     json.Add("batch_kernel_ns", batch_kernel_ns, "ns/pair");
   }
 

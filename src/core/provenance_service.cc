@@ -17,24 +17,6 @@ namespace skl {
 
 namespace {
 
-/// The catalog is captured verbatim into the store; reject out-of-range
-/// vertices up front so store queries can index labels unchecked.
-Status ValidateCatalog(const DataCatalog& catalog, VertexId num_vertices) {
-  for (DataItemId x = 0; x < catalog.size(); ++x) {
-    if (catalog.OutputOf(x) >= num_vertices) {
-      return Status::InvalidArgument("catalog item " + std::to_string(x) +
-                                     " written by unknown vertex");
-    }
-    for (VertexId r : catalog.InputsOf(x)) {
-      if (r >= num_vertices) {
-        return Status::InvalidArgument("catalog item " + std::to_string(x) +
-                                       " read by unknown vertex");
-      }
-    }
-  }
-  return Status::OK();
-}
-
 // Query logic over a store's bit-packed labels (+ catalog), formerly the
 // scheme-passing ProvenanceStore overloads. It lives here because the
 // service is the only holder of the scheme a store's labels were built
@@ -43,7 +25,13 @@ Status ValidateCatalog(const DataCatalog& catalog, VertexId num_vertices) {
 
 bool StoreReaches(const ProvenanceStore& store, VertexId v, VertexId w,
                   const SpecLabelingScheme& scheme) {
-  return RunLabeling::Decide(store.label(v), store.label(w), scheme);
+  const uint64_t a = store.label_words()[v];
+  const uint64_t b = store.label_words()[w];
+  const LabelPacking& packing = store.packing();
+  const ContextVerdict context =
+      ContextTest(packing.Context(a), packing.Context(b));
+  if (context.split != 0) return context.forward != 0;
+  return scheme.Reaches(packing.Origin(a), packing.Origin(b));
 }
 
 /// Pairs per pass of StoreReachesBatch: its buffers are stack arrays of
@@ -64,10 +52,8 @@ void StoreReachesBatch(const ProvenanceStore& store,
                        std::span<const VertexPair> pairs,
                        const SpecLabelingScheme& scheme,
                        std::vector<bool>& answers) {
-  const uint32_t* q1 = store.q1_column().data();
-  const uint32_t* q2 = store.q2_column().data();
-  const uint32_t* q3 = store.q3_column().data();
-  const uint32_t* origin = store.origin_column().data();
+  const uint64_t* labels = store.label_words().data();
+  const LabelPacking packing = store.packing();
   uint64_t words[kBatchChunk / 64];
   VertexId from[kBatchChunk];
   VertexId to[kBatchChunk];
@@ -80,13 +66,13 @@ void StoreReachesBatch(const ProvenanceStore& store,
       const size_t end = std::min(w0 + 64, m);
       uint64_t word = 0;
       for (size_t i = w0; i < end; ++i) {
-        const auto [v, w] = pairs[base + i];
+        const uint64_t a = labels[pairs[base + i].first];
+        const uint64_t b = labels[pairs[base + i].second];
         const ContextVerdict context =
-            ContextTest(RunLabel{q1[v], q2[v], q3[v]},
-                        RunLabel{q1[w], q2[w], q3[w]});
+            ContextTest(packing.Context(a), packing.Context(b));
         word |= static_cast<uint64_t>(context.forward) << (i - w0);
-        from[k] = origin[v];
-        to[k] = origin[w];
+        from[k] = packing.Origin(a);
+        to[k] = packing.Origin(b);
         open_index[k] = static_cast<uint16_t>(i);
         k += context.split ^ 1;
       }
@@ -107,9 +93,9 @@ bool StoreDependsOn(const ProvenanceStore& store, DataItemId x,
                     DataItemId x_from, const SpecLabelingScheme& scheme) {
   // Paper Section 6: x depends on x_from iff some reader of x_from reaches
   // the execution that wrote x.
-  const RunLabel out = store.label(store.item_writer(x));
+  const VertexId out = store.item_writer(x);
   for (VertexId r : store.item_readers(x_from)) {
-    if (RunLabeling::Decide(store.label(r), out, scheme)) return true;
+    if (StoreReaches(store, r, out, scheme)) return true;
   }
   return false;
 }
@@ -118,17 +104,14 @@ bool StoreModuleDependsOnData(const ProvenanceStore& store, VertexId v,
                               DataItemId x,
                               const SpecLabelingScheme& scheme) {
   for (VertexId r : store.item_readers(x)) {
-    if (RunLabeling::Decide(store.label(r), store.label(v), scheme)) {
-      return true;
-    }
+    if (StoreReaches(store, r, v, scheme)) return true;
   }
   return false;
 }
 
 bool StoreDataDependsOnModule(const ProvenanceStore& store, DataItemId x,
                               VertexId v, const SpecLabelingScheme& scheme) {
-  return RunLabeling::Decide(store.label(v),
-                             store.label(store.item_writer(x)), scheme);
+  return StoreReaches(store, v, store.item_writer(x), scheme);
 }
 
 /// Search schemes (BFS, DFS) serve through a spec-pair memo; an indexed
@@ -278,12 +261,10 @@ Result<RunRecord> ProvenanceService::BuildRecord(
 Result<RunRecord> ProvenanceService::CaptureRecord(const RunLabeling& labeling,
                                                    const DataCatalog* catalog,
                                                    const SpecEpoch* at) {
-  if (catalog != nullptr) {
-    SKL_RETURN_NOT_OK(ValidateCatalog(*catalog, labeling.num_vertices()));
-  }
   RunRecord record;
-  record.store =
-      ProvenanceStore::Capture(labeling, catalog, at->scheme->name());
+  SKL_ASSIGN_OR_RETURN(
+      record.store,
+      ProvenanceStore::Capture(labeling, catalog, at->scheme->name()));
   record.stats.num_vertices = labeling.num_vertices();
   record.stats.num_items = record.store.num_items();
   record.stats.label_bits = labeling.label_bits();
@@ -761,19 +742,33 @@ Status ProvenanceService::AdmitStore(const ProvenanceStore& store,
         "', but this service answers under scheme '" + std::string(scheme) +
         "'");
   }
-  const VertexId n_g = at.spec->graph().num_vertices();
-  // A max reduction vectorizes; an early-exit scan swung 2x with layout.
-  uint32_t max_origin = 0;
-  for (uint32_t origin : store.origin_column()) {
-    max_origin = std::max(max_origin, origin);
+  // Each origin must name a spec vertex and fit the run's origin width, so
+  // every label field decodes as it was packed. Below a limit L, origin - L
+  // wraps to a word with its top bit set (an origin field has at most 61
+  // bits): an and over every word keeps that bit iff all origins are in
+  // range, a reduction the compiler vectorizes (an early-exit scan swung 2x
+  // with layout).
+  const LabelPacking& packing = store.packing();
+  const uint64_t n_g = at.spec->graph().num_vertices();
+  const uint64_t limit = std::min(n_g, uint64_t{1} << packing.o_bits());
+  uint64_t all_below = ~uint64_t{0};
+  for (uint64_t word : store.label_words()) {
+    all_below &= packing.OriginField(word) - limit;
   }
-  if (max_origin < n_g) return Status::OK();
-  for (uint32_t origin : store.origin_column()) {
+  if (all_below >> 63 != 0) return Status::OK();
+  for (uint64_t word : store.label_words()) {
+    const uint64_t origin = packing.OriginField(word);
     if (origin >= n_g) {
       return Status::InvalidArgument(
           who + " references spec vertex " + std::to_string(origin) +
           " unknown to the specification of epoch " +
           std::to_string(at.number));
+    }
+    if (origin >= limit) {
+      return Status::InvalidArgument(
+          who + " has a label word wider than its " +
+          std::to_string(3 * packing.q_bits() + packing.o_bits()) +
+          "-bit label");
     }
   }
   return Status::OK();
@@ -852,7 +847,7 @@ Result<uint64_t> ProvenanceService::ApplyDeltaLocked(const SpecDelta& delta,
         if (record.stats.epoch != head.number) return;
         const ProvenanceStore& store = record.store;
         for (VertexId v = 0; v < store.num_vertices(); ++v) {
-          if (store.label(v).origin == victim) {
+          if (store.origin_column()[v] == victim) {
             ++dependents;
             return;
           }

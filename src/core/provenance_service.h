@@ -239,7 +239,7 @@ struct ProvenanceServiceOptions {
 /// ProvenanceServiceOptions.)
 struct SnapshotLoadOptions {
   /// Request the zero-copy path: mmap the snapshot read-only and let the
-  /// restored runs view the label columns in place. Falls back to the
+  /// restored runs view the label words in place. Falls back to the
   /// copying reader when the platform cannot map the file or `SKL_NO_MMAP`
   /// is set in the environment. See docs/PERSISTENCE.md for the mapping
   /// lifetime contract.
@@ -561,7 +561,10 @@ class ProvenanceService {
   /// RestoreRun and the snapshot loader: a non-empty scheme tag must name
   /// the scheme of epoch `at`, whose scheme alone can interpret the labels,
   /// and every origin must be a vertex of that epoch's specification, or
-  /// queries would index the scheme out of range. InvalidArgument naming
+  /// queries would index the scheme out of range, and fit the store's
+  /// origin width, so every label field decodes as it was packed. Other
+  /// bits of a label word are context fields, any value of which is a
+  /// label. InvalidArgument naming
   /// `who` otherwise (the snapshot loader reports it as a ParseError).
   static Status AdmitStore(const ProvenanceStore& store, const SpecEpoch& at,
                            const std::string& who);

@@ -49,7 +49,12 @@ struct ContextVerdict {
   uint32_t forward;
 };
 
-inline ContextVerdict ContextTest(const RunLabel& a, const RunLabel& b) {
+/// `Context` is any type with fields q1, q2 and q3 that order as the
+/// context encodings do: a RunLabel, or a stored label word's fields
+/// masked in place (PackedContext, src/core/provenance_store.h), which
+/// compare like the fields themselves without being shifted down.
+template <typename Context>
+inline ContextVerdict ContextTest(const Context& a, const Context& b) {
   const int sign2 = (a.q2 > b.q2) - (a.q2 < b.q2);
   const int sign3 = (a.q3 > b.q3) - (a.q3 < b.q3);
   const uint32_t split = sign2 * sign3 < 0;

@@ -37,27 +37,26 @@ size_t AlignUp(size_t offset) {
          ~(kSnapshotSectionAlignment - 1);
 }
 
-/// Grows `out` by `count` little-endian u32 slots in one resize and returns
-/// the first, for PutU32Le to fill.
-uint8_t* GrowU32s(std::vector<uint8_t>& out, size_t count) {
+/// Appends `values` little-endian, `sizeof(T)` bytes each, in one resize.
+template <typename T>
+void PutLe(std::vector<uint8_t>& out, std::span<const T> values) {
   const size_t at = out.size();
-  out.resize(at + 4 * count);
-  return out.data() + at;
+  out.resize(at + sizeof(T) * values.size());
+  uint8_t* p = out.data() + at;
+  for (T value : values) {
+    for (size_t byte = 0; byte < sizeof(T); ++byte) {
+      *p++ = static_cast<uint8_t>(value >> (8 * byte));
+    }
+  }
 }
 
-/// Stores `value` little-endian at `p`; returns the next slot.
-uint8_t* PutU32Le(uint8_t* p, uint32_t value) {
-  p[0] = static_cast<uint8_t>(value);
-  p[1] = static_cast<uint8_t>(value >> 8);
-  p[2] = static_cast<uint8_t>(value >> 16);
-  p[3] = static_cast<uint8_t>(value >> 24);
-  return p + 4;
-}
-
-uint32_t LoadU32Le(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
+template <typename T>
+T LoadLe(const uint8_t* p) {
+  T value = 0;
+  for (size_t byte = 0; byte < sizeof(T); ++byte) {
+    value |= static_cast<T>(static_cast<T>(p[byte]) << (8 * byte));
+  }
+  return value;
 }
 
 /// Heap-owned snapshot bytes (Parse/ReadFile).
@@ -357,13 +356,14 @@ Result<std::span<const uint8_t>> SnapshotReader::Section(uint32_t id) const {
 //     then per run in ascending id order: varint id, the RunStats fields
 //     (num_vertices, num_items, label_bits, context_bits, origin_bits,
 //     num_nonempty_plus, imported, epoch), varint reader-entry count,
+//     varint q_bits and o_bits (the run's label-word widths, its blob's),
 //     varint scheme-tag length + tag bytes.
 //   section kSnapshotSectionColumns (aligned)  a 16-byte header of u32-LE
-//     totals (vertices, items, offset entries, reader entries), then seven
-//     u32-LE columns, each starting at a 64-byte multiple relative to the
-//     payload: Q1, Q2, Q3, ORIGIN (label components, all runs' vertices
-//     concatenated in id order), WRITERS (item writers), OFFSETS (per-run
-//     CSR offset arrays, run-local values, num_items+1 entries per run),
+//     totals (vertices, items, offset entries, reader entries), then four
+//     columns, each starting at a 64-byte multiple relative to the payload:
+//     LABELS (u64-LE label words, all runs' vertices concatenated in id
+//     order), then u32-LE WRITERS (item writers), OFFSETS (per-run CSR
+//     offset arrays, run-local values, num_items+1 entries per run) and
 //     READERS (CSR reader entries). A run's columns are the contiguous
 //     slices at its cumulative base.
 //
@@ -459,6 +459,8 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter() const {
     index.WriteVarint(r.id);
     WriteRunStats(index, r.stats);
     index.WriteVarint(r.store.num_reader_entries());
+    index.WriteVarint(static_cast<uint64_t>(r.store.packing().q_bits()));
+    index.WriteVarint(static_cast<uint64_t>(r.store.packing().o_bits()));
     const std::string& tag = r.store.scheme_tag();
     index.WriteVarint(tag.size());
     index.WriteBytes(std::span<const uint8_t>(
@@ -468,28 +470,23 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter() const {
 
   std::vector<uint8_t> cols;
   cols.reserve(AlignUp(16) +
-               4 * (total_vertices * 4 + total_items + total_offsets +
-                    total_readers) +
-               7 * kSnapshotSectionAlignment);
-  uint8_t* totals = GrowU32s(cols, 4);
-  for (uint64_t total :
-       {total_vertices, total_items, total_offsets, total_readers}) {
-    totals = PutU32Le(totals, static_cast<uint32_t>(total));
-  }
+               8 * total_vertices +
+               4 * (total_items + total_offsets + total_readers) +
+               4 * kSnapshotSectionAlignment);
+  const uint32_t totals[4] = {static_cast<uint32_t>(total_vertices),
+                              static_cast<uint32_t>(total_items),
+                              static_cast<uint32_t>(total_offsets),
+                              static_cast<uint32_t>(total_readers)};
+  PutLe<uint32_t>(cols, totals);
   // Every column is the runs' own columns concatenated in id order: a
   // run's offsets already start at 0, as the layout wants them.
-  for (const auto column :
-       {&ProvenanceStore::q1_column, &ProvenanceStore::q2_column,
-        &ProvenanceStore::q3_column, &ProvenanceStore::origin_column,
-        &ProvenanceStore::item_writer_column,
-        &ProvenanceStore::reader_offset_column,
-        &ProvenanceStore::reader_column}) {
+  cols.resize(AlignUp(cols.size()), 0);
+  for (const SavedRun& r : saved) PutLe(cols, r.store.label_words());
+  for (const auto column : {&ProvenanceStore::item_writer_column,
+                            &ProvenanceStore::reader_offset_column,
+                            &ProvenanceStore::reader_column}) {
     cols.resize(AlignUp(cols.size()), 0);
-    for (const SavedRun& r : saved) {
-      const std::span<const uint32_t> values = (r.store.*column)();
-      uint8_t* p = GrowU32s(cols, values.size());
-      for (uint32_t value : values) p = PutU32Le(p, value);
-    }
+    for (const SavedRun& r : saved) PutLe(cols, (r.store.*column)());
   }
   writer.AddAlignedSection(kSnapshotSectionColumns, std::move(cols));
   return writer;
@@ -621,6 +618,7 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader) {
     RunStats stats;
     const SpecEpoch* at;  // the run's ingest epoch
     uint64_t readers_total;
+    LabelPacking packing;
     std::string tag;
   };
   std::vector<RunMeta> metas;
@@ -638,7 +636,10 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader) {
       return Status::ParseError("snapshot run " + std::to_string(meta.id) +
                                 ": " + stats.message());
     }
+    uint64_t q_bits = 0, o_bits = 0;
     SKL_RETURN_NOT_OK(index.ReadVarint(&meta.readers_total));
+    SKL_RETURN_NOT_OK(index.ReadVarint(&q_bits));
+    SKL_RETURN_NOT_OK(index.ReadVarint(&o_bits));
     SKL_RETURN_NOT_OK(index.ReadVarint(&tag_len));
     if (meta.id <= prev_id || meta.id >= next_id) {
       return Status::ParseError(
@@ -657,6 +658,12 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader) {
       return Status::ParseError("snapshot run " + std::to_string(meta.id) +
                                 ": stats field out of range");
     }
+    Result<LabelPacking> packing = LabelPacking::Make(q_bits, o_bits);
+    if (!packing.ok()) {
+      return Status::ParseError("snapshot run " + std::to_string(meta.id) +
+                                ": " + packing.status().message());
+    }
+    meta.packing = *packing;
     if (tag_len > kMaxSchemeTagBytes) {
       return Status::ParseError("snapshot run " + std::to_string(meta.id) +
                                 ": scheme tag too long");
@@ -681,24 +688,23 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader) {
   if (cols.size() < 16) {
     return Status::ParseError("snapshot columnar section truncated");
   }
-  const uint64_t totals[4] = {LoadU32Le(cols.data()), LoadU32Le(cols.data() + 4),
-                              LoadU32Le(cols.data() + 8),
-                              LoadU32Le(cols.data() + 12)};
+  const uint64_t totals[4] = {
+      LoadLe<uint32_t>(cols.data()), LoadLe<uint32_t>(cols.data() + 4),
+      LoadLe<uint32_t>(cols.data() + 8), LoadLe<uint32_t>(cols.data() + 12)};
   if (totals[0] != sum_vertices || totals[1] != sum_items ||
       totals[2] != sum_offsets || totals[3] != sum_readers) {
     return Status::ParseError(
         "snapshot columnar section totals disagree with the run index");
   }
-  // Column geometry: 16-byte header, then seven u32 columns, each aligned
-  // to a 64-byte multiple relative to the payload start.
-  const uint64_t col_counts[7] = {totals[0], totals[0], totals[0], totals[0],
-                                  totals[1], totals[2], totals[3]};
-  size_t col_off[7];
+  // Column geometry: 16-byte header, then the u64 LABELS column and three
+  // u32 columns, each aligned to a 64-byte multiple relative to the payload
+  // start.
+  size_t col_off[4];
   size_t off = 16;
-  for (int c = 0; c < 7; ++c) {
+  for (int c = 0; c < 4; ++c) {
     off = AlignUp(off);
     col_off[c] = off;
-    off += static_cast<size_t>(col_counts[c]) * 4;
+    off += static_cast<size_t>(totals[c]) * (c == 0 ? 8 : 4);
   }
   if (off != cols.size()) {
     return Status::ParseError(
@@ -706,32 +712,42 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader) {
   }
 
   // Zero-copy view when the host can read the little-endian columns in
-  // place (the payload's actual address is u32-aligned; guaranteed for the
+  // place (the payload's actual address is u64-aligned; guaranteed for the
   // writer's aligned section under both the heap and mmap readers, checked
-  // anyway for hand-assembled files). Otherwise decode into one owned
-  // contiguous buffer — same layout, shared by every restored run.
+  // anyway for hand-assembled files). Otherwise decode into owned columns
+  // of the same layout, shared by every restored run.
   const bool can_view =
       std::endian::native == std::endian::little &&
-      reinterpret_cast<uintptr_t>(cols.data()) % alignof(uint32_t) == 0;
-  const uint32_t* base[7];
+      reinterpret_cast<uintptr_t>(cols.data()) % alignof(uint64_t) == 0;
+  const uint64_t* labels;
+  const uint32_t* base[4];  // WRITERS, OFFSETS, READERS at 1, 2 and 3
   std::shared_ptr<const void> backing;
   if (can_view) {
-    for (int c = 0; c < 7; ++c) {
+    labels = reinterpret_cast<const uint64_t*>(cols.data() + col_off[0]);
+    for (int c = 1; c < 4; ++c) {
       base[c] = reinterpret_cast<const uint32_t*>(cols.data() + col_off[c]);
     }
     backing = reader.backing();
   } else {
-    auto decoded = std::make_shared<std::vector<uint32_t>>();
-    size_t total = 0;
-    for (uint64_t n : col_counts) total += static_cast<size_t>(n);
-    decoded->resize(total);
+    struct Decoded {
+      std::vector<uint64_t> labels;
+      std::vector<uint32_t> catalog;
+    };
+    auto decoded = std::make_shared<Decoded>();
+    decoded->labels.resize(totals[0]);
+    for (size_t j = 0; j < decoded->labels.size(); ++j) {
+      decoded->labels[j] = LoadLe<uint64_t>(cols.data() + col_off[0] + 8 * j);
+    }
+    decoded->catalog.resize(totals[1] + totals[2] + totals[3]);
     size_t out = 0;
-    for (int c = 0; c < 7; ++c) {
-      base[c] = decoded->data() + out;
-      for (uint64_t j = 0; j < col_counts[c]; ++j) {
-        (*decoded)[out++] = LoadU32Le(cols.data() + col_off[c] + 4 * j);
+    for (int c = 1; c < 4; ++c) {
+      base[c] = decoded->catalog.data() + out;
+      for (uint64_t j = 0; j < totals[c]; ++j) {
+        decoded->catalog[out++] =
+            LoadLe<uint32_t>(cols.data() + col_off[c] + 4 * j);
       }
     }
+    labels = decoded->labels.data();
     backing = std::move(decoded);
   }
 
@@ -743,10 +759,9 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader) {
     const size_t items = meta.stats.num_items;
     const size_t readers_total = static_cast<size_t>(meta.readers_total);
     Result<ProvenanceStore> store = ProvenanceStore::FromColumns(
-        {base[0] + cum_v, n}, {base[1] + cum_v, n}, {base[2] + cum_v, n},
-        {base[3] + cum_v, n}, {base[4] + cum_items, items},
-        {base[5] + cum_offsets, items + 1},
-        {base[6] + cum_readers, readers_total}, std::move(meta.tag), backing);
+        {labels + cum_v, n}, meta.packing, {base[1] + cum_items, items},
+        {base[2] + cum_offsets, items + 1},
+        {base[3] + cum_readers, readers_total}, std::move(meta.tag), backing);
     if (!store.ok()) {
       return Status::ParseError("snapshot run " + std::to_string(meta.id) +
                                 ": " + store.status().message());

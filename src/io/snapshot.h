@@ -47,7 +47,7 @@ namespace skl {
 /// Container format version written by SnapshotWriter. SnapshotReader
 /// accepts only this version and refuses any other with a ParseError naming
 /// both versions (docs/PERSISTENCE.md).
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// Alignment (bytes) the writer guarantees for aligned sections' payloads,
 /// chosen to match cache-line / SIMD-width expectations of the column
@@ -59,7 +59,7 @@ inline constexpr uint32_t kSnapshotSectionPad = 0;       ///< alignment filler
 inline constexpr uint32_t kSnapshotSectionSpec = 1;      ///< spec XML
 inline constexpr uint32_t kSnapshotSectionScheme = 2;    ///< scheme name
 inline constexpr uint32_t kSnapshotSectionRunIndex = 4;  ///< run index
-inline constexpr uint32_t kSnapshotSectionColumns = 5;   ///< label columns
+inline constexpr uint32_t kSnapshotSectionColumns = 5;   ///< label words + catalog
 inline constexpr uint32_t kSnapshotSectionEpochs = 6;    ///< epoch chain
 
 /// Owns the bytes a parsed snapshot points into — a heap buffer or a

@@ -535,7 +535,7 @@ Status DecodeErrorPayload(std::span<const uint8_t> payload,
                           uint64_t* trace_id = nullptr);
 
 /// One slow-query log record (docs/OBSERVABILITY.md): a request whose
-/// queue-wait + execute time exceeded the server's slow-query threshold.
+/// queue-wait + execute time reached the server's slow-query threshold.
 /// Lives here because it is also the kSlowQueries reply wire shape: the
 /// payload is a count varint followed by the six fields of each entry as
 /// varints, in declaration order.

@@ -51,10 +51,11 @@ int64_t MsUntil(Clock::time_point t) {
   return ms < 0 ? 0 : ms + 1;  // round up: never wake before the deadline
 }
 
+/// Whole microseconds from `from` to `to`, rounded up: a served request
+/// never reads as 0 us, which truncation made of every warm inline read.
 uint64_t UsBetween(Clock::time_point from, Clock::time_point to) {
   const int64_t us =
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
-          .count();
+      std::chrono::ceil<std::chrono::microseconds>(to - from).count();
   return us < 0 ? 0 : static_cast<uint64_t>(us);
 }
 
@@ -935,7 +936,7 @@ void ProvenanceServer::RecordFrameTiming(const FrameView& frame,
   queue_hist_[op]->Record(queue_us);
   exec_hist_[op]->Record(exec_us);
   const uint32_t threshold = options_.slow_query_threshold_us;
-  if (threshold == 0 || queue_us + exec_us <= threshold) return;
+  if (threshold == 0 || queue_us + exec_us < threshold) return;
   SlowQueryEntry entry;
   entry.trace_id = trace_id;
   entry.opcode = static_cast<uint8_t>(frame.type);

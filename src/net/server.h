@@ -136,7 +136,7 @@ struct ProvenanceServerOptions {
   /// read-only and the new service's runs view the mapping in place. Same
   /// fallback contract as the library call (SKL_NO_MMAP, mapping failure).
   bool mmap_snapshots = false;
-  /// Requests whose queue-wait + execute time exceeds this land in the
+  /// Requests whose queue-wait + execute time reaches this land in the
   /// slow-query ring buffer (docs/OBSERVABILITY.md), dumpable via the
   /// kSlowQueries opcode / `sklctl slow-queries`. 0 disables the log.
   uint32_t slow_query_threshold_us = 0;

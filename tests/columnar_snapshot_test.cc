@@ -12,6 +12,7 @@
 // defective store is refused by every way into the registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/bit_codec.h"
 #include "src/common/temp_path.h"
 #include "src/core/provenance_service.h"
 #include "src/core/provenance_store.h"
@@ -342,22 +344,20 @@ TEST(ColumnarSnapshotTest, ImportRejectsBlobFromAnotherScheme) {
 
 // ------------------------------------------------ one stored-run path --
 
-/// Byte offsets of the seven u32 columns inside a columns-section payload
-/// (Q1, Q2, Q3, ORIGIN, WRITERS, OFFSETS, READERS), from its totals header:
-/// the geometry docs/PERSISTENCE.md specifies, re-derived independently of
-/// the loader.
+/// Byte offsets of the four columns inside a columns-section payload (u64
+/// LABELS, then u32 WRITERS, OFFSETS, READERS), from its totals header: the
+/// geometry docs/PERSISTENCE.md specifies, re-derived independently of the
+/// loader.
 std::vector<size_t> ColumnOffsets(std::span<const uint8_t> cols) {
   uint32_t totals[4];
   std::memcpy(totals, cols.data(), sizeof(totals));
-  const uint64_t counts[7] = {totals[0], totals[0], totals[0], totals[0],
-                              totals[1], totals[2], totals[3]};
   std::vector<size_t> offsets;
   size_t off = 16;
-  for (uint64_t count : counts) {
+  for (int c = 0; c < 4; ++c) {
     off = (off + kSnapshotSectionAlignment - 1) /
           kSnapshotSectionAlignment * kSnapshotSectionAlignment;
     offsets.push_back(off);
-    off += 4 * count;
+    off += (c == 0 ? 8 : 4) * size_t{totals[c]};
   }
   return offsets;
 }
@@ -367,8 +367,9 @@ TEST(ColumnarSnapshotTest, StoreCopiesShareTheirColumns) {
   // columns — whichever way the store was built.
   const auto expect_shared = [](const ProvenanceStore& store) {
     const ProvenanceStore copy = store;
-    EXPECT_EQ(copy.q1_column().data(), store.q1_column().data());
-    EXPECT_EQ(copy.origin_column().data(), store.origin_column().data());
+    EXPECT_EQ(copy.label_words().data(), store.label_words().data());
+    EXPECT_EQ(copy.reader_offset_column().data(),
+              store.reader_offset_column().data());
     EXPECT_EQ(copy.num_vertices(), store.num_vertices());
     EXPECT_EQ(copy.num_items(), store.num_items());
   };
@@ -377,7 +378,9 @@ TEST(ColumnarSnapshotTest, StoreCopiesShareTheirColumns) {
   ASSERT_TRUE(labeler.Init().ok());
   auto labeling = labeler.LabelRun(ex.run);
   ASSERT_TRUE(labeling.ok());
-  const ProvenanceStore captured = ProvenanceStore::Capture(*labeling);
+  auto capture = ProvenanceStore::Capture(*labeling);
+  ASSERT_TRUE(capture.ok()) << capture.status().ToString();
+  const ProvenanceStore& captured = *capture;
   expect_shared(captured);
   auto deserialized = ProvenanceStore::Deserialize(captured.Serialize());
   ASSERT_TRUE(deserialized.ok());
@@ -398,15 +401,17 @@ TEST(ColumnarSnapshotTest, StoreCopiesShareTheirColumns) {
     ASSERT_TRUE(cols.ok());
     const std::vector<size_t> at = ColumnOffsets(*cols);
     const size_t n = ex.run.num_vertices();
+    const std::span<const uint64_t> labels(
+        reinterpret_cast<const uint64_t*>(cols->data() + at[0]), n);
     const auto column = [&](int c, size_t count) {
       return std::span<const uint32_t>(
           reinterpret_cast<const uint32_t*>(cols->data() + at[c]), count);
     };
     auto mapped = ProvenanceStore::FromColumns(
-        column(0, n), column(1, n), column(2, n), column(3, n), column(4, 0),
-        column(5, 1), column(6, 0), "TCM", reader->backing());
+        labels, captured.packing(), column(1, 0), column(2, 1), column(3, 0),
+        "TCM", reader->backing());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    EXPECT_EQ(mapped->q1_column().data(), column(0, n).data());
+    EXPECT_EQ(mapped->label_words().data(), labels.data());
     expect_shared(*mapped);
     mapped_copy = *mapped;
   }
@@ -424,7 +429,8 @@ enum class Defect { kForeignSchemeTag, kOriginPastTheSpec };
 
 /// Every column of a store, owned, for rebuilding it with a defect.
 struct OwnedColumns {
-  std::vector<uint32_t> q1, q2, q3, origin, writers, offsets, readers;
+  std::vector<uint64_t> labels;
+  std::vector<uint32_t> writers, offsets, readers;
 };
 
 TEST(ColumnarSnapshotTest, DefectiveStoreIsRefusedOnEveryAdmissionPath) {
@@ -460,13 +466,17 @@ TEST(ColumnarSnapshotTest, DefectiveStoreIsRefusedOnEveryAdmissionPath) {
     SCOPED_TRACE(foreign ? "foreign scheme tag" : "origin past the spec");
     const char* refusal =
         foreign ? "was labeled under scheme" : "references spec vertex";
+    // Widths that hold the defective origin n_G, the context fields where
+    // the good store keeps them.
+    auto packing = LabelPacking::Make(
+        good->packing().q_bits(),
+        std::max(good->packing().o_bits(), BitsForCount(n_g + 2)));
+    ASSERT_TRUE(packing.ok());
     auto cols = std::make_shared<OwnedColumns>();
     for (VertexId v = 0; v < good->num_vertices(); ++v) {
-      const RunLabel label = good->label(v);
-      cols->q1.push_back(label.q1);
-      cols->q2.push_back(label.q2);
-      cols->q3.push_back(label.q3);
-      cols->origin.push_back(label.origin);
+      RunLabel label = good->label(v);
+      if (!foreign && v == 0) label.origin = n_g;
+      cols->labels.push_back(packing->Pack(label));
     }
     cols->offsets.push_back(0);
     for (DataItemId x = 0; x < good->num_items(); ++x) {
@@ -474,10 +484,9 @@ TEST(ColumnarSnapshotTest, DefectiveStoreIsRefusedOnEveryAdmissionPath) {
       for (VertexId r : good->item_readers(x)) cols->readers.push_back(r);
       cols->offsets.push_back(static_cast<uint32_t>(cols->readers.size()));
     }
-    if (!foreign) cols->origin[0] = n_g;
     auto defective = ProvenanceStore::FromColumns(
-        cols->q1, cols->q2, cols->q3, cols->origin, cols->writers,
-        cols->offsets, cols->readers, foreign ? "BFS" : "TCM", cols);
+        cols->labels, *packing, cols->writers, cols->offsets, cols->readers,
+        foreign ? "BFS" : "TCM", cols);
     ASSERT_TRUE(defective.ok()) << defective.status().ToString();
     const std::vector<uint8_t> blob = defective->Serialize();
 
@@ -497,7 +506,7 @@ TEST(ColumnarSnapshotTest, DefectiveStoreIsRefusedOnEveryAdmissionPath) {
         << restored.ToString();
     EXPECT_FALSE(service->Contains(RunId::FromValue(1000)));
 
-    // The saved snapshot, with its one run's tag and ORIGIN column
+    // The saved snapshot, with its one run's tag and LABELS column
     // replaced by the defective store's.
     auto reader = SnapshotReader::ReadFile(file.path());
     ASSERT_TRUE(reader.ok());
@@ -515,9 +524,9 @@ TEST(ColumnarSnapshotTest, DefectiveStoreIsRefusedOnEveryAdmissionPath) {
         std::copy(tag.begin(), tag.end(), payload.end() - tag.size());
         writer.AddSection(section, std::move(payload));
       } else if (section == kSnapshotSectionColumns) {
-        const size_t origin_at = ColumnOffsets(payload)[3];
-        std::memcpy(payload.data() + origin_at, cols->origin.data(),
-                    4 * cols->origin.size());
+        const size_t labels_at = ColumnOffsets(payload)[0];
+        std::memcpy(payload.data() + labels_at, cols->labels.data(),
+                    8 * cols->labels.size());
         writer.AddAlignedSection(section, std::move(payload));
       } else {
         writer.AddSection(section, std::move(payload));

@@ -966,7 +966,7 @@ TEST(ProtocolTest, LiveServerRepliesWithPinnedBytesForEveryOpcode) {
       "534e000000197761741106400e0204040101020301010000000003030101000000"
       "0001",  // ServiceStats
       "534e00000005ec71bb2606400f0204",  // ApplySpecDelta
-      "534e0000065ab9d62dbd0640...1636",  // SnapshotFetch
+      "534e0000055ade949d490640...1380",  // SnapshotFetch
       "534e0000007eb09acceb0642...136",  // Subscribe
       "534e000000040c417dd306401200",  // SlowQueries
       "metrics",  // Metrics

@@ -46,8 +46,9 @@ class ProvenanceStoreTest : public ::testing::Test {
 };
 
 TEST_F(ProvenanceStoreTest, RoundTripLabelsOnly) {
-  ProvenanceStore store = ProvenanceStore::Capture(*labeling_);
-  auto blob = store.Serialize();
+  auto store = ProvenanceStore::Capture(*labeling_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto blob = store->Serialize();
   auto restored = ProvenanceStore::Deserialize(blob);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ASSERT_EQ(restored->num_vertices(), ex_.run.num_vertices());
@@ -71,9 +72,10 @@ TEST_F(ProvenanceStoreTest, RoundTripWithCatalog) {
   DataItemId x6 = catalog.AddItem(ex_.rv("c3"));
   ASSERT_TRUE(catalog.AddFlow(x6, ex_.rv("c3"), ex_.rv("h1")).ok());
 
-  ProvenanceStore store = ProvenanceStore::Capture(*labeling_, &catalog);
+  auto store = ProvenanceStore::Capture(*labeling_, &catalog);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
   ProvenanceService service = MakeService();
-  auto id = service.ImportRun(store.Serialize());
+  auto id = service.ImportRun(store->Serialize());
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   auto stats = service.Stats(*id);
   ASSERT_TRUE(stats.ok());
@@ -93,14 +95,15 @@ TEST_F(ProvenanceStoreTest, RoundTripWithCatalog) {
   ASSERT_TRUE(mdd.ok());
   EXPECT_TRUE(*mdd);
   // The catalog accessors expose the raw writer/reader lists.
-  EXPECT_EQ(store.item_writer(x1), ex_.rv("a1"));
-  ASSERT_EQ(store.item_readers(x1).size(), 2u);
+  EXPECT_EQ(store->item_writer(x1), ex_.rv("a1"));
+  ASSERT_EQ(store->item_readers(x1).size(), 2u);
 }
 
 TEST_F(ProvenanceStoreTest, QueryErrorsOnBadIds) {
-  ProvenanceStore store = ProvenanceStore::Capture(*labeling_);
+  auto store = ProvenanceStore::Capture(*labeling_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
   ProvenanceService service = MakeService();
-  auto id = service.ImportRun(store.Serialize());
+  auto id = service.ImportRun(store->Serialize());
   ASSERT_TRUE(id.ok());
   // No catalog: every item id is unknown; vertex ids out of range too.
   EXPECT_FALSE(service.DependsOn(*id, 0, 0).ok());
@@ -109,8 +112,9 @@ TEST_F(ProvenanceStoreTest, QueryErrorsOnBadIds) {
 }
 
 TEST_F(ProvenanceStoreTest, CorruptBlobsRejected) {
-  ProvenanceStore store = ProvenanceStore::Capture(*labeling_);
-  auto blob = store.Serialize();
+  auto store = ProvenanceStore::Capture(*labeling_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto blob = store->Serialize();
   // Wrong magic.
   auto bad = blob;
   bad[0] ^= 0xff;
@@ -123,12 +127,35 @@ TEST_F(ProvenanceStoreTest, CorruptBlobsRejected) {
   EXPECT_FALSE(ProvenanceStore::Deserialize(std::vector<uint8_t>{}).ok());
 }
 
+TEST_F(ProvenanceStoreTest, LabelsWiderThanOneWordAreRefused) {
+  // 3 x 21 context bits + 2 origin bits = 65: CapacityExceeded at capture.
+  const std::vector<RunLabel> wide = {RunLabel{(1u << 21) - 1, 1, 1, 2}};
+  auto captured = ProvenanceStore::Capture(wide);
+  EXPECT_EQ(captured.status().code(), StatusCode::kCapacityExceeded);
+  EXPECT_NE(captured.status().message().find("64-bit label word"),
+            std::string::npos)
+      << captured.status().ToString();
+
+  // A blob declaring those widths: ParseError. After the 4-byte magic the
+  // header is one byte each: version, tag length (0), n, q_bits, o_bits.
+  auto blob = ProvenanceStore::Capture(*labeling_)->Serialize();
+  ASSERT_EQ(blob[5], 0u);
+  ASSERT_EQ(blob[6], ex_.run.num_vertices());
+  blob[7] = 21;
+  blob[8] = 2;
+  auto restored = ProvenanceStore::Deserialize(blob);
+  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
+  EXPECT_NE(restored.status().message().find("64-bit label word"),
+            std::string::npos)
+      << restored.status().ToString();
+}
+
 TEST_F(ProvenanceStoreTest, OtherBlobVersionsAreRejected) {
   // The version varint sits right after the 4-byte "SKLP" magic. A
   // version-1 header (the untagged layout) and one from the future are
   // refused, naming both versions.
   const std::vector<uint8_t> blob =
-      ProvenanceStore::Capture(*labeling_, nullptr, "TCM").Serialize();
+      ProvenanceStore::Capture(*labeling_, nullptr, "TCM")->Serialize();
   ASSERT_EQ(blob[4], 2u);
   for (uint8_t version : {uint8_t{1}, uint8_t{3}}) {
     SCOPED_TRACE("version " + std::to_string(version));
@@ -166,8 +193,9 @@ TEST(ProvenanceStoreLargeTest, GeneratedRunRoundTrip) {
   dopt.seed = 4;
   DataCatalog catalog = GenerateDataCatalog(generated->run, dopt);
 
-  ProvenanceStore store = ProvenanceStore::Capture(*labeling, &catalog);
-  auto blob = store.Serialize();
+  auto store = ProvenanceStore::Capture(*labeling, &catalog);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto blob = store->Serialize();
 
   // Storage sanity: label payload is within a byte-rounding of the
   // theoretical width.
@@ -220,7 +248,7 @@ TEST(ProvenanceStoreLargeTest, SerializedBytesArePinned) {
   dopt.seed = 22;
   DataCatalog catalog = GenerateDataCatalog(run, dopt);
   const std::vector<uint8_t> blob =
-      ProvenanceStore::Capture(*labeling, &catalog).Serialize();
+      ProvenanceStore::Capture(*labeling, &catalog)->Serialize();
   EXPECT_EQ(blob.size(), 13875u);
   EXPECT_EQ(testing_util::Fnv1a(blob.data(), blob.size()),
             0x8e31373603239e8bULL);

@@ -6,14 +6,17 @@
 // Status, never a crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/common/temp_path.h"
 #include "src/core/provenance_service.h"
 #include "src/io/snapshot.h"
@@ -147,9 +150,9 @@ TEST(SnapshotTest, SnapshotBytesArePinned) {
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
   EXPECT_EQ(service.ListRuns().size(), 4u);
   EXPECT_EQ(service.spec_epoch(), 3u);
-  EXPECT_EQ(bytes->size(), 8744u);
+  EXPECT_EQ(bytes->size(), 6696u);
   EXPECT_EQ(testing_util::Fnv1a(bytes->data(), bytes->size()),
-            0x622ed32cc4b45f75ULL);
+            0x80c81dffe87bdda3ULL);
 }
 
 TEST(SnapshotTest, PreservesRunIdsAcrossRemovalsAndTheIdCounter) {
@@ -412,7 +415,164 @@ TEST(SnapshotTest, FutureFormatVersionIsRejected) {
 }
 
 TEST(SnapshotTest, OlderFormatVersionIsRejected) {
-  ExpectVersionRefused(LoadWithFormatVersion(2), 2);
+  for (uint8_t version : {uint8_t{2}, uint8_t{3}}) {
+    ExpectVersionRefused(LoadWithFormatVersion(version), version);
+  }
+}
+
+TEST(SnapshotTest, SixtyFourBitLabelsRoundTripAndDecideLikeTheirTwins) {
+  // Labels at exactly one word: 3 x 20 context bits and 4 origin bits,
+  // each field drawn over its whole range. The run must come back from
+  // export, a copied load and an mapped load with the same blob, and every
+  // answer must be Decide's on the RunLabel it was packed from.
+  auto ex = testing_util::MakeRunningExample();
+  const VertexId n_g = ex.spec.graph().num_vertices();
+  ASSERT_GE(n_g, 8u);
+  constexpr uint32_t kQMax = (1u << 20) - 1;
+  Rng rng(41);
+  std::vector<RunLabel> labels(96);
+  for (RunLabel& label : labels) {
+    label.q1 = 1 + static_cast<uint32_t>(rng.NextBelow(kQMax));
+    label.q2 = 1 + static_cast<uint32_t>(rng.NextBelow(kQMax));
+    label.q3 = 1 + static_cast<uint32_t>(rng.NextBelow(kQMax));
+    label.origin =
+        static_cast<VertexId>(rng.NextBelow(std::min<VertexId>(n_g, 15)));
+  }
+  labels[0] = RunLabel{kQMax, kQMax, kQMax, 7};
+  auto store = ProvenanceStore::Capture(labels, nullptr, "TCM");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_EQ(store->packing().q_bits(), 20);
+  ASSERT_EQ(store->packing().o_bits(), 4);
+  const std::vector<uint8_t> blob = store->Serialize();
+
+  auto service =
+      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok());
+  auto id = service->ImportRun(blob);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  TempFile file("sixty_four_bits");
+  ASSERT_TRUE(service->SaveSnapshot(file.path()).ok());
+  std::vector<VertexPair> pairs;
+  for (VertexId v = 0; v < labels.size(); ++v) {
+    for (VertexId w = 0; w < labels.size(); ++w) pairs.push_back({v, w});
+  }
+  const auto expect_twin = [&](const ProvenanceService& copy) {
+    auto exported = copy.ExportRun(*id);
+    ASSERT_TRUE(exported.ok());
+    EXPECT_EQ(*exported, blob);
+    auto batch = copy.ReachesBatch(*id, pairs);
+    ASSERT_TRUE(batch.ok());
+    size_t forward = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const auto [v, w] = pairs[i];
+      const bool twin =
+          RunLabeling::Decide(labels[v], labels[w], copy.scheme());
+      auto point = copy.Reaches(*id, v, w);
+      ASSERT_TRUE(point.ok());
+      ASSERT_EQ(*point, twin) << v << " -> " << w;
+      ASSERT_EQ((*batch)[i], twin) << v << " -> " << w;
+      forward += twin;
+    }
+    EXPECT_GT(forward, labels.size());  // not only the reflexive pairs
+  };
+  expect_twin(*service);
+  for (bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "mmap load" : "copying load");
+    auto loaded = ProvenanceService::LoadSnapshot(file.path(), {},
+                                                  {.use_mmap = use_mmap});
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    expect_twin(*loaded);
+  }
+}
+
+/// Writes the service snapshot `bytes` to `path` section by section, with
+/// `edit` applied to each payload first.
+void WriteEdited(std::vector<uint8_t> bytes, const std::string& path,
+                 const std::function<void(uint32_t, std::vector<uint8_t>&)>&
+                     edit) {
+  auto reader = SnapshotReader::Parse(std::move(bytes));
+  SKL_CHECK(reader.ok());
+  SnapshotWriter writer;
+  for (uint32_t section : {kSnapshotSectionSpec, kSnapshotSectionScheme,
+                           kSnapshotSectionEpochs, kSnapshotSectionRunIndex,
+                           kSnapshotSectionColumns}) {
+    auto payload = reader->Section(section);
+    SKL_CHECK(payload.ok());
+    std::vector<uint8_t> copy(payload->begin(), payload->end());
+    edit(section, copy);
+    if (section == kSnapshotSectionColumns) {
+      writer.AddAlignedSection(section, std::move(copy));
+    } else {
+      writer.AddSection(section, std::move(copy));
+    }
+  }
+  SKL_CHECK(std::move(writer).WriteFile(path).ok());
+}
+
+/// Both loaders refuse the snapshot at `path` with a ParseError saying
+/// `refusal`.
+void ExpectBothLoadersRefuse(const std::string& path,
+                             const std::string& refusal) {
+  for (bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "mmap load" : "copying load");
+    auto loaded =
+        ProvenanceService::LoadSnapshot(path, {}, {.use_mmap = use_mmap});
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find(refusal), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(SnapshotTest, RunWiderThanOneWordIsRefusedOnLoad) {
+  // A one-run snapshot whose run index declares 3 x 21 context bits and 2
+  // origin bits (65 in all). The index ends with the run's q_bits, o_bits,
+  // tag length and tag ("TCM").
+  auto ex = testing_util::MakeRunningExample();
+  auto service =
+      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE(service->AddRun(ex.run).ok());
+  auto bytes = service->SnapshotBytes();
+  ASSERT_TRUE(bytes.ok());
+  TempFile file("wider_than_a_word");
+  WriteEdited(std::move(bytes).value(), file.path(),
+              [](uint32_t section, std::vector<uint8_t>& payload) {
+                if (section != kSnapshotSectionRunIndex) return;
+                SKL_CHECK(std::string(payload.end() - 4, payload.end()) ==
+                          "\x03TCM");
+                payload[payload.size() - 6] = 21;
+                payload[payload.size() - 5] = 2;
+              });
+  ExpectBothLoadersRefuse(file.path(), "64-bit label word");
+}
+
+TEST(SnapshotTest, OriginPastItsWidthIsRefusedOnLoad) {
+  // Origins all 0 pack into one bit. A LABELS word whose origin field
+  // reads 2, a vertex of the spec but past that bit, is refused: the run's
+  // blob could not carry it.
+  auto ex = testing_util::MakeRunningExample();
+  ASSERT_GT(ex.spec.graph().num_vertices(), 2u);
+  auto store = ProvenanceStore::Capture(
+      std::vector<RunLabel>(4, RunLabel{1, 1, 1, 0}), nullptr, "TCM");
+  ASSERT_TRUE(store.ok());
+  ASSERT_EQ(store->packing().o_bits(), 1);
+  auto service =
+      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE(service->ImportRun(store->Serialize()).ok());
+  auto bytes = service->SnapshotBytes();
+  ASSERT_TRUE(bytes.ok());
+  TempFile file("origin_past_its_width");
+  const int shift = 3 * store->packing().q_bits();
+  WriteEdited(std::move(bytes).value(), file.path(),
+              [shift](uint32_t section, std::vector<uint8_t>& payload) {
+                if (section != kSnapshotSectionColumns) return;
+                // LABELS starts at the first 64-byte boundary past the
+                // 16-byte header; its first word is little-endian.
+                payload[kSnapshotSectionAlignment + shift / 8] |=
+                    static_cast<uint8_t>(2 << (shift % 8));
+              });
+  ExpectBothLoadersRefuse(file.path(), "wider than its");
 }
 
 TEST(SnapshotTest, TrailingBytesAreRejected) {
