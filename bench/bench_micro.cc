@@ -1,9 +1,8 @@
 // Micro-benchmarks (google-benchmark): predicate evaluation, plan recovery
-// throughput, order generation and label codec.
+// throughput and order generation.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
-#include "src/core/label_codec.h"
 #include "src/core/orders.h"
 #include "src/core/plan_builder.h"
 
@@ -66,28 +65,6 @@ void BM_GenerateThreeOrders(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GenerateThreeOrders);
-
-void BM_EncodeLabels(benchmark::State& state) {
-  Fixture& f = GetFixture();
-  for (auto _ : state) {
-    EncodedLabels enc = EncodeLabels(*f.labeling);
-    benchmark::DoNotOptimize(enc.bytes.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.labeling->num_vertices());
-}
-BENCHMARK(BM_EncodeLabels);
-
-void BM_DecodeLabels(benchmark::State& state) {
-  Fixture& f = GetFixture();
-  EncodedLabels enc = EncodeLabels(*f.labeling);
-  for (auto _ : state) {
-    auto labels = DecodeLabels(enc);
-    SKL_CHECK(labels.ok());
-    benchmark::DoNotOptimize(labels->size());
-  }
-  state.SetItemsProcessed(state.iterations() * f.labeling->num_vertices());
-}
-BENCHMARK(BM_DecodeLabels);
 
 }  // namespace
 

@@ -1,15 +1,128 @@
 #include "src/core/plan_builder.h"
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/graph/multigraph.h"
 
 namespace skl {
 
 namespace {
+
+using EdgeId = uint32_t;
+constexpr EdgeId kInvalidEdge = UINT32_MAX;
+
+/// The run graph as the recovery contracts it (see plan_builder.h). Edge ids
+/// [0, m) are the run's edges in out-CSR order, ids from m up the special
+/// edges: a copy edge (tag -2) or an execution edge (tag = its plan node).
+class ContractedRun {
+ public:
+  explicit ContractedRun(const Digraph& g)
+      : out_begin_(g.num_vertices() + 1),
+        in_begin_(g.num_vertices() + 1, 0),
+        in_edge_(g.num_edges()),
+        live_(g.num_edges(), 1),
+        special_out_(g.num_vertices()),
+        special_in_(g.num_vertices()) {
+    const VertexId n = g.num_vertices();
+    edges_.reserve(g.num_edges());
+    for (VertexId u = 0; u < n; ++u) {
+      out_begin_[u] = static_cast<EdgeId>(edges_.size());
+      for (VertexId v : g.OutNeighbors(u)) edges_.push_back(Edge{u, v, -1});
+      in_begin_[u + 1] = in_begin_[u] + static_cast<uint32_t>(g.InDegree(u));
+    }
+    out_begin_[n] = static_cast<EdgeId>(edges_.size());
+    // Digraph's in-CSR follows edge insertion order; recovery walks in-edges
+    // in id order, so sort the ids by head once (stable: ids ascend).
+    std::vector<uint32_t> fill(in_begin_.begin(), in_begin_.end() - 1);
+    for (EdgeId e = 0; e < edges_.size(); ++e) {
+      in_edge_[fill[edges_[e].to]++] = e;
+    }
+  }
+
+  VertexId From(EdgeId e) const { return edges_[e].from; }
+  VertexId To(EdgeId e) const { return edges_[e].to; }
+  int32_t Tag(EdgeId e) const { return edges_[e].tag; }
+  bool IsLive(EdgeId e) const { return live_[e] != 0; }
+  /// Edge ids ever handed out: run edges, then special edges.
+  size_t num_ids() const { return edges_.size(); }
+
+  void Consume(EdgeId e) { live_[e] = 0; }
+
+  /// Appends a special edge u -> v at the end of both endpoints' lists.
+  EdgeId AddSpecial(VertexId u, VertexId v, int32_t tag) {
+    const EdgeId e = static_cast<EdgeId>(edges_.size());
+    edges_.push_back(Edge{u, v, tag});
+    live_.push_back(1);
+    links_.push_back(Links{});
+    Append<true>(u, e);
+    Append<false>(v, e);
+    return e;
+  }
+
+  /// Calls `f(e)` on each live out-edge (kOut) or in-edge of `v`, in list
+  /// order, until it returns false; returns false iff `f` did.
+  template <bool kOut, typename F>
+  bool ForEachLive(VertexId v, F&& f) const {
+    const uint32_t begin = kOut ? out_begin_[v] : in_begin_[v];
+    const uint32_t end = kOut ? out_begin_[v + 1] : in_begin_[v + 1];
+    for (uint32_t i = begin; i < end; ++i) {
+      const EdgeId e = kOut ? i : in_edge_[i];
+      if (live_[e] && !f(e)) return false;
+    }
+    for (EdgeId e = (kOut ? special_out_ : special_in_)[v].first;
+         e != kInvalidEdge; e = Next<kOut>(e)) {
+      if (live_[e] && !f(e)) return false;
+    }
+    return true;
+  }
+
+ private:
+  struct Edge {
+    VertexId from;
+    VertexId to;
+    int32_t tag;
+  };
+  struct Links {
+    EdgeId out = kInvalidEdge;
+    EdgeId in = kInvalidEdge;
+  };
+  struct Ends {
+    EdgeId first = kInvalidEdge;
+    EdgeId last = kInvalidEdge;
+  };
+
+  /// The special edge after special edge `e` in its tail's (kOut) or
+  /// head's list.
+  template <bool kOut>
+  EdgeId Next(EdgeId e) const {
+    const Links& links = links_[e - out_begin_.back()];
+    return kOut ? links.out : links.in;
+  }
+  template <bool kOut>
+  void Append(VertexId v, EdgeId e) {
+    Ends& list = kOut ? special_out_[v] : special_in_[v];
+    if (list.last == kInvalidEdge) {
+      list.first = e;
+    } else {
+      Links& prev = links_[list.last - out_begin_.back()];
+      (kOut ? prev.out : prev.in) = e;
+    }
+    list.last = e;
+  }
+
+  std::vector<Edge> edges_;        // by id
+  std::vector<EdgeId> out_begin_;  // first run edge id per vertex; then m
+  std::vector<uint32_t> in_begin_;
+  std::vector<EdgeId> in_edge_;  // run edge ids by head, ascending
+  std::vector<uint8_t> live_;    // by id
+  std::vector<Links> links_;     // by special edge id - m
+  // First and last special edge of each vertex's out- and in-list.
+  std::vector<Ends> special_out_;
+  std::vector<Ends> special_in_;
+};
 
 /// A map from run vertex to a small index, emptied in O(1) by bumping a
 /// stamp: the per-level fork/loop grouping tables.
@@ -47,7 +160,7 @@ class PlanRecovery {
       : spec_(spec),
         hg_(spec.hierarchy()),
         origin_(std::move(origin)),
-        mg_(run.graph()),
+        run_(run.graph()),
         plan_(run.num_vertices()),
         num_run_edges_(run.num_edges()) {}
 
@@ -80,8 +193,8 @@ class PlanRecovery {
     spec_edge_.resize(num_run_edges_);
     spec_edge_stamp_.assign(g.num_edges(), 0);
     for (EdgeId e = 0; e < num_run_edges_; ++e) {
-      const MultiEdge& me = mg_.edge(e);
-      const size_t id = g.EdgeIndex(origin_[me.from], origin_[me.to]);
+      const size_t id =
+          g.EdgeIndex(origin_[run_.From(e)], origin_[run_.To(e)]);
       spec_edge_[e] = static_cast<uint32_t>(id);
       if (id == g.num_edges()) continue;
       const HierNodeId leaf = hg_.LeafLedBy(id);
@@ -116,7 +229,7 @@ class PlanRecovery {
             "no copies of a specification subgraph appear in the run");
       }
       for (EdgeId seed : seeds_[h]) {
-        if (!mg_.IsAlive(seed)) {
+        if (!run_.IsLive(seed)) {
           return Status::InvalidRun(
               "two copy seeds landed in one subgraph copy (run does not "
               "conform to the specification)");
@@ -154,8 +267,8 @@ class PlanRecovery {
     const SubgraphInfo& sub = spec_.subgraphs()[node.subgraph_index];
 
     ++stamp_;
-    if (edge_stamp_.size() < mg_.edge_capacity()) {
-      edge_stamp_.resize(2 * mg_.edge_capacity(), 0);
+    if (edge_stamp_.size() < run_.num_ids()) {
+      edge_stamp_.resize(2 * run_.num_ids(), 0);
     }
     copy_edges_.clear();
     copy_verts_.clear();
@@ -198,13 +311,7 @@ class PlanRecovery {
       if (edge_stamp_[e] == stamp_) return true;
       edge_stamp_[e] = stamp_;
       copy_edges_.push_back(e);
-      return touch(mg_.edge(e).from) && touch(mg_.edge(e).to);
-    };
-    auto take_all = [&](auto edges) -> bool {
-      for (EdgeId e : edges) {
-        if (!take_edge(e)) return false;
-      }
-      return true;
+      return touch(run_.From(e)) && touch(run_.To(e));
     };
 
     if (!take_edge(seed)) return Status::InvalidRun(error);
@@ -217,14 +324,15 @@ class PlanRecovery {
         // Forks never expand through their terminals; loops own their source
         // and all of its outgoing edges (completeness).
         if (is_fork) continue;
-        ok = take_all(mg_.OutEdges(v));
+        ok = run_.ForEachLive<true>(v, take_edge);
       } else if (ov == spec_t) {
         if (is_fork) continue;
-        ok = take_all(mg_.InEdges(v));
+        ok = run_.ForEachLive<false>(v, take_edge);
       } else {
         // Internal vertices are fully self-contained: every incident alive
         // edge belongs to this copy.
-        ok = take_all(mg_.OutEdges(v)) && take_all(mg_.InEdges(v));
+        ok = run_.ForEachLive<true>(v, take_edge) &&
+             run_.ForEachLive<false>(v, take_edge);
       }
       if (!ok) return Status::InvalidRun(error);
     }
@@ -246,7 +354,7 @@ class PlanRecovery {
     size_t own_edges_found = 0;
     bool edges_match = true;
     for (EdgeId e : copy_edges_) {
-      int32_t tag = mg_.edge(e).tag;
+      int32_t tag = run_.Tag(e);
       if (tag == -1) {
         if (TakeOwnEdge(e, h)) {
           ++own_edges_found;
@@ -271,7 +379,7 @@ class PlanRecovery {
         }
         ++child_tally_[child_hier];
       }
-      mg_.RemoveEdge(e);
+      run_.Consume(e);
     }
     for (HierNodeId c : node.children) {
       if (child_tally_[c] != 1) {
@@ -289,7 +397,7 @@ class PlanRecovery {
     out->node = x;
     out->source = copy_s;
     out->sink = copy_t;
-    out->copy_edge = mg_.AddEdge(copy_s, copy_t, /*tag=*/-2);
+    out->copy_edge = run_.AddSpecial(copy_s, copy_t, /*tag=*/-2);
     return Status::OK();
   }
 
@@ -312,18 +420,40 @@ class PlanRecovery {
         group_by_source_.Set(rec.source, g);
       }
       plan_.SetParent(rec.node, fork_groups_[g].node);
-      mg_.RemoveEdge(rec.copy_edge);
+      run_.Consume(rec.copy_edge);
     }
     for (const ForkGroup& group : fork_groups_) {
-      EdgeId ge = mg_.AddEdge(group.source, group.sink, /*tag=*/group.node);
+      EdgeId ge =
+          run_.AddSpecial(group.source, group.sink, /*tag=*/group.node);
       PropagateSeed(node, ge);
     }
   }
 
+  /// The index of the copy serially before `copy` of loop `node` (kOut
+  /// false: over the first in-edge of its source from a loop sink) or after
+  /// it (over the first out-edge of its sink to a loop source), or SIZE_MAX;
+  /// sets `*edge` to that serial edge.
+  template <bool kOut>
+  Result<size_t> SerialNeighbor(const HierNode& node, const CopyRec& copy,
+                                EdgeId* edge) const {
+    const VertexId far_module = kOut ? node.source : node.sink;
+    const StampedIndex& copy_at = kOut ? by_source_ : by_sink_;
+    size_t neighbor = SIZE_MAX;
+    run_.ForEachLive<kOut>(kOut ? copy.sink : copy.source, [&](EdgeId e) {
+      const VertexId w = kOut ? run_.To(e) : run_.From(e);
+      if (origin_[w] != far_module) return true;
+      neighbor = copy_at.Find(w);
+      *edge = e;
+      return false;
+    });
+    if (neighbor == StampedIndex::kNone) {
+      return Status::InvalidRun("dangling serial loop edge");
+    }
+    return neighbor;
+  }
+
   Status GroupLoopCopies(HierNodeId h, const HierNode& node,
                          std::span<const CopyRec> copies) {
-    const VertexId spec_s = node.source;
-    const VertexId spec_t = node.sink;
     // The first copy with each source / sink vertex.
     by_source_.Clear(origin_.size());
     by_sink_.Clear(origin_.size());
@@ -337,34 +467,6 @@ class PlanRecovery {
     }
     grouped_.assign(copies.size(), 0);
 
-    // Returns the index of the serial predecessor/successor copy, or SIZE_MAX.
-    auto serial_prev = [&](size_t i, EdgeId* edge) -> Result<size_t> {
-      for (EdgeId e : mg_.InEdges(copies[i].source)) {
-        if (origin_[mg_.edge(e).from] == spec_t) {
-          const uint32_t prev = by_sink_.Find(mg_.edge(e).from);
-          if (prev == StampedIndex::kNone) {
-            return Status::InvalidRun("dangling serial loop edge");
-          }
-          *edge = e;
-          return size_t{prev};
-        }
-      }
-      return size_t{SIZE_MAX};
-    };
-    auto serial_next = [&](size_t i, EdgeId* edge) -> Result<size_t> {
-      for (EdgeId e : mg_.OutEdges(copies[i].sink)) {
-        if (origin_[mg_.edge(e).to] == spec_s) {
-          const uint32_t next = by_source_.Find(mg_.edge(e).to);
-          if (next == StampedIndex::kNone) {
-            return Status::InvalidRun("dangling serial loop edge");
-          }
-          *edge = e;
-          return size_t{next};
-        }
-      }
-      return size_t{SIZE_MAX};
-    };
-
     for (size_t i = 0; i < copies.size(); ++i) {
       if (grouped_[i]) continue;
       // Walk back to the first copy of this serial chain.
@@ -374,16 +476,23 @@ class PlanRecovery {
           return Status::InvalidRun("serial loop chain contains a cycle");
         }
         EdgeId unused;
-        SKL_ASSIGN_OR_RETURN(size_t prev, serial_prev(start, &unused));
+        SKL_ASSIGN_OR_RETURN(
+            size_t prev, SerialNeighbor<false>(node, copies[start], &unused));
         if (prev == SIZE_MAX) break;
         start = prev;
+      }
+      if (grouped_[start]) {
+        // Walking back left this copy's chain for one grouped before: the
+        // chains overlap.
+        return Status::InvalidRun("serial loop chain is inconsistent");
       }
       // Walk forward collecting the ordered chain.
       chain_.assign(1, start);
       serial_edges_.clear();
       for (size_t cur = start;;) {
         EdgeId e = kInvalidEdge;
-        SKL_ASSIGN_OR_RETURN(size_t next, serial_next(cur, &e));
+        SKL_ASSIGN_OR_RETURN(size_t next,
+                             SerialNeighbor<true>(node, copies[cur], &e));
         if (next == SIZE_MAX) break;
         if (grouped_[next] || next == start) {
           return Status::InvalidRun("serial loop chain is inconsistent");
@@ -399,11 +508,11 @@ class PlanRecovery {
       for (size_t idx : chain_) {
         grouped_[idx] = 1;
         plan_.SetParent(copies[idx].node, g);  // appends: keeps serial order
-        mg_.RemoveEdge(copies[idx].copy_edge);
+        run_.Consume(copies[idx].copy_edge);
       }
-      for (EdgeId e : serial_edges_) mg_.RemoveEdge(e);
-      EdgeId ge = mg_.AddEdge(copies[chain_.front()].source,
-                              copies[chain_.back()].sink, /*tag=*/g);
+      for (EdgeId e : serial_edges_) run_.Consume(e);
+      EdgeId ge = run_.AddSpecial(copies[chain_.front()].source,
+                                  copies[chain_.back()].sink, /*tag=*/g);
       PropagateSeed(node, ge);
     }
     return Status::OK();
@@ -461,12 +570,12 @@ class PlanRecovery {
     const HierNode& root = hg_.node(kHierRoot);
     ++stamp_;
     size_t own_edges_found = 0;
-    for (EdgeId e = 0; e < mg_.edge_capacity(); ++e) {
-      if (!mg_.IsAlive(e)) continue;
-      const MultiEdge& me = mg_.edge(e);
-      if (me.tag == -2) return Status::Internal("left-over copy edge");
-      if (me.tag >= 0) {
-        if (plan_.node(me.tag).parent != kPlanRoot) {
+    for (EdgeId e = 0; e < run_.num_ids(); ++e) {
+      if (!run_.IsLive(e)) continue;
+      const int32_t tag = run_.Tag(e);
+      if (tag == -2) return Status::Internal("left-over copy edge");
+      if (tag >= 0) {
+        if (plan_.node(tag).parent != kPlanRoot) {
           return Status::Internal("left-over nested execution edge");
         }
         continue;
@@ -508,7 +617,7 @@ class PlanRecovery {
   const Specification& spec_;
   const Hierarchy& hg_;
   std::vector<VertexId> origin_;
-  Multigraph mg_;
+  ContractedRun run_;
   ExecutionPlan plan_;
   size_t num_run_edges_;
 

@@ -9,9 +9,17 @@
 // Parallel fork copies sharing a source/sink pair are grouped under one F-
 // node; serial loop copies are chained along the loop's serial edges under an
 // ordered L- node. Special edges are tagged with the plan node they stand
-// for, which removes the leader-bookkeeping ambiguity of the paper while
-// keeping the same asymptotics: every run edge is traversed O(1) times and at
-// most |V(T_R)| <= 4 m_R special edges are ever created (Lemma 4.2).
+// for, which removes the leader-bookkeeping ambiguity of the paper; at most
+// |V(T_R)| <= 4 m_R of them are ever created (Lemma 4.2).
+//
+// The contraction works on the run's own CSR, not on a copy: a run edge is
+// only marked consumed, and special edges go to one side list, linked per
+// endpoint in creation order. A vertex's live edges are its unconsumed run
+// edges in out-CSR id order followed by its live special edges; that order
+// fixes the plan's child order, and so the labels. A consumed edge is passed
+// again when its endpoint is walked later, but a vertex is walked at most
+// once per hierarchy level, so recovery is O(depth(T_G) * m_R): linear in
+// the run for a given specification.
 //
 // Each run edge's spec edge (its id in the spec graph's CSR) is resolved
 // once; the hierarchy's per-spec-edge owner and leaf-leader tables (sized

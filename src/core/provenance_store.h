@@ -12,9 +12,10 @@
 // `(a & M2) > (b & M2)`), so a query loads one word per vertex and shifts
 // out only the origin. A run whose label needs more than 64 bits is refused.
 //
-// Blob layout: magic "SKLP", format version, scheme tag, encoded
-// labels block at the exact Lemma 4.7 bit width (label_codec), then the
-// catalog as varints (item count; per item: writer, reader count, readers).
+// Blob layout: magic "SKLP", format version, scheme tag, vertex count and
+// the q/origin widths, then each label as one field of the exact Lemma 4.7
+// bit width, then the catalog as varints (item count; per item: writer,
+// reader count, readers).
 //
 // Every store is the same thing: a label-word span and three catalog spans
 // plus one shared, immutable backing that keeps them alive. Capture and

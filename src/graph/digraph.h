@@ -1,6 +1,6 @@
 // Immutable directed graph in CSR (compressed sparse row) form, with a
 // mutable builder. Specification graphs and run graphs are stored this way;
-// the plan-recovery algorithm converts a run to a mutable Multigraph instead.
+// plan recovery contracts a run in place of a copy, over its out-CSR.
 #ifndef SKL_GRAPH_DIGRAPH_H_
 #define SKL_GRAPH_DIGRAPH_H_
 

@@ -23,6 +23,7 @@
 #include "src/workload/data_generator.h"
 #include "src/workload/run_generator.h"
 #include "src/workload/spec_generator.h"
+#include "tests/test_util.h"
 
 namespace skl {
 namespace {
@@ -72,10 +73,10 @@ Run Mutate(const Specification& spec, const Run& run, Mutation kind,
   return std::move(result).value();
 }
 
-class ConformanceFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ConformanceFuzz, MutantsAreRejectedOrLabeledCorrectly) {
-  const uint64_t seed = GetParam();
+// Labels `trials` mutants of generated conforming runs of the spec generated
+// from `seed`: each must be rejected with InvalidRun or answer reachability
+// as a DFS over the mutant does.
+void CheckMutants(uint64_t seed, uint64_t trials) {
   SpecGenOptions sopt;
   sopt.num_vertices = 40;
   sopt.num_edges = 64;
@@ -90,7 +91,7 @@ TEST_P(ConformanceFuzz, MutantsAreRejectedOrLabeledCorrectly) {
   RunGenerator gen(&spec.value());
   Rng rng(seed * 7919 + 3);
   size_t rejected = 0, accepted = 0;
-  for (int trial = 0; trial < 40; ++trial) {
+  for (uint64_t trial = 0; trial < trials; ++trial) {
     RunGenOptions ropt;
     ropt.target_vertices = 150;
     ropt.seed = seed * 100 + trial;
@@ -121,8 +122,23 @@ TEST_P(ConformanceFuzz, MutantsAreRejectedOrLabeledCorrectly) {
     }
   }
   // Most mutations break conformance; make sure the oracle is doing work.
-  EXPECT_GT(rejected, 0u) << "no mutant was rejected across 40 trials";
+  EXPECT_GT(rejected, 0u) << "no mutant was rejected across " << trials
+                          << " trials";
   (void)accepted;
+}
+
+class ConformanceFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ConformanceFuzz, MutantsAreRejectedOrLabeledCorrectly) {
+  CheckMutants(GetParam(), 40 * testing_util::TestIterScale());
+}
+
+// Seed 5's trial 87 adds an edge after which walking back along the serial
+// edges from one loop copy ends in a copy an earlier chain already grouped;
+// plan recovery must reject it (it used to hand the copy to two L- nodes and
+// fail the plan's own Internal consistency check).
+TEST(ConformanceFuzzRegression, OverlappingLoopChainsAreRejected) {
+  CheckMutants(5, 88);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConformanceFuzz,

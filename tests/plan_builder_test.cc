@@ -271,23 +271,28 @@ TEST(PlanBuilderConformance, RejectsBrokenSerialChain) {
 // the origin function and every vertex's context, for seeded runs of QBLAST
 // and of generated depth-4 specs. Plan recovery is deterministic, and the
 // plan's child order feeds the labels, so any change here moves labels too.
+uint64_t FoldRecovery(const Specification& spec, const ::skl::Run& run,
+                      uint64_t digest) {
+  auto recovered = ConstructPlan(spec, run);
+  SKL_CHECK_MSG(recovered.ok(), recovered.status().ToString().c_str());
+  const std::string text = recovered->plan.ToString(&spec.hierarchy());
+  digest = testing_util::Fnv1a(text.data(), text.size(), digest);
+  std::vector<uint32_t> per_vertex;
+  for (VertexId v = 0; v < run.num_vertices(); ++v) {
+    per_vertex.push_back(recovered->origin[v]);
+    per_vertex.push_back(recovered->plan.ContextOf(v));
+  }
+  return testing_util::Fnv1a(per_vertex.data(),
+                             per_vertex.size() * sizeof(uint32_t), digest);
+}
+
 uint64_t RecoveryDigest(const Specification& spec,
                         std::initializer_list<uint32_t> sizes,
                         uint64_t seed) {
   uint64_t digest = testing_util::Fnv1a(nullptr, 0);
   for (uint32_t size : sizes) {
-    ::skl::Run run = testing_util::GenerateRun(spec, size, seed++);
-    auto recovered = ConstructPlan(spec, run);
-    SKL_CHECK_MSG(recovered.ok(), recovered.status().ToString().c_str());
-    const std::string text = recovered->plan.ToString(&spec.hierarchy());
-    digest = testing_util::Fnv1a(text.data(), text.size(), digest);
-    std::vector<uint32_t> per_vertex;
-    for (VertexId v = 0; v < run.num_vertices(); ++v) {
-      per_vertex.push_back(recovered->origin[v]);
-      per_vertex.push_back(recovered->plan.ContextOf(v));
-    }
-    digest = testing_util::Fnv1a(per_vertex.data(),
-                                 per_vertex.size() * sizeof(uint32_t), digest);
+    digest = FoldRecovery(spec, testing_util::GenerateRun(spec, size, seed++),
+                          digest);
   }
   return digest;
 }
@@ -314,6 +319,70 @@ TEST(PlanBuilderPinned, GeneratedDepthFourRunsRecoverPinnedPlans) {
     ASSERT_EQ(spec->hierarchy().depth(), 4);
     EXPECT_EQ(RecoveryDigest(*spec, {100, 500, 2000}, 100 * s), expected[s])
         << "spec seed " << sopt.seed;
+  }
+}
+
+// `run` rebuilt with its edges inserted target-major: ordered by the largest
+// target their source has reached so far, so every source keeps its
+// out-edge order (and so the out-CSR and every edge id) while the order in
+// which a vertex's in-edges were inserted, and so its in-CSR, changes.
+::skl::Run RebuildTargetMajor(const Specification& spec,
+                              const ::skl::Run& run) {
+  struct Edge {
+    VertexId key, from, to;
+  };
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < run.num_vertices(); ++u) {
+    VertexId key = 0;
+    for (VertexId v : run.graph().OutNeighbors(u)) {
+      key = std::max(key, v);
+      edges.push_back({key, u, v});
+    }
+  }
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const Edge& a, const Edge& b) { return a.key < b.key; });
+  RunBuilder rb(spec.shared_modules());
+  for (VertexId v = 0; v < run.num_vertices(); ++v) {
+    rb.AddVertexById(run.ModuleOf(v));
+  }
+  for (const Edge& e : edges) rb.AddEdge(e.from, e.to);
+  auto rebuilt = std::move(rb).Build();
+  SKL_CHECK_MSG(rebuilt.ok(), rebuilt.status().ToString().c_str());
+  return std::move(*rebuilt);
+}
+
+// Recovery walks a vertex's in-edges in out-CSR id order, whatever order the
+// run's edges were inserted in: a run whose in-CSR alone is permuted
+// recovers the same plan, origin and contexts. In the generated spec (seed
+// 23) the walk order decides the child order of a copy with several nested
+// fork/loops, so walking in-edges in insertion order moves the digest.
+TEST(PlanBuilderInEdgeOrder, TargetMajorInsertionRecoversTheSamePlan) {
+  auto qblast = BuildRealWorkflow("QBLAST");
+  ASSERT_TRUE(qblast.ok()) << qblast.status().ToString();
+  SpecGenOptions sopt;
+  sopt.num_vertices = 60;
+  sopt.num_edges = 100;
+  sopt.num_subgraphs = 8;
+  sopt.depth = 4;
+  sopt.seed = 23;
+  auto generated = GenerateSpecification(sopt);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  for (const Specification* spec : {&*qblast, &*generated}) {
+    const ::skl::Run run = testing_util::GenerateRun(*spec, 2000, 11);
+    const ::skl::Run rebuilt = RebuildTargetMajor(*spec, run);
+    ASSERT_EQ(rebuilt.num_edges(), run.num_edges());
+    bool in_csr_moved = false;
+    for (VertexId v = 0; v < run.num_vertices(); ++v) {
+      ASSERT_TRUE(std::ranges::equal(rebuilt.graph().OutNeighbors(v),
+                                     run.graph().OutNeighbors(v)))
+          << "vertex " << v;
+      in_csr_moved |= !std::ranges::equal(rebuilt.graph().InNeighbors(v),
+                                          run.graph().InNeighbors(v));
+    }
+    ASSERT_TRUE(in_csr_moved);
+    const uint64_t basis = testing_util::Fnv1a(nullptr, 0);
+    EXPECT_EQ(FoldRecovery(*spec, rebuilt, basis),
+              FoldRecovery(*spec, run, basis));
   }
 }
 
