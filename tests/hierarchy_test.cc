@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/workflow/hierarchy.h"
+#include "src/workload/real_workflows.h"
+#include "src/workload/spec_generator.h"
 #include "tests/test_util.h"
 
 namespace skl {
@@ -98,6 +101,52 @@ TEST_F(HierarchyRunningExample, OwnVertices) {
   EXPECT_EQ(h.OwnVertices(Node(1)).size(), 2u);    // b, c
   EXPECT_EQ(h.OwnVertices(Node(2)).size(), 2u);    // e, g
   EXPECT_EQ(h.OwnVertices(Node(3)).size(), 1u);    // f
+}
+
+// Pinned digests of every hierarchy field (testing_util::HierarchyDigest).
+// Own-edge order sets the leader edges and they set plan child order, so a
+// rebuild of the hierarchy must reproduce each field in the same order.
+TEST(HierarchyPinned, RunningExampleAndRealWorkflows) {
+  EXPECT_EQ(
+      testing_util::HierarchyDigest(testing_util::MakeRunningExample().spec),
+      0x7ba078b868ec71caULL);
+  const uint64_t expected[] = {0x83ad0bb744938687ULL, 0x9288199c0fc7bb9dULL,
+                               0x96904d60ee00b565ULL, 0x85af6132a63d09dbULL,
+                               0x8a85aa92008b0fd8ULL, 0xde3703b9d3b40cb1ULL};
+  const auto& table = RealWorkflowTable();
+  ASSERT_EQ(table.size(), std::size(expected));
+  for (size_t i = 0; i < table.size(); ++i) {
+    auto spec = BuildRealWorkflow(table[i].name);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    EXPECT_EQ(testing_util::HierarchyDigest(*spec), expected[i])
+        << table[i].name;
+  }
+}
+
+TEST(HierarchyPinned, GeneratedSpecs) {
+  struct Case {
+    uint32_t num_subgraphs, depth;
+    uint64_t seed, digest;
+  };
+  const Case cases[] = {{8, 4, 1, 0xbccec4c3abdddb16ULL},
+                        {8, 4, 2, 0x0736618374b17f3eULL},
+                        {8, 4, 3, 0x634fd58141e732a6ULL},
+                        {8, 4, 23, 0xc406bd441dc30398ULL},
+                        {16, 3, 10, 0x22c4f59a0c555152ULL},
+                        {16, 3, 12, 0xd2aea597d8d9872aULL}};
+  for (const Case& c : cases) {
+    SpecGenOptions sopt;
+    sopt.num_vertices = 60;
+    sopt.num_edges = 100;
+    sopt.num_subgraphs = c.num_subgraphs;
+    sopt.depth = c.depth;
+    sopt.seed = c.seed;
+    auto spec = GenerateSpecification(sopt);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    EXPECT_EQ(testing_util::HierarchyDigest(*spec), c.digest)
+        << c.num_subgraphs << " subgraphs, depth " << c.depth << ", seed "
+        << c.seed;
+  }
 }
 
 }  // namespace

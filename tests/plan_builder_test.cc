@@ -322,6 +322,33 @@ TEST(PlanBuilderPinned, GeneratedDepthFourRunsRecoverPinnedPlans) {
   }
 }
 
+// Generated specs in which a copy with several nested fork/loops makes the
+// in-edge walk order decide the plan's child order (see
+// PlanBuilderInEdgeOrder): a change to the walk order or to the hierarchy's
+// leader edges moves these digests where the four above may not move.
+TEST(PlanBuilderPinned, WalkOrderSensitiveSpecsRecoverPinnedPlans) {
+  struct Case {
+    uint32_t num_subgraphs, depth;
+    uint64_t seed, digest;
+  };
+  const Case cases[] = {{8, 4, 23, 0x51dcecbfc2a23deaULL},
+                        {16, 3, 10, 0x28d9e4b4f5e84b58ULL},
+                        {16, 3, 12, 0xe338b30ba3171158ULL}};
+  for (const Case& c : cases) {
+    SpecGenOptions sopt;
+    sopt.num_vertices = 60;
+    sopt.num_edges = 100;
+    sopt.num_subgraphs = c.num_subgraphs;
+    sopt.depth = c.depth;
+    sopt.seed = c.seed;
+    auto spec = GenerateSpecification(sopt);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    EXPECT_EQ(RecoveryDigest(*spec, {100, 500, 2000}, 11), c.digest)
+        << c.num_subgraphs << " subgraphs, depth " << c.depth << ", seed "
+        << c.seed;
+  }
+}
+
 // `run` rebuilt with its edges inserted target-major: ordered by the largest
 // target their source has reached so far, so every source keeps its
 // out-edge order (and so the out-CSR and every edge id) while the order in

@@ -16,10 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/bit_codec.h"
 #include "src/common/random.h"
 #include "src/common/temp_path.h"
 #include "src/core/provenance_service.h"
 #include "src/io/snapshot.h"
+#include "src/io/workflow_xml.h"
+#include "src/workflow/spec_delta.h"
 #include "src/workload/data_generator.h"
 #include "src/workload/run_generator.h"
 #include "tests/test_util.h"
@@ -573,6 +576,99 @@ TEST(SnapshotTest, OriginPastItsWidthIsRefusedOnLoad) {
                     static_cast<uint8_t>(2 << (shift % 8));
               });
   ExpectBothLoadersRefuse(file.path(), "wider than its");
+}
+
+TEST(SnapshotTest, EpochThatDoesNotReplayIsRefusedOnLoad) {
+  // The chain's third epoch is rewritten to an AddEdge that closes a cycle:
+  // epoch 2 replays, epoch 3 cannot, and both loaders name it.
+  auto service = testing_util::PinnedHistoryService();
+  ASSERT_EQ(service.spec_epoch(), 3u);
+  auto bytes = service.SnapshotBytes();
+  ASSERT_TRUE(bytes.ok());
+  SpecDelta grafted;
+  grafted.kind = SpecDelta::Kind::kAddModule;
+  grafted.module = "audit";
+  grafted.from = {"a"};
+  grafted.to = {"h"};
+  SpecDelta cycle;
+  cycle.kind = SpecDelta::Kind::kAddEdge;
+  cycle.edge_from = "h";
+  cycle.edge_to = "a";
+  TempFile file("epoch_does_not_replay");
+  WriteEdited(std::move(bytes).value(), file.path(),
+              [&](uint32_t section, std::vector<uint8_t>& payload) {
+                if (section != kSnapshotSectionEpochs) return;
+                BitWriter chain;
+                chain.WriteVarint(3);
+                uint64_t number = 2;
+                for (const SpecDelta* delta : {&grafted, &cycle}) {
+                  const std::vector<uint8_t> blob = SerializeSpecDelta(*delta);
+                  chain.WriteVarint(number++);
+                  chain.WriteVarint(blob.size());
+                  chain.WriteBytes(blob);
+                }
+                payload = chain.Finish();
+              });
+  ExpectBothLoadersRefuse(
+      file.path(),
+      "snapshot epoch 3 does not replay: spec delta AddEdge rejected: graph "
+      "has a cycle");
+}
+
+TEST(SnapshotTest, LongEpochChainReplaysThroughBothLoaders) {
+  // A 200-delta chain: a kept graft (a source -> keep -> sink module), 99
+  // graft/ungraft pairs of par<i>, and a last graft, with runs frozen to
+  // six epochs along it. A load replays the whole chain and must answer
+  // like the live service.
+  auto created = ProvenanceService::Create(
+      testing_util::MakeRunningExample().spec, SpecSchemeKind::kTcm);
+  ASSERT_TRUE(created.ok());
+  ProvenanceService& live = *created;
+  uint64_t seed = 70;
+  const auto add_run = [&] {
+    ASSERT_TRUE(live.AddRun(GenerateRun(live.spec(), 40, ++seed)).ok());
+  };
+  const auto graft = [](const std::string& module) {
+    SpecDelta delta;
+    delta.kind = SpecDelta::Kind::kAddModule;
+    delta.module = module;
+    delta.from = {"a"};
+    delta.to = {"h"};
+    return delta;
+  };
+  add_run();
+  constexpr int kDeltas = 200;
+  for (int i = 0; i < kDeltas; ++i) {
+    SpecDelta delta;
+    if (i == 0) {
+      delta = graft("keep");
+    } else if (i == kDeltas - 1) {
+      delta = graft("last");
+    } else if (i % 2 == 1) {
+      delta = graft("par" + std::to_string(i / 2));
+    } else {
+      delta.kind = SpecDelta::Kind::kRemoveModule;
+      delta.module = "par" + std::to_string(i / 2 - 1);
+    }
+    auto applied = live.ApplySpecDelta(delta);
+    ASSERT_TRUE(applied.ok()) << i << ": " << applied.status().ToString();
+    if (i == 0 || i == 50 || i == 120 || i == 150 || i == kDeltas - 1) {
+      add_run();
+    }
+  }
+  ASSERT_EQ(live.spec_epoch(), 1u + kDeltas);
+  TempFile file("long_epoch_chain");
+  ASSERT_TRUE(live.SaveSnapshot(file.path()).ok());
+  for (bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "mmap load" : "copying load");
+    auto loaded = ProvenanceService::LoadSnapshot(file.path(), {},
+                                                  {.use_mmap = use_mmap});
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->spec_epoch(), live.spec_epoch());
+    EXPECT_EQ(WriteSpecificationXml(loaded->spec()),
+              WriteSpecificationXml(live.spec()));
+    ExpectSameAnswers(live, *loaded);
+  }
 }
 
 TEST(SnapshotTest, TrailingBytesAreRejected) {

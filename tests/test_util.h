@@ -196,6 +196,55 @@ inline uint64_t Fnv1a(const void* data, size_t size,
   return hash;
 }
 
+/// A pinned digest of every field of `spec`'s hierarchy, in order: per node
+/// its kind, subgraph, terminals, parent, children, depth, DomSet,
+/// own_edges, leader_edge and designated_child; then the levels, EdgeOwner
+/// and LeafLedBy over every spec edge id, each vertex's owner and each
+/// node's own vertices. Own-edge order sets the leader edges, and they set
+/// plan child order, so any move here can move labels.
+inline uint64_t HierarchyDigest(const Specification& spec) {
+  const Hierarchy& h = spec.hierarchy();
+  std::vector<int64_t> words;
+  const auto list = [&words](const auto& items) {
+    words.push_back(static_cast<int64_t>(items.size()));
+    for (const auto& item : items) words.push_back(item);
+  };
+  for (const HierNode& node : h.nodes()) {
+    words.push_back(static_cast<int64_t>(node.kind));
+    words.push_back(node.subgraph_index);
+    words.push_back(node.source);
+    words.push_back(node.sink);
+    words.push_back(node.parent);
+    list(node.children);
+    words.push_back(node.depth);
+    std::vector<int64_t> dom;
+    for (size_t v = node.dom_set.FindFirst(); v < node.dom_set.size();
+         v = node.dom_set.FindNext(v)) {
+      dom.push_back(static_cast<int64_t>(v));
+    }
+    list(dom);
+    words.push_back(static_cast<int64_t>(node.own_edges.size()));
+    for (const auto& [u, v] : node.own_edges) {
+      words.push_back(u);
+      words.push_back(v);
+    }
+    words.push_back(node.leader_edge.first);
+    words.push_back(node.leader_edge.second);
+    words.push_back(node.designated_child);
+  }
+  words.push_back(h.depth());
+  for (int32_t d = 1; d <= h.depth(); ++d) list(h.Level(d));
+  for (size_t e = 0; e < spec.graph().num_edges(); ++e) {
+    words.push_back(h.EdgeOwner(e));
+    words.push_back(h.LeafLedBy(e));
+  }
+  list(h.owners());
+  for (HierNodeId id = 0; id < static_cast<HierNodeId>(h.size()); ++id) {
+    list(h.OwnVertices(id));
+  }
+  return Fnv1a(words.data(), words.size() * sizeof(int64_t));
+}
+
 /// A generated conforming run of `spec` with about `target` vertices.
 inline Run GenerateRun(const Specification& spec, uint32_t target,
                        uint64_t seed) {

@@ -3,8 +3,18 @@
 // including every failure path.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "src/common/random.h"
+#include "src/graph/algorithms.h"
 #include "src/graph/digraph.h"
+#include "src/workflow/spec_delta.h"
 #include "src/workflow/validation.h"
+#include "src/workload/real_workflows.h"
+#include "src/workload/spec_generator.h"
+#include "tests/test_util.h"
 
 namespace skl {
 namespace {
@@ -249,6 +259,166 @@ TEST(WellNestedTest, StraddlingRejected) {
   auto b = NormalizeSubgraph(g, SubgraphKind::kLoop, {3, 4, 5, 6});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_FALSE(CheckWellNested({a.value(), b.value()}).ok());
+}
+
+// ------------------------------------------------ seeded delta verdicts --
+
+/// A random delta against `spec`, most of them invalid: names are mostly
+/// the spec's own, sometimes unknown or empty, and the edits ignore the
+/// fork/loop structure.
+SpecDelta RandomDelta(const Specification& spec, Rng& rng, int round) {
+  const VertexId n = spec.graph().num_vertices();
+  const auto name = [&]() -> std::string {
+    const uint64_t roll = rng.NextBelow(40);
+    if (roll == 0) return "";
+    if (roll == 1) return "unknown";
+    return spec.ModuleName(static_cast<VertexId>(rng.NextBelow(n)));
+  };
+  SpecDelta delta;
+  delta.kind = static_cast<SpecDelta::Kind>(1 + rng.NextBelow(4));
+  switch (delta.kind) {
+    case SpecDelta::Kind::kAddModule:
+      delta.module = rng.NextBelow(10) == 0 ? name()
+                                            : "new" + std::to_string(round);
+      for (uint64_t i = rng.NextBelow(3); i > 0; --i) {
+        delta.from.push_back(name());
+      }
+      for (uint64_t i = rng.NextBelow(3); i > 0; --i) {
+        delta.to.push_back(name());
+      }
+      break;
+    case SpecDelta::Kind::kRemoveModule:
+      delta.module = name();
+      break;
+    case SpecDelta::Kind::kAddEdge:
+    case SpecDelta::Kind::kRemoveEdge: {
+      // Half the removals name an edge the spec has.
+      const auto edges = spec.graph().Edges();
+      if (delta.kind == SpecDelta::Kind::kRemoveEdge && rng.NextBool()) {
+        const auto [u, v] = edges[rng.NextBelow(edges.size())];
+        delta.edge_from = spec.ModuleName(u);
+        delta.edge_to = spec.ModuleName(v);
+      } else {
+        delta.edge_from = name();
+        delta.edge_to = name();
+      }
+      break;
+    }
+  }
+  return delta;
+}
+
+/// Vertices of `g` with a path to `anchor` (anchor included), ascending,
+/// from the full transitive closure.
+std::vector<VertexId> BruteForceAncestors(
+    const std::vector<DynamicBitset>& closure, VertexId anchor) {
+  std::vector<VertexId> out;
+  for (VertexId u = 0; u < closure.size(); ++u) {
+    if (closure[u].Test(anchor)) out.push_back(u);
+  }
+  return out;
+}
+
+/// Checks one accepted application against brute force: `dirty` is the
+/// anchor's ancestor set, and every vertex outside it reaches exactly the
+/// (renumbered) vertices it reached in the base.
+void CheckAccepted(const Specification& base, const SpecDelta& delta,
+                   const SpecDeltaApplication& applied) {
+  const Digraph& g = applied.spec.graph();
+  const auto before = TransitiveClosure(base.graph());
+  const auto after = TransitiveClosure(g);
+  std::vector<VertexId> expected;
+  switch (delta.kind) {
+    case SpecDelta::Kind::kRemoveModule: {
+      const VertexId removed = base.VertexOf(delta.module);
+      for (VertexId u : BruteForceAncestors(before, removed)) {
+        if (u != removed) expected.push_back(applied.vertex_remap[u]);
+      }
+      break;
+    }
+    case SpecDelta::Kind::kAddModule:
+      expected = BruteForceAncestors(after, g.num_vertices() - 1);
+      break;
+    case SpecDelta::Kind::kAddEdge:
+    case SpecDelta::Kind::kRemoveEdge:
+      expected = BruteForceAncestors(after, base.VertexOf(delta.edge_from));
+      break;
+  }
+  ASSERT_EQ(applied.dirty, expected);
+  std::vector<bool> dirty(g.num_vertices(), false);
+  for (VertexId v : applied.dirty) dirty[v] = true;
+  for (VertexId old = 0; old < base.graph().num_vertices(); ++old) {
+    const VertexId v = applied.vertex_remap[old];
+    if (v == kInvalidVertex || dirty[v]) continue;
+    DynamicBitset moved(g.num_vertices());
+    for (size_t w = before[old].FindFirst(); w < before[old].size();
+         w = before[old].FindNext(w)) {
+      moved.Set(applied.vertex_remap[w]);
+    }
+    ASSERT_TRUE(moved == after[v]) << "clean vertex " << v << " moved";
+  }
+}
+
+/// Applies `rounds` random deltas, walking into every accepted spec, and
+/// folds each verdict's code and message and each accepted spec's
+/// hierarchy digest into `digest`.
+uint64_t FoldDeltaVerdicts(Specification spec, uint64_t seed, int rounds,
+                           uint64_t digest, int* accepted) {
+  Rng rng(seed);
+  for (int round = 0; round < rounds; ++round) {
+    const SpecDelta delta = RandomDelta(spec, rng, round);
+    auto applied = ApplySpecDeltaToSpec(spec, delta);
+    const uint32_t code = static_cast<uint32_t>(applied.status().code());
+    digest = testing_util::Fnv1a(&code, sizeof(code), digest);
+    const std::string& message = applied.status().message();
+    digest = testing_util::Fnv1a(message.data(), message.size(), digest);
+    if (!applied.ok()) continue;
+    ++*accepted;
+    CheckAccepted(spec, delta, *applied);
+    if (::testing::Test::HasFatalFailure()) {
+      ADD_FAILURE() << "round " << round << ", seed " << seed;
+      return digest;
+    }
+    const uint64_t hierarchy = testing_util::HierarchyDigest(applied->spec);
+    digest = testing_util::Fnv1a(&hierarchy, sizeof(hierarchy), digest);
+    spec = std::move(applied->spec);
+  }
+  return digest;
+}
+
+TEST(DeltaVerdictFuzz, VerdictsAndHierarchiesArePinned) {
+  const uint64_t scale = testing_util::TestIterScale();
+  const uint64_t seed = testing_util::TestSeed("DeltaVerdictFuzz", 2026);
+  const int rounds = static_cast<int>(400 * scale);
+  std::vector<Specification> bases;
+  auto qblast = BuildRealWorkflow("QBLAST");
+  ASSERT_TRUE(qblast.ok());
+  bases.push_back(std::move(qblast).value());
+  for (const auto [num_subgraphs, depth, spec_seed] :
+       {std::tuple{8u, 4u, 1u}, std::tuple{16u, 3u, 10u}}) {
+    SpecGenOptions sopt;
+    sopt.num_vertices = 60;
+    sopt.num_edges = 100;
+    sopt.num_subgraphs = num_subgraphs;
+    sopt.depth = depth;
+    sopt.seed = spec_seed;
+    auto generated = GenerateSpecification(sopt);
+    ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+    bases.push_back(std::move(generated).value());
+  }
+  uint64_t digest = testing_util::Fnv1a(nullptr, 0);
+  int accepted = 0;
+  for (size_t i = 0; i < bases.size(); ++i) {
+    digest = FoldDeltaVerdicts(std::move(bases[i]), seed + i, rounds, digest,
+                               &accepted);
+    ASSERT_FALSE(HasFailure()) << "base spec " << i;
+  }
+  // Most deltas are refused, but enough are accepted to walk the specs.
+  EXPECT_GT(accepted, rounds * 3 / 20);
+  EXPECT_LT(accepted, rounds * 3 / 2);
+  if (scale == 1 && seed == 2026) {
+    EXPECT_EQ(digest, 0x747c2135a6b45b1bULL) << "accepted " << accepted;
+  }
 }
 
 }  // namespace
