@@ -13,6 +13,9 @@
 // them on every push). Each load time is the median of five loads. crc32_mb_per_s is the CRC-32 speed over the
 // snapshot's own bytes, which every save and load checksums once; it is
 // gated, and the crc32 row names the kernel that ran (clmul or table).
+// snapshot_load_chain_ms loads the same registry after 80 spec deltas
+// (40 source -> par<i> -> sink grafts and their removals), so the load
+// also replays the epoch chain, one spec rebuild per delta.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +30,7 @@
 #include "src/common/temp_path.h"
 #include "src/core/provenance_service.h"
 #include "src/io/workflow_xml.h"
+#include "src/workflow/spec_delta.h"
 #include "src/workload/data_generator.h"
 
 int main() {
@@ -95,13 +99,14 @@ int main() {
   // the median of kLoads loads of the same file, each checked the same way.
   // Returns the median seconds; *out keeps the last service loaded.
   constexpr int kLoads = 5;
-  auto median_load = [&](SnapshotLoadOptions load_options,
+  auto median_load = [&](const std::string& from,
+                         SnapshotLoadOptions load_options,
                          std::optional<ProvenanceService>* out) {
     std::vector<double> secs;
     for (int i = 0; i < kLoads; ++i) {
       out->reset();  // the previous service's memory goes before the timing
       sw.Restart();
-      auto loaded = ProvenanceService::LoadSnapshot(path, {}, load_options);
+      auto loaded = ProvenanceService::LoadSnapshot(from, {}, load_options);
       secs.push_back(sw.ElapsedSeconds());
       SKL_CHECK_MSG(loaded.ok(), loaded.status().ToString().c_str());
       SKL_CHECK(loaded->num_runs() == service->num_runs());
@@ -111,11 +116,11 @@ int main() {
     return secs[kLoads / 2];
   };
   std::optional<ProvenanceService> restored;
-  const double load_secs = median_load({}, &restored);
+  const double load_secs = median_load(path, {}, &restored);
   // The zero-copy path: map the columnar sections read-only and rebuild
   // only the per-run index.
   std::optional<ProvenanceService> mapped;
-  const double mmap_secs = median_load({.use_mmap = true}, &mapped);
+  const double mmap_secs = median_load(path, {.use_mmap = true}, &mapped);
 
   // CRC-32 over the file's bytes, repeated for at least 100 ms so a small
   // snapshot still gives a steady rate.
@@ -168,6 +173,33 @@ int main() {
               num_runs / mmap_secs, mb / mmap_secs);
   std::printf("%14s %10.2f %10.0f %10s\n", "relabel (xml)",
               relabel_secs * 1e3, num_runs / relabel_secs, "-");
+  // The same registry behind an 80-delta epoch chain.
+  const Specification& qblast = service->spec();
+  const std::string source = qblast.ModuleName(qblast.source());
+  const std::string sink = qblast.ModuleName(qblast.sink());
+  for (int i = 0; i < 80; ++i) {
+    SpecDelta delta;
+    delta.module = "par" + std::to_string(i / 2);
+    if (i % 2 == 0) {
+      delta.kind = SpecDelta::Kind::kAddModule;
+      delta.from = {source};
+      delta.to = {sink};
+    } else {
+      delta.kind = SpecDelta::Kind::kRemoveModule;
+    }
+    auto applied = service->ApplySpecDelta(delta);
+    SKL_CHECK_MSG(applied.ok(), applied.status().ToString().c_str());
+  }
+  const std::string chain_path =
+      PidQualifiedTempPath("bench_snapshot_chain", ".skls");
+  SKL_CHECK(service->SaveSnapshot(chain_path).ok());
+  std::optional<ProvenanceService> replayed;
+  const double chain_secs = median_load(chain_path, {}, &replayed);
+  SKL_CHECK(replayed->spec_epoch() == service->spec_epoch());
+
+  std::printf("%14s %10.2f %10.0f %10s  (after %llu spec deltas)\n",
+              "load (chain)", chain_secs * 1e3, num_runs / chain_secs, "-",
+              static_cast<unsigned long long>(service->spec_epoch() - 1));
   std::printf("%14s %10s %10s %10.1f  (%s kernel, file CRC-32 %08x)\n",
               "crc32", "-", "-", crc_mb_per_s,
               crc32_internal::HostHasClmul() ? "clmul" : "table", crc);
@@ -188,10 +220,12 @@ int main() {
   json.Add("snapshot_load_ms", load_secs * 1e3, "ms");
   json.Add("snapshot_load_mmap_ms", mmap_secs * 1e3, "ms");
   json.Add("snapshot_load_mb_per_sec", mb / load_secs, "MB/s");
+  json.Add("snapshot_load_chain_ms", chain_secs * 1e3, "ms");
   json.Add("crc32_mb_per_s", crc_mb_per_s, "MB/s");
   json.Add("relabel_ms", relabel_secs * 1e3, "ms");
   json.Add("warm_restart_speedup", relabel_secs / load_secs, "x");
 
   std::filesystem::remove(path, ec);
+  std::filesystem::remove(chain_path, ec);
   return 0;
 }

@@ -7,14 +7,19 @@
 // Options::full_rebuild_on_delta, and the per-delta averages land in the
 // gated JSON keys spec_delta_relabel_ms / spec_delta_full_rebuild_ms
 // (tools/bench_compare.py fails CI when the relabel path regresses).
+// spec_delta_apply_us is the spec rebuild alone: the median time of one
+// ApplySpecDeltaToSpec call over the same sequence, with no service or
+// scheme, which spec_delta_relabel_ms includes.
 //
 // Workload knobs: SKL_BENCH_DELTA_NG (spec vertices, default 800) and
 // SKL_BENCH_DELTA_OPS (applied deltas per side, default 40; rounded up to
 // even so every graft is ungrafted and the spec ends at its base size).
 // SKL_BENCH_JSON=<path> writes the metrics machine-readably.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/core/provenance_service.h"
@@ -54,6 +59,18 @@ int main() {
   // The measured op sequence: graft par<i>, ungraft par<i>, repeat. The
   // graft's dirty region is {source, par<i>} — constant-size — so the
   // incremental path's advantage grows linearly with n_G.
+  auto op = [&](size_t i) {
+    SpecDelta delta;
+    delta.module = "par" + std::to_string(i - i % 2);
+    if (i % 2 == 0) {
+      delta.kind = SpecDelta::Kind::kAddModule;
+      delta.from = {source};
+      delta.to = {sink};
+    } else {
+      delta.kind = SpecDelta::Kind::kRemoveModule;
+    }
+    return delta;
+  };
   auto run_side = [&](bool full_rebuild) -> double {
     ProvenanceService::Options options;
     options.full_rebuild_on_delta = full_rebuild;
@@ -61,19 +78,9 @@ int main() {
         ProvenanceService::Create(spec, SpecSchemeKind::kTcm, options);
     SKL_CHECK_MSG(service.ok(), service.status().ToString().c_str());
     Stopwatch sw;
-    for (size_t i = 0; i < num_ops; i += 2) {
-      SpecDelta graft;
-      graft.kind = SpecDelta::Kind::kAddModule;
-      graft.module = "par" + std::to_string(i);
-      graft.from = {source};
-      graft.to = {sink};
-      auto added = service->ApplySpecDelta(graft);
-      SKL_CHECK_MSG(added.ok(), added.status().ToString().c_str());
-      SpecDelta ungraft;
-      ungraft.kind = SpecDelta::Kind::kRemoveModule;
-      ungraft.module = graft.module;
-      auto removed = service->ApplySpecDelta(ungraft);
-      SKL_CHECK_MSG(removed.ok(), removed.status().ToString().c_str());
+    for (size_t i = 0; i < num_ops; ++i) {
+      auto applied = service->ApplySpecDelta(op(i));
+      SKL_CHECK_MSG(applied.ok(), applied.status().ToString().c_str());
     }
     SKL_CHECK_MSG(service->spec_epoch() == 1 + num_ops, "epoch mismatch");
     return sw.ElapsedMillis() / static_cast<double>(num_ops);
@@ -82,12 +89,28 @@ int main() {
   const double full_ms = run_side(/*full_rebuild=*/true);
   const double relabel_ms = run_side(/*full_rebuild=*/false);
 
+  std::vector<double> apply_us;
+  Specification current = spec;
+  for (size_t i = 0; i < num_ops; ++i) {
+    const SpecDelta delta = op(i);
+    Stopwatch sw;
+    auto applied = ApplySpecDeltaToSpec(current, delta);
+    apply_us.push_back(sw.ElapsedMicros());
+    SKL_CHECK_MSG(applied.ok(), applied.status().ToString().c_str());
+    current = std::move(applied->spec);
+  }
+  std::sort(apply_us.begin(), apply_us.end());
+  const double median_apply_us = apply_us[apply_us.size() / 2];
+
   std::printf("%-28s %12.4f ms/delta\n", "incremental relabel", relabel_ms);
   std::printf("%-28s %12.4f ms/delta\n", "full scheme rebuild", full_ms);
   std::printf("%-28s %12.2fx\n", "speedup",
               relabel_ms > 0 ? full_ms / relabel_ms : 0.0);
+  std::printf("%-28s %12.2f us/delta (median)\n", "spec rebuild alone",
+              median_apply_us);
 
   json.Add("spec_delta_relabel_ms", relabel_ms, "ms");
   json.Add("spec_delta_full_rebuild_ms", full_ms, "ms");
+  json.Add("spec_delta_apply_us", median_apply_us, "us");
   return 0;
 }

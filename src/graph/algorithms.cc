@@ -1,7 +1,6 @@
 #include "src/graph/algorithms.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/common/check.h"
 
@@ -157,12 +156,13 @@ bool InducedWeaklyConnected(const Digraph& g,
 }
 
 bool HasParallelEdges(const Digraph& g) {
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(g.num_edges() * 2);
+  // An out-list is contiguous, so a target already stamped with the current
+  // source repeats an edge of it.
+  std::vector<VertexId> last_source(g.num_vertices(), kInvalidVertex);
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
     for (VertexId v : g.OutNeighbors(u)) {
-      uint64_t key = (static_cast<uint64_t>(u) << 32) | v;
-      if (!seen.insert(key).second) return true;
+      if (last_source[v] == u) return true;
+      last_source[v] = u;
     }
   }
   return false;

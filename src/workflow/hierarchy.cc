@@ -1,17 +1,10 @@
 #include "src/workflow/hierarchy.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/common/check.h"
 
 namespace skl {
-
-namespace {
-uint64_t EdgeKey(VertexId u, VertexId v) {
-  return (static_cast<uint64_t>(u) << 32) | v;
-}
-}  // namespace
 
 Result<Hierarchy> BuildHierarchy(const Digraph& g,
                                  const std::vector<SubgraphInfo>& subgraphs,
@@ -28,25 +21,22 @@ Result<Hierarchy> BuildHierarchy(const Digraph& g,
   root.dom_set = DynamicBitset(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) root.dom_set.Set(v);
 
-  std::vector<std::unordered_set<uint64_t>> edge_sets(k);
+  std::vector<size_t> num_edges(k), dom_size(k);
   for (size_t i = 0; i < k; ++i) {
-    edge_sets[i].reserve(subgraphs[i].edges.size() * 2);
-    for (const auto& [u, v] : subgraphs[i].edges) {
-      edge_sets[i].insert(EdgeKey(u, v));
-    }
+    num_edges[i] = subgraphs[i].edge_set.Count();
+    dom_size[i] = subgraphs[i].dom_set.Count();
   }
 
   // Parent of subgraph i: the smallest proper "ancestor" by nesting. Edge
   // sets may coincide for a fork nested in a loop with the same span, in
   // which case the DomSet (strictly larger for the loop) breaks the tie.
   auto nested_in = [&](size_t i, size_t j) {
-    if (edge_sets[i].size() > edge_sets[j].size()) return false;
-    for (uint64_t e : edge_sets[i]) {
-      if (!edge_sets[j].count(e)) return false;
+    if (num_edges[i] > num_edges[j]) return false;
+    if (!subgraphs[i].edge_set.IsSubsetOf(subgraphs[j].edge_set)) {
+      return false;
     }
     if (!subgraphs[i].dom_set.IsSubsetOf(subgraphs[j].dom_set)) return false;
-    return edge_sets[i].size() < edge_sets[j].size() ||
-           subgraphs[i].dom_set.Count() < subgraphs[j].dom_set.Count();
+    return num_edges[i] < num_edges[j] || dom_size[i] < dom_size[j];
   };
   for (size_t i = 0; i < k; ++i) {
     HierNodeId node_id = static_cast<HierNodeId>(i + 1);
@@ -63,8 +53,8 @@ Result<Hierarchy> BuildHierarchy(const Digraph& g,
     size_t best_dom = SIZE_MAX;
     for (size_t j = 0; j < k; ++j) {
       if (j == i || !nested_in(i, j)) continue;
-      size_t ej = edge_sets[j].size();
-      size_t dj = subgraphs[j].dom_set.Count();
+      size_t ej = num_edges[j];
+      size_t dj = dom_size[j];
       if (ej < best_edges || (ej == best_edges && dj < best_dom)) {
         best = static_cast<HierNodeId>(j + 1);
         best_edges = ej;
@@ -101,59 +91,55 @@ Result<Hierarchy> BuildHierarchy(const Digraph& g,
     h.levels_[h.nodes_[i].depth].push_back(static_cast<HierNodeId>(i));
   }
 
-  // Own edges: E(H) minus edges of the children. The root owns every
-  // remaining edge of G.
-  std::vector<std::unordered_set<uint64_t>> child_edges(k + 1);
+  // Own edges: E(H) minus edges of the children, in edge-id order. The
+  // root owns every remaining edge of G. Edge owners and leaf leaders are
+  // tables by spec edge id.
+  const size_t m = g.num_edges();
+  std::vector<DynamicBitset> child_edges(k + 1);
   for (size_t i = 0; i < k; ++i) {
-    HierNodeId parent = h.nodes_[i + 1].parent;
-    for (uint64_t e : edge_sets[i]) child_edges[parent].insert(e);
+    DynamicBitset& of_parent = child_edges[h.nodes_[i + 1].parent];
+    if (of_parent.size() == 0) of_parent = DynamicBitset(m);
+    of_parent.UnionWith(subgraphs[i].edge_set);
   }
+  h.edge_owner_.assign(m, kInvalidHierNode);
+  h.leaf_led_by_.assign(m, kInvalidHierNode);
+  bool owned_twice = false;
+  auto own = [&](HierNodeId id, VertexId u, VertexId v, size_t e) {
+    if (child_edges[id].size() != 0 && child_edges[id].Test(e)) return;
+    owned_twice |= h.edge_owner_[e] != kInvalidHierNode;
+    h.edge_owner_[e] = id;
+    h.nodes_[id].own_edges.emplace_back(u, v);
+  };
   for (size_t i = 0; i < k; ++i) {
-    HierNode& node = h.nodes_[i + 1];
-    for (const auto& [u, v] : subgraphs[i].edges) {
-      if (!child_edges[i + 1].count(EdgeKey(u, v))) {
-        node.own_edges.emplace_back(u, v);
-      }
-    }
+    const HierNodeId id = static_cast<HierNodeId>(i + 1);
+    ForEachOutEdge(g, subgraphs[i].vertices,
+                   [&](VertexId u, VertexId v, size_t e) {
+                     if (subgraphs[i].edge_set.Test(e)) own(id, u, v, e);
+                   });
   }
+  size_t e = 0;
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (VertexId v : g.OutNeighbors(u)) {
-      if (!child_edges[kHierRoot].count(EdgeKey(u, v))) {
-        h.nodes_[kHierRoot].own_edges.emplace_back(u, v);
-      }
-    }
+    for (VertexId v : g.OutNeighbors(u)) own(kHierRoot, u, v, e++);
+  }
+  if (owned_twice) {
+    return Status::Internal(
+        "subgraph edge missing from the graph or owned twice");
   }
 
   // Leaders: leaves seed copy discovery with one of their own edges; inner
   // nodes designate a child whose collapsed execution edge acts as the seed.
-  for (HierNode& node : h.nodes_) {
+  for (size_t i = 0; i < h.nodes_.size(); ++i) {
+    HierNode& node = h.nodes_[i];
     if (node.children.empty()) {
       if (node.kind != HierKind::kRoot) {
         SKL_CHECK(!node.own_edges.empty());
         node.leader_edge = node.own_edges.front();
+        h.leaf_led_by_[g.EdgeIndex(node.leader_edge.first,
+                                   node.leader_edge.second)] =
+            static_cast<HierNodeId>(i);
       }
     } else {
       node.designated_child = node.children.front();
-    }
-  }
-
-  // Edge owners and leaf leaders by spec edge id.
-  h.edge_owner_.assign(g.num_edges(), kInvalidHierNode);
-  h.leaf_led_by_.assign(g.num_edges(), kInvalidHierNode);
-  for (size_t i = 0; i < h.nodes_.size(); ++i) {
-    const HierNode& node = h.nodes_[i];
-    for (const auto& [u, v] : node.own_edges) {
-      const size_t e = g.EdgeIndex(u, v);
-      if (e == g.num_edges() || h.edge_owner_[e] != kInvalidHierNode) {
-        return Status::Internal(
-            "subgraph edge missing from the graph or owned twice");
-      }
-      h.edge_owner_[e] = static_cast<HierNodeId>(i);
-    }
-    if (i != kHierRoot && node.children.empty()) {
-      h.leaf_led_by_[g.EdgeIndex(node.leader_edge.first,
-                                 node.leader_edge.second)] =
-          static_cast<HierNodeId>(i);
     }
   }
 

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace skl {
@@ -29,8 +28,13 @@ class ModuleTable {
   size_t size() const { return names_.size(); }
 
  private:
+  /// The slot holding `name`'s id, or the empty slot where it would go.
+  size_t Slot(std::string_view name) const;
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, ModuleId> index_;
+  /// Open-addressed (linear probing) ids into names_, kInvalidModule where
+  /// empty; a power of two at least twice size().
+  std::vector<ModuleId> index_;
 };
 
 }  // namespace skl

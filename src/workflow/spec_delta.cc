@@ -1,8 +1,6 @@
 #include "src/workflow/spec_delta.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
 
 #include "src/common/bit_codec.h"
 
@@ -64,15 +62,15 @@ Status ReadStringList(BitReader& reader, const char* what,
 /// including anchor itself, sorted ascending.
 std::vector<VertexId> AncestorsOf(const Digraph& g, VertexId anchor) {
   std::vector<bool> seen(g.num_vertices(), false);
-  std::deque<VertexId> frontier{anchor};
+  std::vector<VertexId> stack{anchor};
   seen[anchor] = true;
-  while (!frontier.empty()) {
-    const VertexId v = frontier.front();
-    frontier.pop_front();
+  while (!stack.empty()) {
+    const VertexId v = stack.back();
+    stack.pop_back();
     for (VertexId u : g.InNeighbors(v)) {
       if (!seen[u]) {
         seen[u] = true;
-        frontier.push_back(u);
+        stack.push_back(u);
       }
     }
   }
@@ -196,21 +194,23 @@ Result<SpecDeltaApplication> ApplySpecDeltaToSpec(const Specification& base,
             "spec delta: AddModule needs at least one from/to neighbor to "
             "join the flow network");
       }
-      std::unordered_set<VertexId> seen_from, seen_to;
+      std::vector<bool> seen_from(n, false), seen_to(n, false);
       for (const std::string& name : delta.from) {
         SKL_ASSIGN_OR_RETURN(VertexId u, ResolveModule(base, name, "from"));
-        if (!seen_from.insert(u).second) {
+        if (seen_from[u]) {
           return Status::InvalidArgument(
               "spec delta: duplicate from neighbor \"" + name + "\"");
         }
+        seen_from[u] = true;
         add_from.push_back(u);
       }
       for (const std::string& name : delta.to) {
         SKL_ASSIGN_OR_RETURN(VertexId v, ResolveModule(base, name, "to"));
-        if (!seen_to.insert(v).second) {
+        if (seen_to[v]) {
           return Status::InvalidArgument(
               "spec delta: duplicate to neighbor \"" + name + "\"");
         }
+        seen_to[v] = true;
         add_to.push_back(v);
       }
       break;

@@ -1,6 +1,5 @@
 #include "src/workflow/specification.h"
 
-#include <unordered_set>
 #include <utility>
 
 #include "src/workflow/validation.h"
@@ -41,16 +40,14 @@ SpecificationBuilder& SpecificationBuilder::DeclareLoop(
 Result<Specification> SpecificationBuilder::Build() && {
   Specification spec;
   spec.modules_ = std::make_shared<ModuleTable>();
-  {
-    std::unordered_set<std::string> seen;
-    for (const std::string& name : names_) {
-      if (name.empty()) {
-        return Status::InvalidSpecification("module name must be non-empty");
-      }
-      if (!seen.insert(name).second) {
-        return Status::InvalidSpecification("duplicate module name: " + name);
-      }
-      spec.modules_->Intern(name);
+  for (const std::string& name : names_) {
+    if (name.empty()) {
+      return Status::InvalidSpecification("module name must be non-empty");
+    }
+    const size_t interned = spec.modules_->size();
+    spec.modules_->Intern(name);
+    if (spec.modules_->size() == interned) {
+      return Status::InvalidSpecification("duplicate module name: " + name);
     }
   }
   DigraphBuilder gb(static_cast<VertexId>(names_.size()));

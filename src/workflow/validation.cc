@@ -2,27 +2,10 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_set>
 
 #include "src/graph/algorithms.h"
 
 namespace skl {
-
-namespace {
-
-uint64_t EdgeKey(VertexId u, VertexId v) {
-  return (static_cast<uint64_t>(u) << 32) | v;
-}
-
-std::unordered_set<uint64_t> EdgeKeySet(
-    const std::vector<std::pair<VertexId, VertexId>>& edges) {
-  std::unordered_set<uint64_t> keys;
-  keys.reserve(edges.size() * 2);
-  for (const auto& [u, v] : edges) keys.insert(EdgeKey(u, v));
-  return keys;
-}
-
-}  // namespace
 
 Status CheckAcyclicFlowNetwork(const Digraph& g, VertexId* source,
                                VertexId* sink) {
@@ -113,14 +96,13 @@ Result<SubgraphInfo> NormalizeSubgraph(const Digraph& g, SubgraphKind kind,
   info.sink = sink;
 
   // E(H): induced edges; forks exclude a direct source->sink edge.
-  for (VertexId u : info.vertices) {
-    for (VertexId v : g.OutNeighbors(u)) {
-      if (!info.vertex_set.Test(v)) continue;
-      if (kind == SubgraphKind::kFork && u == source && v == sink) continue;
-      info.edges.emplace_back(u, v);
-    }
-  }
-  if (info.edges.empty()) {
+  info.edge_set = DynamicBitset(g.num_edges());
+  ForEachOutEdge(g, info.vertices, [&](VertexId u, VertexId v, size_t e) {
+    if (!info.vertex_set.Test(v)) return;
+    if (kind == SubgraphKind::kFork && u == source && v == sink) return;
+    info.edge_set.Set(e);
+  });
+  if (info.edge_set.None()) {
     return Status::InvalidSpecification("subgraph has no edges");
   }
 
@@ -152,17 +134,13 @@ Result<SubgraphInfo> NormalizeSubgraph(const Digraph& g, SubgraphKind kind,
           "create parallel edges when executed)");
     }
     // Atomicity (Lemma 5.1 characterization): the internal vertex set must be
-    // weakly connected under the E(H) edges joining internal vertices.
+    // weakly connected under the E(H) edges joining internal vertices, which
+    // are all of G's edges joining them.
     std::vector<bool> in_internal(n, false);
     for (VertexId v : info.vertices) {
       if (v != source && v != sink) in_internal[v] = true;
     }
-    DigraphBuilder fb(n);
-    for (const auto& [u, v] : info.edges) {
-      if (in_internal[u] && in_internal[v]) fb.AddEdge(u, v);
-    }
-    Digraph filtered = std::move(fb).Build();
-    if (!InducedWeaklyConnected(filtered, in_internal)) {
+    if (!InducedWeaklyConnected(g, in_internal)) {
       return Status::InvalidSpecification(
           "fork is not atomic: internal vertices split into parallel "
           "branches");
@@ -189,28 +167,11 @@ Result<SubgraphInfo> NormalizeSubgraph(const Digraph& g, SubgraphKind kind,
 
 Status CheckWellNested(const std::vector<SubgraphInfo>& subgraphs) {
   const size_t k = subgraphs.size();
-  std::vector<std::unordered_set<uint64_t>> edge_sets(k);
-  for (size_t i = 0; i < k; ++i) edge_sets[i] = EdgeKeySet(subgraphs[i].edges);
-
-  auto subset = [&](size_t a, size_t b) {
-    if (edge_sets[a].size() > edge_sets[b].size()) return false;
-    for (uint64_t e : edge_sets[a]) {
-      if (!edge_sets[b].count(e)) return false;
-    }
-    return true;
-  };
-  auto edges_disjoint = [&](size_t a, size_t b) {
-    const auto& small = edge_sets[a].size() <= edge_sets[b].size()
-                            ? edge_sets[a]
-                            : edge_sets[b];
-    const auto& big = edge_sets[a].size() <= edge_sets[b].size()
-                          ? edge_sets[b]
-                          : edge_sets[a];
-    for (uint64_t e : small) {
-      if (big.count(e)) return false;
-    }
-    return true;
-  };
+  std::vector<size_t> num_edges(k), dom_size(k);
+  for (size_t i = 0; i < k; ++i) {
+    num_edges[i] = subgraphs[i].edge_set.Count();
+    dom_size[i] = subgraphs[i].dom_set.Count();
+  }
 
   // Note on strictness: the paper's Definition 2 asks for strict edge
   // containment, but its own running example nests fork F2 inside loop L2
@@ -221,13 +182,15 @@ Status CheckWellNested(const std::vector<SubgraphInfo>& subgraphs) {
     for (size_t j = i + 1; j < k; ++j) {
       const auto& di = subgraphs[i].dom_set;
       const auto& dj = subgraphs[j].dom_set;
-      bool proper_ij = edge_sets[i].size() < edge_sets[j].size() ||
-                       (di.Count() < dj.Count() && di.IsSubsetOf(dj));
-      bool proper_ji = edge_sets[j].size() < edge_sets[i].size() ||
-                       (dj.Count() < di.Count() && dj.IsSubsetOf(di));
-      bool nested_ij = di.IsSubsetOf(dj) && subset(i, j) && proper_ij;
-      bool nested_ji = dj.IsSubsetOf(di) && subset(j, i) && proper_ji;
-      bool disjoint = !di.Intersects(dj) && edges_disjoint(i, j);
+      const auto& ei = subgraphs[i].edge_set;
+      const auto& ej = subgraphs[j].edge_set;
+      bool proper_ij = num_edges[i] < num_edges[j] ||
+                       (dom_size[i] < dom_size[j] && di.IsSubsetOf(dj));
+      bool proper_ji = num_edges[j] < num_edges[i] ||
+                       (dom_size[j] < dom_size[i] && dj.IsSubsetOf(di));
+      bool nested_ij = di.IsSubsetOf(dj) && ei.IsSubsetOf(ej) && proper_ij;
+      bool nested_ji = dj.IsSubsetOf(di) && ej.IsSubsetOf(ei) && proper_ji;
+      bool disjoint = !di.Intersects(dj) && !ei.Intersects(ej);
       if (!(nested_ij || nested_ji || disjoint)) {
         return Status::InvalidSpecification(
             "subgraphs " + std::to_string(i) + " and " + std::to_string(j) +

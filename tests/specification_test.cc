@@ -95,14 +95,14 @@ TEST(SpecificationTest, SubgraphNormalization) {
   EXPECT_EQ(subs[0].source, ex.sv("a"));
   EXPECT_EQ(subs[0].sink, ex.sv("h"));
   EXPECT_EQ(subs[0].dom_set.Count(), 2u);
-  EXPECT_EQ(subs[0].edges.size(), 3u);
+  EXPECT_EQ(subs[0].edge_set.Count(), 3u);
   // L1 = {b,c}.
   EXPECT_EQ(subs[1].kind, SubgraphKind::kLoop);
-  EXPECT_EQ(subs[1].edges.size(), 1u);
+  EXPECT_EQ(subs[1].edge_set.Count(), 1u);
   EXPECT_EQ(subs[1].dom_set.Count(), 2u);
   // L2 = {e,f,g} and F2 = {e,f,g} share the edge set.
-  EXPECT_EQ(subs[2].edges.size(), 2u);
-  EXPECT_EQ(subs[3].edges.size(), 2u);
+  EXPECT_EQ(subs[2].edge_set.Count(), 2u);
+  EXPECT_EQ(subs[3].edge_set.Count(), 2u);
   EXPECT_EQ(subs[2].dom_set.Count(), 3u);
   EXPECT_EQ(subs[3].dom_set.Count(), 1u);
 }

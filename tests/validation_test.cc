@@ -120,7 +120,7 @@ TEST(NormalizeTest, LoopIncludesAllBranches) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->source, 1u);
   EXPECT_EQ(r->sink, 3u);
-  EXPECT_EQ(r->edges.size(), 5u);  // 1-2, 2-3, 1-5, 5-3, 1-3
+  EXPECT_EQ(r->edge_set.Count(), 5u);  // 1-2, 2-3, 1-5, 5-3, 1-3
   EXPECT_EQ(r->dom_set.Count(), 4u);
 }
 
@@ -137,7 +137,7 @@ TEST(NormalizeTest, AtomicForkChain) {
   auto r = NormalizeSubgraph(g, SubgraphKind::kFork, {1, 2, 3});
   // Induced: 1->2, 2->3 plus direct 1->3 dropped. V* = {2}: atomic.
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->edges.size(), 2u);
+  EXPECT_EQ(r->edge_set.Count(), 2u);
 }
 
 TEST(NormalizeTest, SingleEdgeForkRejected) {
@@ -166,7 +166,7 @@ TEST(NormalizeTest, SingleEdgeLoopAllowed) {
   Digraph g = Chain(3);
   auto r = NormalizeSubgraph(g, SubgraphKind::kLoop, {1, 2});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->edges.size(), 1u);
+  EXPECT_EQ(r->edge_set.Count(), 1u);
 }
 
 TEST(NormalizeTest, RejectsNotSelfContained) {
